@@ -42,7 +42,7 @@ def _report_header(args, inputs=()):
 
 def _expr_fn(text: str, var: str):
     ast = funcexpr.parse_text(text)
-    return lambda x: funcexpr.evaluate(ast, {var: float(x)})
+    return lambda x: funcexpr.evaluate(ast, {var: x})
 
 
 # ---------------------------------------------------------------- integrate

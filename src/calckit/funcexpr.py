@@ -1,4 +1,4 @@
-"""Scalar math expression language: tokenizer, parser, evaluator.
+"""Math expression language: tokenizer, parser, array evaluator.
 
 Grammar (EBNF)::
 
@@ -14,6 +14,10 @@ sqrt, abs, sinh, cosh, tanh; there are no user-defined functions. Evaluation
 follows IEEE double semantics: 1/0 and ln(-1) come back as inf/nan rather
 than raising, so integrators and root finders can observe them. Only
 structural problems (unbound variable, unknown function name) raise.
+
+Variables may be bound to numpy arrays: one tree walk then evaluates the
+expression at every point with numpy ufuncs, and each element equals the
+scalar evaluation at that point bit for bit.
 
 ASTs are immutable after parse and safe to evaluate concurrently.
 """
@@ -226,32 +230,45 @@ def parse_text(src: str) -> ExprAst:
     return parse(tokenize(src))
 
 
-def evaluate(ast: ExprAst, bindings: Mapping[str, float] | None = None) -> float:
-    """Evaluate to an IEEE double; pi and e are pre-bound (overridable)."""
+def evaluate(ast: ExprAst,
+             bindings: Mapping[str, float | np.ndarray] | None = None) -> float | np.ndarray:
+    """Evaluate in IEEE double arithmetic; pi and e are pre-bound (overridable).
+
+    Scalar bindings give a float. Array bindings give a float64 array of
+    their broadcast shape, element i being the value at the i-th points.
+    """
     env = dict(_CONSTANTS)
     if bindings:
         env.update(bindings)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+    grid = shape or (1,)        # a scalar evaluation runs on one-element arrays
     with np.errstate(all="ignore"):
-        return float(_eval(ast, env))
+        value = np.broadcast_to(_eval(ast, env, grid), grid)
+    return np.array(value) if shape else float(value[0])
 
 
-def _eval(ast: ExprAst, env: Mapping[str, float]) -> np.float64:
+def _eval(ast: ExprAst, env: Mapping, shape: tuple[int, ...]):
+    # Every variable is a fresh contiguous array of the full shape (one
+    # element for a scalar evaluation) and every literal a numpy scalar. numpy
+    # picks a ufunc's inner loop (SIMD or libm) by the operands' strides, so
+    # a point then gets the same loop alone as within an array.
     if isinstance(ast, Const):
         return np.float64(ast.value)
     if isinstance(ast, Var):
         try:
-            return np.float64(env[ast.name])
+            value = env[ast.name]
         except KeyError:
             raise EvalError(f"unbound variable {ast.name!r}") from None
+        return np.array(np.broadcast_to(value, shape), dtype=float)
     if isinstance(ast, Neg):
-        return -_eval(ast.operand, env)
+        return -_eval(ast.operand, env, shape)
     if isinstance(ast, Call):
         fn = FUNCTIONS.get(ast.name)
         if fn is None:
             raise EvalError(f"unknown function {ast.name!r}")
-        return np.float64(fn(_eval(ast.arg, env)))
-    lhs = _eval(ast.lhs, env)
-    rhs = _eval(ast.rhs, env)
+        return fn(_eval(ast.arg, env, shape))
+    lhs = _eval(ast.lhs, env, shape)
+    rhs = _eval(ast.rhs, env, shape)
     if ast.op == "+":
         return lhs + rhs
     if ast.op == "-":
@@ -259,8 +276,8 @@ def _eval(ast: ExprAst, env: Mapping[str, float]) -> np.float64:
     if ast.op == "*":
         return lhs * rhs
     if ast.op == "/":
-        return np.float64(np.divide(lhs, rhs))
-    return np.float64(np.power(lhs, rhs))
+        return np.divide(lhs, rhs)
+    return np.power(lhs, rhs)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

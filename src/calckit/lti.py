@@ -4,9 +4,10 @@ Rational functions in the Laplace variable are stored as ascending real
 coefficient arrays. Nothing here ever cancels pole/zero pairs automatically:
 cancellation tolerances hide bugs, verbose output does not. Ideal PD
 controllers are improper in isolation, so closed loops are always formed
-symbolically (polynomial arithmetic) before any simulation; time responses
-come from a controllable-canonical realization driven by RK4, never from a
-numerical inverse Laplace transform.
+symbolically (polynomial arithmetic) before any simulation; step responses
+march a controllable-canonical realization with its exact discrete-time map
+(one matrix exponential per step size), never a numerical inverse Laplace
+transform.
 """
 
 from __future__ import annotations
@@ -247,24 +248,47 @@ def linearize(model: mech.MechanicalModel, q_eq, torques_eq) -> StateSpace:
 
 
 def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
-    """Unit-step output via the canonical realization and RK4."""
+    """Unit-step output of the canonical realization on odesolve's time grid.
+
+    Under a constant input the state obeys x_{k+1} = Phi x_k + Gamma exactly,
+    where exp([[A, B], [0, 0]] h) = [[Phi, Gamma], [0, 1]] (Van Loan, IEEE TAC
+    23(3), 1978). One matrix exponential serves every full step of length dt;
+    a shortened final step gets its own. An output beyond 1e9 in magnitude
+    raises DomainError with the time it happened (unstable).
+    """
     if T <= 0:
         raise DomainError("horizon must be positive")
     ss = tf_to_ss(tf)
     if ss.n_states == 0:
         ts = np.arange(0.0, T + dt / 2, dt)
         return SampledSignal(ts, np.full_like(ts, float(ss.D[0, 0])))
-    a, b = ss.A, ss.B[:, 0]
-
-    def rhs(t, x):
-        return a @ x + b
-
-    states = odesolve.rk4_solve(odesolve.IvpProblem(rhs, np.zeros(ss.n_states), 0.0, T), dt)
-    y = states.y @ ss.C[0] + ss.D[0, 0]
-    if np.max(np.abs(y)) > 1e9:
-        t_blow = float(states.t[int(np.argmax(np.abs(y) > 1e9))])
+    ts = odesolve._time_grid(0.0, T, dt)
+    xs = np.zeros((len(ts), ss.n_states))
+    phi, gamma = _step_map(ss, dt)
+    x = xs[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(ts) - 1):
+            x = xs[k] = phi @ x + gamma
+        last = ts[-1] - ts[-2]
+        if abs(last - dt) > 1e-9 * dt:
+            phi, gamma = _step_map(ss, last)
+        xs[-1] = phi @ x + gamma
+        y = xs @ ss.C[0] + ss.D[0, 0]
+    blown = ~(np.abs(y) <= 1e9)          # also catches overflow to inf/nan
+    if np.any(blown):
+        t_blow = float(ts[int(np.argmax(blown))])
         raise DomainError(f"step response exceeds 1e9 at t = {t_blow} (unstable)")
-    return SampledSignal(states.t, y)
+    return SampledSignal(ts, y)
+
+
+def _step_map(ss: StateSpace, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi, Gamma) for one step of length h under a unit step input."""
+    n = ss.n_states
+    block = np.zeros((n + 1, n + 1))
+    block[:n, :n] = ss.A
+    block[:n, n] = ss.B[:, 0]
+    expm = odesolve.matrix_exponential(block, h)
+    return expm[:n, :n], expm[:n, n]
 
 
 def _crossing_time(t: np.ndarray, y: np.ndarray, level: float) -> float:
@@ -282,15 +306,19 @@ def response_metrics(sig: SampledSignal, final_hint: float | None = None) -> Ste
     """Rise (10-90%), overshoot, 2% settling time, and the steady state.
 
     Without a hint the final value is the average over the last 5% of the
-    record, so the horizon must comfortably outlast the transient.
+    record, and that stretch must lie within the 2% band around its average;
+    a record that has not settled (a ramp, a slow drift) raises DomainError.
     """
     t = sig.t
     y = sig.channel(0)
     if final_hint is not None:
         final = float(final_hint)
     else:
-        tail = max(2, int(0.05 * len(y)))
-        final = float(np.mean(y[-tail:]))
+        tail = y[-max(2, int(0.05 * len(y))):]
+        final = float(np.mean(tail))
+        if np.any(np.abs(tail - final) > 0.02 * abs(final)):
+            raise DomainError("response has not settled: the last 5% of the record "
+                              "leaves the 2% band around its average")
     if final == 0.0:
         raise DomainError("zero final value; metrics are undefined")
     t10 = _crossing_time(t, y, 0.1 * final)

@@ -4,8 +4,9 @@ records, improper integrals, and the geometric applications built on them
 
 Darboux panel inf/sup are approximated by a min/max scan over endpoint
 inclusive subsamples, which is exact whenever the integrand is monotone on
-the panel. Improper (Type-I) integrals double the interval until successive
-results settle; divergence is reported, never silently truncated.
+the panel. Improper (Type-I) integrals add doubling segments until a new
+segment contributes less than the tolerance; divergence is reported, never
+silently truncated.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ class Lamina:
             raise DomainError("upper boundary dips below lower boundary")
 
 
+_BLOCK_POINTS = 1 << 16       # darboux_bounds samples at most this many points at once
+_TAIL_PANELS = 256            # Simpson panels per doubling segment in improper_type1
+
+
 def _sample(f, xs: np.ndarray) -> np.ndarray:
     """Evaluate f on a grid, vectorized when f supports it."""
     with np.errstate(all="ignore"):
@@ -73,7 +78,8 @@ def _sample(f, xs: np.ndarray) -> np.ndarray:
             if ys.shape != xs.shape:
                 raise TypeError
         except Exception:
-            ys = np.fromiter((float(f(float(x))) for x in xs), dtype=float, count=len(xs))
+            ys = np.fromiter((float(f(float(x))) for x in xs.flat), dtype=float,
+                             count=xs.size).reshape(xs.shape)
     if not np.all(np.isfinite(ys)):
         bad = xs[~np.isfinite(ys)][0]
         raise DomainError(f"integrand is not finite at x = {bad}")
@@ -98,7 +104,12 @@ def riemann_sum(f, iv: Interval, n: int, scheme: str = "left") -> float:
 
 def darboux_bounds(f, iv: Interval, n: int, m: int) -> tuple[float, float]:
     """Lower/upper Darboux estimates with per-panel extrema approximated by
-    min/max over m uniform subsamples including both panel endpoints."""
+    min/max over m uniform subsamples including both panel endpoints.
+
+    Panels are sampled in blocks of about _BLOCK_POINTS points, and their
+    extrema are summed in panel order (the running sum goes first into each
+    block's cumsum), so the result does not depend on the block size.
+    """
     if n < 1:
         raise DomainError("need n >= 1 panels")
     if m < 2:
@@ -106,10 +117,12 @@ def darboux_bounds(f, iv: Interval, n: int, m: int) -> tuple[float, float]:
     h = iv.width / n
     lower = upper = 0.0
     offsets = np.linspace(0.0, h, m)
-    for k in range(n):
-        ys = _sample(f, iv.a + k * h + offsets)
-        lower += ys.min() * h
-        upper += ys.max() * h
+    panels = max(1, _BLOCK_POINTS // m)
+    for start in range(0, n, panels):
+        ks = np.arange(start, min(n, start + panels))
+        ys = _sample(f, (iv.a + ks * h)[:, None] + offsets)
+        lower = float(np.cumsum(np.append(lower, ys.min(axis=1) * h))[-1])
+        upper = float(np.cumsum(np.append(upper, ys.max(axis=1) * h))[-1])
     return lower, upper
 
 
@@ -154,25 +167,28 @@ def cumulative_trapezoid(sig: SampledSignal, channel: int = 0) -> SampledSignal:
 def improper_type1(f, a: float, tol: float = 1e-8, max_doublings: int = 20) -> float:
     """Integral of f over [a, inf) by interval doubling.
 
-    Computes Simpson results over [a, a + 2^k] with panel width capped at
-    1e-2 and returns as soon as two successive results differ by less than
-    tol. Raises ConvergenceError when the budget runs out, which signals
+    The k-th doubling adds the Simpson integral over [a + 2^(k-1), a + 2^k]
+    (over [a, a + 1] for k = 0) on _TAIL_PANELS panels to the running total,
+    and the total is returned as soon as a new segment adds less than tol.
+    The work is at most (max_doublings + 1) * (_TAIL_PANELS + 1) points.
+    Raises ConvergenceError when the budget runs out, which signals
     divergence or decay too slow to capture.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    previous = None
+    if max_doublings < 1:
+        raise DomainError("need max_doublings >= 1")
+    total, lo = 0.0, a
     for k in range(max_doublings + 1):
-        length = 2.0 ** k
-        n = int(math.ceil(length / 1e-2))
-        n += n % 2
-        value = simpson(f, Interval(a, a + length), n)
-        if previous is not None and abs(value - previous) < tol:
-            return value
-        previous = value
+        hi = a + 2.0 ** k
+        segment = simpson(f, Interval(lo, hi), _TAIL_PANELS)
+        total += segment
+        if k > 0 and abs(segment) < tol:
+            return total
+        lo = hi
     raise ConvergenceError(
         f"tail integral did not settle within {max_doublings} doublings "
-        f"(last two estimates {previous:.6e} and {value:.6e})"
+        f"(running total {total:.6e}, last segment {segment:.6e})"
     )
 
 

@@ -140,6 +140,14 @@ def test_control_step_first_order(capsys):
     assert abs(steady - 1.0) <= 1e-3
 
 
+def test_control_step_integrator_never_settles_exit_2(capsys):
+    # a pure integrator ramps: there is no steady state to report metrics for
+    code, out, err = run(capsys, "control", "step", "--num", "1", "--den", "0", "1")
+    assert code == 2
+    assert "not settled" in err
+    assert "steady state" not in out
+
+
 def test_control_pd_segway_stable_poles(capsys):
     code, out, _ = run(capsys, "control", "pd", "--model", "segway",
                        "--wn", "3", "--zeta", "0.9", "--T", "5")

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calckit.errors import EvalError, ParseError
-from calckit.funcexpr import (BinOp, Call, Const, Neg, Var, evaluate, parse,
-                              parse_text, pretty, tokenize)
+from calckit.funcexpr import (FUNCTIONS, BinOp, Call, Const, Neg, Var, evaluate,
+                              parse, parse_text, pretty, tokenize)
 
 
 def test_tokenize_smallest_arithmetic():
@@ -159,6 +159,63 @@ def test_sum_of_subexpressions_evaluates_to_sum():
         else:
             # non-finite outcomes must at least agree on NaN-ness
             assert math.isnan(combined) == math.isnan(separate)
+
+
+# ---------------------------------------------------------------- arrays
+
+# Points where the registry overflows, divides by zero or leaves its domain,
+# plus ordinary values; 40+ points so vectorized loop bodies run, not only
+# their scalar tails.
+_SPECIAL_POINTS = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, -1e-300, 710.0,
+                   -710.0, 1e308, -1e308, math.inf, -math.inf, math.nan, math.pi / 2]
+
+_leaves = st.one_of(
+    st.builds(Const, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e300])),
+    st.builds(Const, st.floats(min_value=0.0, max_value=1e3)),
+    st.sampled_from([Var("x"), Var("x"), Var("pi"), Var("e")]),
+)
+_trees = st.recursive(_leaves, lambda sub: st.one_of(
+    st.builds(Neg, sub),
+    st.builds(BinOp, st.sampled_from(list("+-*/^")), sub, sub),
+    st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
+), max_leaves=12)
+
+
+def _assert_array_matches_scalar(tree, xs):
+    got = evaluate(tree, {"x": xs})
+    want = np.array([evaluate(tree, {"x": float(x)}) for x in xs])
+    assert got.dtype == np.float64 and got.shape == xs.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    finite = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
+
+
+@pytest.mark.parametrize("text", [f"{name}(x)" for name in sorted(FUNCTIONS)]
+                         + ["x+pi", "x-e", "x*x", "1/x", "x/3", "x^2", "2^x", "x^x",
+                            "x^0.5", "-x"])
+def test_each_operation_array_matches_scalar_bit_for_bit(text):
+    xs = np.concatenate([_SPECIAL_POINTS, np.linspace(-40.0, 40.0, 97)])
+    _assert_array_matches_scalar(parse_text(text), xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=24,
+                        max_size=64))
+def test_random_tree_array_matches_scalar_bit_for_bit(tree, extra):
+    _assert_array_matches_scalar(tree, np.array(_SPECIAL_POINTS + extra))
+
+
+def test_array_evaluation_broadcasts_constants():
+    got = evaluate(parse_text("2*pi"), {"x": np.zeros(5)})
+    assert got.shape == (5,) and np.all(got == 2.0 * math.pi)
+    assert isinstance(evaluate(parse_text("x+1"), {"x": 1.0}), float)
+
+
+def test_array_evaluation_keeps_structural_errors():
+    with pytest.raises(EvalError):
+        evaluate(parse_text("x+y"), {"x": np.ones(3)})
+    with pytest.raises(EvalError):
+        evaluate(parse_text("foo(x)"), {"x": np.ones(3)})
 
 
 @settings(max_examples=400, deadline=None)

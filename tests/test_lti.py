@@ -312,9 +312,54 @@ def test_second_order_overshoot_formula(zeta):
 
 
 def test_unstable_step_reports_blowup():
-    tf = TransferFunction([1.0], [-60.0, 1.0])   # pole at +60
-    with pytest.raises(DomainError):
+    tf = TransferFunction([1.0], [-60.0, 1.0])   # pole at +60: y = (exp(60 t) - 1) / 60
+    with pytest.raises(DomainError, match="exceeds 1e9") as err:
         step_response(tf, 2.0, 1e-3)
+    t_blow = float(str(err.value).split("t = ")[1].split()[0])
+    assert t_blow == pytest.approx(math.log(6e10 + 1.0) / 60.0, abs=1e-3)
+
+
+def _rk4_step_response(tf, T, dt):
+    ss = tf_to_ss(tf)
+    a, b = ss.A, ss.B[:, 0]
+    prob = odesolve.IvpProblem(lambda t, x: a @ x + b, np.zeros(ss.n_states), 0.0, T)
+    return odesolve.rk4_solve(prob, dt).y @ ss.C[0] + ss.D[0, 0]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_step_response_matches_rk4_march(order):
+    rng = np.random.default_rng(order)
+    for _ in range(5):
+        sigma, omega = rng.uniform(0.3, 2.0), rng.uniform(0.5, 3.0)
+        roots = [complex(-sigma, omega), complex(-sigma, -omega)]
+        roots += [-rng.uniform(0.5, 4.0)] * (order - 2)
+        den = np.real(np.poly(roots))[::-1]            # ascending, monic
+        num = rng.uniform(-1.0, 1.0, order)             # strictly proper
+        tf = TransferFunction(num, den)
+        got = step_response(tf, 10.0, 1e-3).y[:, 0]
+        want = _rk4_step_response(tf, 10.0, 1e-3)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_step_response_partial_fractions_with_short_final_step():
+    # 6 / ((s + 1)(s + 2)(s + 3)): y = 1 - 3 e^-t + 3 e^-2t - e^-3t
+    tf = TransferFunction([6.0], [6.0, 11.0, 6.0, 1.0])
+    T, dt = 2.0005, 1e-3
+    sig = step_response(tf, T, dt)
+    t = sig.t
+    assert t[-1] == T and t[-1] - t[-2] == pytest.approx(5e-4)
+    want = 1.0 - 3.0 * np.exp(-t) + 3.0 * np.exp(-2.0 * t) - np.exp(-3.0 * t)
+    assert np.max(np.abs(sig.y[:, 0] - want)) <= 1e-12
+
+
+def test_metrics_without_hint_refuse_an_unsettled_record():
+    ramp = step_response(TransferFunction([1.0], [0.0, 1.0]), 10.0, 1e-2)
+    with pytest.raises(DomainError, match="not settled"):
+        response_metrics(ramp)
+    ringing = step_response(TransferFunction([4.0], [4.0, 0.2, 1.0]), 10.0, 1e-2)
+    with pytest.raises(DomainError, match="not settled"):
+        response_metrics(ringing)
+    assert response_metrics(ramp, final_hint=5.0).steady_state == 5.0
 
 
 def test_steady_state_matches_dc_gain_without_hint():

@@ -91,6 +91,30 @@ def test_expm_columns_match_rk4():
         assert np.max(np.abs(sig.y[-1] - expm[:, j])) <= 1e-6
 
 
+def test_expm_matches_scipy_on_random_matrices():
+    expm = pytest.importorskip("scipy.linalg").expm
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        for scale in (1e-3, 0.3, 1.0, 4.0):
+            a = scale * rng.standard_normal((n, n))
+            want = expm(a)
+            assert np.max(np.abs(matrix_exponential(a) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_expm_matches_scipy_on_zero_order_hold_blocks():
+    expm = pytest.importorskip("scipy.linalg").expm
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 4):
+        for h in (1e-4, 1e-3, 0.01, 0.5):
+            block = np.zeros((n + 1, n + 1))
+            block[:n, :n] = rng.standard_normal((n, n)) - np.eye(n)
+            block[:n, n] = rng.standard_normal(n)
+            want = expm(block * h)
+            got = matrix_exponential(block, h)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(got[n], np.eye(n + 1)[n])
+
+
 def test_expm_rejects_nonsquare():
     with pytest.raises(DimensionError):
         matrix_exponential(np.ones((2, 3)), 1.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from calckit import quad
 from calckit.diffnum import DiffConfig, derivative
 from calckit.errors import ConvergenceError, DimensionError, DomainError
 from calckit.quad import (Interval, Lamina, SampledSignal, antiderivative_numeric,
@@ -163,6 +164,41 @@ def test_improper_gaussian_split_at_zero():
 def test_improper_divergent_harmonic_tail():
     with pytest.raises(ConvergenceError):
         improper_type1(lambda x: 1.0 / x, 1.0, 1e-8, 10)
+
+
+def test_improper_default_budget_on_divergent_tail():
+    points = 0
+
+    def harmonic(x):
+        nonlocal points
+        points += np.size(x)
+        return 1.0 / x
+
+    with pytest.raises(ConvergenceError):
+        improper_type1(harmonic, 1.0)
+    # 21 segments (max_doublings = 20) of _TAIL_PANELS Simpson panels each
+    assert points <= 21 * (quad._TAIL_PANELS + 1)
+
+
+@pytest.mark.parametrize("tol, max_doublings", [(0.0, 10), (1e-8, 0)])
+def test_improper_rejects_empty_budget(tol, max_doublings):
+    with pytest.raises(DomainError):
+        improper_type1(math.exp, 0.0, tol, max_doublings)
+
+
+def test_darboux_blocks_match_panel_loop_bit_for_bit(monkeypatch):
+    f = lambda x: np.sin(3.0 * x) + x * x     # noqa: E731
+    iv, n, m = Interval(-0.3, 2.2), 997, 7
+    h = iv.width / n
+    offsets = np.linspace(0.0, h, m)
+    lower = upper = 0.0
+    for k in range(n):
+        ys = f(iv.a + k * h + offsets)
+        lower += ys.min() * h
+        upper += ys.max() * h
+    for block in (1, 50, 1 << 16):
+        monkeypatch.setattr(quad, "_BLOCK_POINTS", block)
+        assert darboux_bounds(f, iv, n, m) == (lower, upper)
 
 
 def test_path_length_straight_line():
