@@ -46,18 +46,6 @@ def norm_inf(a: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(m), axis=1)))
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_mat(a)
-    b = as_mat(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    return as_mat(a).T.copy()
-
-
 def lu_factor(a: np.ndarray):
     """Doolittle LU with partial pivoting.
 

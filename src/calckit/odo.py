@@ -12,6 +12,11 @@ a Luenberger-style update
 applied per axis; between events the accelerometer bias estimate b_hat is
 subtracted before integrating. The measurement source, its rate, and the
 two-gain form are design choices of this package, not dictated by the data.
+
+The record is integrated one segment per measurement event: inside a
+segment b_hat is constant, so velocity and position are each one
+``np.cumsum`` that starts from the carried value, which forms every sum in
+the order of a sample-by-sample loop and so gives the same bits.
 """
 
 from __future__ import annotations
@@ -92,12 +97,23 @@ def dead_reckon(trace: ImuTrace, v0, p0) -> Odometry:
     return Odometry(SampledSignal(trace.t, v), SampledSignal(trace.t, p))
 
 
+def _nearest_samples(t: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Index of the sample of ``t`` nearest each of ``times`` (all within
+    [t[0], t[-1]]), with ``np.argmin(np.abs(t - time))``'s tie-break: a time
+    exactly halfway between two samples goes to the earlier one."""
+    j = np.searchsorted(t, times)                 # first t[j] >= time
+    i = np.maximum(j - 1, 0)
+    return np.where(np.abs(t[i] - times) <= np.abs(t[j] - times), i, j)
+
+
 def bias_corrected_odometry(trace: ImuTrace, measurements, gains: FilterGains,
                             v0, p0, b0) -> BiasOdometry:
     """Dead reckoning with bias-compensated acceleration and measurement
     corrections at the nearest trace samples.
 
     Measurements must be sorted by time and lie inside the trace span.
+    Each snaps to its nearest sample; one exactly halfway between two
+    samples goes to the earlier one.
     """
     d = _check_trace(trace)
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
@@ -106,36 +122,40 @@ def bias_corrected_odometry(trace: ImuTrace, measurements, gains: FilterGains,
     if not len(v0) == len(p0) == len(b0) == d:
         raise DimensionError(f"v0/p0/b0 must have dimension {d}")
 
-    events: dict[int, list[np.ndarray]] = {}
-    last_t = -np.inf
+    times, values = [], []
     for m in measurements:
-        if m.t < last_t:
+        if times and m.t < times[-1]:
             raise DomainError("measurements must be sorted by time")
-        last_t = m.t
-        if m.t < trace.t[0] or m.t > trace.t[-1]:
+        if not trace.t[0] <= m.t <= trace.t[-1]:
             raise DomainError(f"measurement at t = {m.t} lies outside the trace span")
         if len(m.v) != d:
             raise DimensionError(f"measurement dimension {len(m.v)} != trace dimension {d}")
-        k = int(np.argmin(np.abs(trace.t - m.t)))   # snap to nearest sample
-        events.setdefault(k, []).append(m.v)
+        times.append(m.t)
+        values.append(m.v)
+    events: dict[int, list[np.ndarray]] = {}
+    for k, v_meas in zip(_nearest_samples(trace.t, np.array(times, dtype=float)), values):
+        events.setdefault(int(k), []).append(v_meas)
 
     n = len(trace)
     a = trace.y
+    dt = np.diff(trace.t)[:, None]
     v = np.empty((n, d))
     p = np.empty((n, d))
     bias = np.empty((n, d))
     v_hat, p_hat, b_hat = v0.copy(), p0.copy(), b0.copy()
-    for k in range(n):
-        for v_meas in events.get(k, ()):
+    starts = sorted(events.keys() | {0})
+    for s, e in zip(starts, starts[1:] + [n]):
+        for v_meas in events.get(s, ()):
             innovation = v_meas - v_hat
             v_hat = v_hat + gains.l1 * innovation
             b_hat = b_hat - gains.l2 * innovation
-        v[k], p[k], bias[k] = v_hat, p_hat, b_hat
-        if k + 1 < n:
-            dt = trace.t[k + 1] - trace.t[k]
-            v_next = v_hat + 0.5 * ((a[k] - b_hat) + (a[k + 1] - b_hat)) * dt
-            p_hat = p_hat + 0.5 * (v_hat + v_next) * dt
-            v_hat = v_next
+        # segment [s, e): b_hat is constant, steps k = s .. hi-1 reach sample k+1
+        hi = min(e, n - 1)
+        dv = 0.5 * ((a[s:hi] - b_hat) + (a[s + 1:hi + 1] - b_hat)) * dt[s:hi]
+        w = np.cumsum(np.vstack([v_hat, dv]), axis=0)
+        q = np.cumsum(np.vstack([p_hat, 0.5 * (w[:-1] + w[1:]) * dt[s:hi]]), axis=0)
+        v[s:e], p[s:e], bias[s:e] = w[:e - s], q[:e - s], b_hat
+        v_hat, p_hat = w[-1], q[-1]
     return BiasOdometry(SampledSignal(trace.t, v), SampledSignal(trace.t, p),
                         SampledSignal(trace.t, bias), bias[-1].copy())
 
@@ -219,27 +239,27 @@ def _axis_headers(prefix: str, d: int) -> list[str]:
     return [prefix + AXIS_NAMES[i] for i in range(d)]
 
 
-def read_imu_csv(path) -> ImuTrace:
-    """Read a trace with header ``t,ax[,ay[,az]]``."""
+def _read_axes_csv(path, prefix: str, what: str) -> SampledSignal:
+    """Peek at line 1 for the axis count d, then parse the file once against
+    the exact header ``t,<prefix>x[,<prefix>y[,<prefix>z]]``."""
     from .signals import read_csv
 
-    sig = read_csv(path)
-    d = sig.dim
+    with open(path, "r", encoding="utf-8") as fh:
+        header = (fh.readline().splitlines() or [""])[0]
+    d = header.count(",")
     if d not in (1, 2, 3):
-        raise DomainError(f"{path}: IMU trace must have 1..3 axes")
-    expected = _axis_headers("a", d)
-    return read_csv(path, expected_headers=expected)
+        raise DomainError(f"{path}: line 1: {what} must have 1..3 axes")
+    return read_csv(path, expected_headers=_axis_headers(prefix, d))
+
+
+def read_imu_csv(path) -> ImuTrace:
+    """Read a trace with header ``t,ax[,ay[,az]]``."""
+    return _read_axes_csv(path, "a", "IMU trace")
 
 
 def read_measurements_csv(path) -> list[VelMeasurement]:
     """Read measurements with header ``t,vx[,vy[,vz]]``."""
-    from .signals import read_csv
-
-    sig = read_csv(path)
-    d = sig.dim
-    if d not in (1, 2, 3):
-        raise DomainError(f"{path}: measurements must have 1..3 axes")
-    sig = read_csv(path, expected_headers=_axis_headers("v", d))
+    sig = _read_axes_csv(path, "v", "measurements")
     return [VelMeasurement(float(sig.t[k]), sig.y[k].copy()) for k in range(len(sig))]
 
 

@@ -47,10 +47,6 @@ def poly_mul(p, q) -> np.ndarray:
     return np.convolve(as_poly(p), as_poly(q))
 
 
-def poly_scale(p, alpha: float) -> np.ndarray:
-    return as_poly(p) * float(alpha)
-
-
 def _horner(coeffs, s) -> complex:
     acc = 0.0 + 0.0j
     for c in reversed(coeffs):

@@ -4,16 +4,25 @@ A SampledSignal is the package-wide carrier for anything sampled over time:
 IMU traces, integrated odometry, ODE solutions, and step responses. The CSV
 contract is shared repo-wide: header ``t,y0[,y1,...]`` (or caller-supplied
 channel names), one row per sample, decimal point ``.``, UTF-8, no thousands
-separators.
+separators, every field finite.
+
+``read_csv`` parses a file once, streamed in blocks of READ_BLOCK_LINES
+lines, each converted by one ``np.array`` call; memory stays bounded by the
+block, not the file. ``write_csv`` formats WRITE_BLOCK_ROWS rows per format
+string. Both keep the bytes and line numbers of a one-field-at-a-time loop.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
+
+READ_BLOCK_LINES = 8192     # lines converted per np.array call in read_csv
+WRITE_BLOCK_ROWS = 4096     # rows formatted per string in write_csv
 
 
 @dataclass(frozen=True)
@@ -62,52 +71,102 @@ class SampledSignal:
 
 
 def write_csv(sig: SampledSignal, path, headers=None) -> None:
-    """Write ``t,y0[,y1,...]`` rows. Floats use repr for exact round-trips."""
+    """Write ``t,y0[,y1,...]`` rows. Floats use repr for exact round-trips;
+    one ``%r`` format string formats WRITE_BLOCK_ROWS rows at a time."""
     if headers is None:
         headers = [f"y{i}" for i in range(sig.dim)]
     if len(headers) != sig.dim:
         raise DimensionError("one header per channel required")
+    row = ",".join(["%r"] * (1 + sig.dim)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(headers) + "\n")
-        for k in range(len(sig)):
-            row = [repr(float(sig.t[k]))] + [repr(float(v)) for v in sig.y[k]]
-            fh.write(",".join(row) + "\n")
+        for start in range(0, len(sig), WRITE_BLOCK_ROWS):
+            stop = start + WRITE_BLOCK_ROWS
+            block = np.column_stack([sig.t[start:stop], sig.y[start:stop]])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def read_csv(path, expected_headers=None) -> SampledSignal:
-    """Read the shared CSV format back into a SampledSignal.
+def _line_blocks(fh):
+    """Lists of up to READ_BLOCK_LINES lines, split as ``str.splitlines``
+    splits the whole text, so line numbers match the file's."""
+    while chunk := list(itertools.islice(fh, READ_BLOCK_LINES)):
+        yield "".join(chunk).splitlines()
 
-    Malformed content raises DomainError naming the offending line number
-    (1-based, header included). If ``expected_headers`` is given the header
-    row must match ``t,<expected...>`` exactly.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DomainError(f"{path}: line 1: empty file")
-    header = lines[0].split(",")
+
+def _header_width(path, line: str, expected_headers) -> int:
+    header = line.split(",")
     if header[0] != "t" or len(header) < 2:
         raise DomainError(f"{path}: line 1: header must start with 't,' and name channels")
     if expected_headers is not None and header[1:] != list(expected_headers):
         raise DomainError(
             f"{path}: line 1: expected header t,{','.join(expected_headers)}"
-            f" but found {lines[0]}"
+            f" but found {line}"
         )
-    width = len(header)
-    ts, ys = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    return len(header)
+
+
+def _parse_block(path, lines, first_lineno: int, width: int) -> np.ndarray:
+    """Convert one block of data lines to a (rows, width) float array.
+
+    Blank lines are skipped but counted. The first malformed line raises
+    DomainError with its number: a wrong field count, a field ``float``
+    rejects, or a field that is not finite.
+    """
+    rows, linenos = [], []
+    bad_width = None
+    for lineno, line in enumerate(lines, start=first_lineno):
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise DomainError(f"{path}: line {lineno}: expected {width} fields, got {len(parts)}")
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError:
-            raise DomainError(f"{path}: line {lineno}: non-numeric field") from None
-        ts.append(vals[0])
-        ys.append(vals[1:])
+        fields = line.split(",")
+        if len(fields) != width:
+            bad_width = (lineno, len(fields))
+            break
+        rows.append(fields)
+        linenos.append(lineno)
     try:
-        return SampledSignal(np.array(ts), np.array(ys))
+        block = np.array(rows, dtype=float).reshape(len(rows), width)
+        ok = np.isfinite(block).all()
+    except ValueError:
+        ok = False
+    if not ok:
+        # find the first offending row of the block, in line order
+        for fields, lineno in zip(rows, linenos):
+            try:
+                values = np.array(fields, dtype=float)
+            except ValueError:
+                raise DomainError(f"{path}: line {lineno}: non-numeric field") from None
+            if not np.isfinite(values).all():
+                raise DomainError(f"{path}: line {lineno}: non-finite field")
+    if bad_width is not None:
+        lineno, got = bad_width
+        raise DomainError(f"{path}: line {lineno}: expected {width} fields, got {got}")
+    return block
+
+
+def read_csv(path, expected_headers=None) -> SampledSignal:
+    """Read the shared CSV format back into a SampledSignal in one pass.
+
+    Each block's ``np.array(rows, dtype=float)`` accepts and rejects exactly
+    what ``float`` does per field. Malformed content, a non-finite field
+    included, raises DomainError naming the offending line number (1-based,
+    header and blank lines included). If ``expected_headers`` is given the
+    header row must match ``t,<expected...>`` exactly.
+    """
+    blocks = []
+    width = None
+    lineno = 1
+    with open(path, "r", encoding="utf-8") as fh:
+        for lines in _line_blocks(fh):
+            if width is None:
+                width = _header_width(path, lines[0], expected_headers)
+                lines = lines[1:]
+                lineno = 2
+            blocks.append(_parse_block(path, lines, lineno, width))
+            lineno += len(lines)
+    if width is None:
+        raise DomainError(f"{path}: line 1: empty file")
+    data = np.concatenate(blocks)
+    try:
+        return SampledSignal(data[:, 0], data[:, 1:])
     except (DomainError, DimensionError) as exc:
         raise DomainError(f"{path}: {exc}") from None

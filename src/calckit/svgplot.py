@@ -2,7 +2,9 @@
 
 No plotting dependency: a fixed-size polyline chart with axes, tick labels,
 and a legend, with all coordinates formatted through %.6g so output bytes
-are stable for golden-file comparisons.
+are stable for golden-file comparisons. Point coordinates are computed on
+whole arrays; polylines are formatted and written POINT_BLOCK points at a
+time, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 WIDTH, HEIGHT = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 40, 45
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+POINT_BLOCK = 4096      # polyline points formatted per format string
 
 
 def _fmt(x: float) -> str:
@@ -30,11 +33,8 @@ def line_chart(path, title: str, t, series) -> None:
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(x):
-        return MARGIN_L + (x - x0) / (x1 - x0) * plot_w
-
-    def py(y):
-        return MARGIN_T + (ymax - y) / (ymax - ymin) * plot_h
+    # the same IEEE operations, in the same order, as a per-point float loop
+    px = MARGIN_L + (t - x0) / (x1 - x0) * plot_w
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -59,18 +59,22 @@ def line_chart(path, title: str, t, series) -> None:
         f'<text x="{WIDTH // 2}" y="{HEIGHT - 8}" font-family="sans-serif" '
         f'font-size="12" text-anchor="middle">t</text>',
     ]
-    for idx, (label, y) in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(f"{_fmt(px(float(xv)))},{_fmt(py(float(yv)))}"
-                       for xv, yv in zip(t, y))
-        lines.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
-        ly = MARGIN_T + 16 * idx + 12
-        lx = WIDTH - MARGIN_R - 110
-        lines.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        lines.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="12">{label}</text>')
-    lines.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+        for idx, (label, y) in enumerate(series):
+            color = PALETTE[idx % len(PALETTE)]
+            py = MARGIN_T + (ymax - y) / (ymax - ymin) * plot_h
+            fh.write('<polyline points="')
+            for start in range(0, len(t), POINT_BLOCK):
+                xy = np.column_stack([px[start:start + POINT_BLOCK],
+                                      py[start:start + POINT_BLOCK]])
+                fh.write(" " * (start > 0) + " ".join(["%.6g,%.6g"] * len(xy))
+                         % tuple(xy.ravel().tolist()))
+            fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+            ly = MARGIN_T + 16 * idx + 12
+            lx = WIDTH - MARGIN_R - 110
+            fh.write(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+                     f'stroke="{color}" stroke-width="1.5"/>\n')
+            fh.write(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
+                     f'font-size="12">{label}</text>\n')
+        fh.write("</svg>\n")

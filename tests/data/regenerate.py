@@ -1,15 +1,22 @@
 """Rebuild the committed CLI fixtures and golden outputs in this directory.
 
 Run from this directory:  python regenerate.py
+Check without writing:    python regenerate.py --check
 
 The golden-file test replays the exact same commands and compares bytes, so
 regenerate only when an intentional behavior change invalidates the goldens.
+``--check`` rebuilds everything in a temporary directory, compares it byte
+for byte with the committed files, lists each file that differs and exits 1
+if any does; it writes nothing here.
 """
 
+import filecmp
 import io
 import json
+import os
 import pathlib
 import sys
+import tempfile
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -17,14 +24,50 @@ import numpy as np
 HERE = pathlib.Path(__file__).parent
 
 
-def main():
-    import os
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["--check"]:
+        return check()
+    if argv:
+        print("usage: python regenerate.py [--check]", file=sys.stderr)
+        return 2
+    build(HERE)
+    print("fixtures regenerated")
+    return 0
 
-    os.chdir(HERE)
+
+def check():
+    """Rebuild in a temporary directory; exit status 1 if any file differs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        build(tmp)
+        built = sorted(p.relative_to(tmp).as_posix() for p in tmp.rglob("*") if p.is_file())
+        differ = [name for name in built if not (HERE / name).is_file()
+                  or not filecmp.cmp(HERE / name, tmp / name, shallow=False)]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(built) - len(differ)} of {len(built)} files match")
+    return 1 if differ else 0
+
+
+def build(dest: pathlib.Path):
+    """Write every fixture into dest and every golden into dest/golden.
+
+    The commands run from dest with relative input names, because the
+    reports echo them."""
+    cwd = os.getcwd()
+    os.chdir(dest)
+    try:
+        _build(dest)
+    finally:
+        os.chdir(cwd)
+
+
+def _build(dest: pathlib.Path):
     from calckit import odo
     from calckit.cli import main as cli_main
 
-    golden = HERE / "golden"
+    golden = dest / "golden"
     golden.mkdir(exist_ok=True)
 
     # IMU fixture: sinusoidal truth, constant bias, mild noise, fixed seed
@@ -68,7 +111,6 @@ def main():
                    "--kp", "-28.62", "--kd", "-5.4", "--precomp", "0.31446541",
                    "--out", str(golden / "simulate_segway.csv")])
     assert rc == 0, rc
-    print("fixtures regenerated")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import pathlib
+import shutil
 
 import numpy as np
 
@@ -227,3 +229,31 @@ def test_golden_simulate_segway(tmp_path, capsys):
                      "--precomp", "0.31446541", "--out", str(out_csv))
     assert code == 0
     assert out_csv.read_bytes() == (GOLDEN / "simulate_segway.csv").read_bytes()
+
+
+def load_regenerate():
+    spec = importlib.util.spec_from_file_location("regenerate", DATA / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_regenerate_check_rebuilds_every_file_byte_for_byte(capsys):
+    regenerate = load_regenerate()
+    committed = {p: p.read_bytes() for p in DATA.rglob("*") if p.is_file()}
+    assert regenerate.main(["--check"]) == 0
+    assert "9 of 9 files match" in capsys.readouterr().out
+    assert {p: p.read_bytes() for p in DATA.rglob("*") if p.is_file()} == committed
+
+
+def test_regenerate_check_lists_a_changed_golden(tmp_path, capsys, monkeypatch):
+    regenerate = load_regenerate()
+    copy = tmp_path / "data"
+    shutil.copytree(DATA, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "golden" / "project1_out.csv", "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    monkeypatch.setattr(regenerate, "HERE", copy)
+    assert regenerate.main(["--check"]) == 1
+    out = capsys.readouterr().out
+    assert "differs: golden/project1_out.csv" in out
+    assert "8 of 9 files match" in out

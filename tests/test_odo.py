@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from calckit import odo
 from calckit.errors import DimensionError, DomainError
 from calckit.odo import (AccelProfile, FilterGains, VelMeasurement,
                          bias_corrected_odometry, dead_reckon, read_imu_csv,
@@ -173,3 +176,141 @@ def test_malformed_csv_reports_line_number(tmp_path):
     path.write_text("t,ax\n0.0,1.0\n0.1\n")
     with pytest.raises(DomainError, match="line 3"):
         read_imu_csv(path)
+
+
+def test_read_imu_csv_peeks_axis_count(tmp_path):
+    path = tmp_path / "four.csv"
+    path.write_text("t,ax,ay,az,aw\n0.0,1,2,3,4\n0.1,1,2,3,4\n")
+    with pytest.raises(DomainError, match="line 1: IMU trace must have 1..3 axes"):
+        read_imu_csv(path)
+    path.write_text("t,vx,vy\n0.0,1,2\n0.1,1,2\n")
+    with pytest.raises(DomainError, match="expected header t,ax,ay"):
+        read_imu_csv(path)
+    assert len(read_measurements_csv(path)) == 2
+
+
+# ------------------------------------------- segment-wise odometry vs the loop
+
+def loop_odometry(trace, measurements, gains, v0, p0, b0):
+    """Reference: the sample-by-sample loop with argmin snapping."""
+    events = {}
+    for m in measurements:
+        k = int(np.argmin(np.abs(trace.t - m.t)))
+        events.setdefault(k, []).append(m.v)
+    n, d = trace.y.shape
+    a = trace.y
+    v, p, bias = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
+    v_hat, p_hat, b_hat = (np.array(x, dtype=float) for x in (v0, p0, b0))
+    for k in range(n):
+        for v_meas in events.get(k, ()):
+            innovation = v_meas - v_hat
+            v_hat = v_hat + gains.l1 * innovation
+            b_hat = b_hat - gains.l2 * innovation
+        v[k], p[k], bias[k] = v_hat, p_hat, b_hat
+        if k + 1 < n:
+            dt = trace.t[k + 1] - trace.t[k]
+            v_next = v_hat + 0.5 * ((a[k] - b_hat) + (a[k + 1] - b_hat)) * dt
+            p_hat = p_hat + 0.5 * (v_hat + v_next) * dt
+            v_hat = v_next
+    return v, p, bias
+
+
+def assert_matches_loop(trace, meas, gains, v0, p0, b0):
+    out = bias_corrected_odometry(trace, meas, gains, v0, p0, b0)
+    v, p, bias = loop_odometry(trace, meas, gains, v0, p0, b0)
+    assert np.array_equal(out.v.y, v)
+    assert np.array_equal(out.p.y, p)
+    assert np.array_equal(out.bias_history.y, bias)
+    assert np.array_equal(out.final_bias, bias[-1])
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False)
+# where a fix lands between samples k and k+1: on k, halfway, or anywhere
+fractions = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def odometry_cases(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 40))
+    t = np.cumsum([0.0] + draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1,
+                                        max_size=n - 1)))
+    a = np.array(draw(st.lists(finite, min_size=n * d, max_size=n * d))).reshape(n, d)
+    picks = draw(st.lists(st.tuples(st.integers(0, n - 1), fractions), max_size=12))
+    times = sorted(min(t[k] + f * (t[min(k + 1, n - 1)] - t[k]), t[-1]) for k, f in picks)
+    meas = [VelMeasurement(float(tm), draw(st.lists(finite, min_size=d, max_size=d)))
+            for tm in times]
+    gains = FilterGains(draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 5.0)))
+    v0, p0, b0 = (draw(st.lists(finite, min_size=d, max_size=d)) for _ in range(3))
+    return SampledSignal(t, a), meas, gains, v0, p0, b0
+
+
+@settings(max_examples=150, deadline=None)
+@given(odometry_cases())
+def test_segmented_odometry_equals_loop_bit_for_bit(case):
+    assert_matches_loop(*case)
+
+
+@pytest.mark.parametrize("fix_times", [
+    [],                                  # no measurements: one segment
+    [0.0, 0.0, 2.0],                     # events at sample 0, one snapped twice
+    [2.0, 2.0],                          # both at the last sample
+    [0.0, 0.5, 0.625, 1.0, 1.03, 2.0],   # first, halfway, exact and last samples
+])
+def test_segment_edges_equal_loop(fix_times):
+    synth = synth_imu(AccelProfile.sinusoid(1.0, 2.0), [0.1, -0.2, 0.05], 0.02,
+                      0.25, 2.0, seed=11)
+    meas = [VelMeasurement(tm, [0.3 * i, -0.1, 0.2]) for i, tm in enumerate(fix_times)]
+    assert_matches_loop(synth.trace, meas, FilterGains(0.7, 0.9),
+                        [0.1, 0.2, 0.3], [1.0, -1.0, 0.5], [0.0, 0.01, -0.02])
+
+
+def test_odometry_accepts_a_generator_of_measurements():
+    synth = synth_imu(AccelProfile.rest(), [0.1], 0.0, 0.1, 2.0, seed=0)
+    meas = constant_measurements(0.0, [0.5, 1.0, 1.5])
+    listed = bias_corrected_odometry(synth.trace, meas, FilterGains(0.5, 0.5),
+                                     [0.0], [0.0], [0.0])
+    streamed = bias_corrected_odometry(synth.trace, iter(meas), FilterGains(0.5, 0.5),
+                                       [0.0], [0.0], [0.0])
+    assert np.array_equal(listed.v.y, streamed.v.y)
+
+
+def test_measurement_checks_keep_their_messages():
+    synth = synth_imu(AccelProfile.rest(), [0.0, 0.0], 0.0, 0.1, 1.0, seed=0)
+    run = lambda meas: bias_corrected_odometry(synth.trace, meas, FilterGains(0.5, 0.5),
+                                               [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(DomainError, match="sorted by time"):
+        run([VelMeasurement(0.5, [0, 0]), VelMeasurement(0.4, [0, 0])])
+    with pytest.raises(DomainError, match="t = -0.1 lies outside the trace span"):
+        run([VelMeasurement(-0.1, [0, 0])])
+    with pytest.raises(DomainError, match="t = nan lies outside the trace span"):
+        run([VelMeasurement(float("nan"), [0, 0])])
+    with pytest.raises(DimensionError, match="measurement dimension 1 != trace dimension 2"):
+        run([VelMeasurement(0.5, [0])])
+
+
+# ------------------------------------------- snapping vs the argmin formula
+
+def argmin_snap(t, times):
+    return np.array([int(np.argmin(np.abs(t - tm))) for tm in times], dtype=int)
+
+
+def test_snap_matches_argmin_on_edges():
+    t = 0.25 * np.arange(9)              # dyadic: halfway points are exact
+    times = np.array([0.0, 0.125, 0.25, 0.3, 0.375, 0.375, 1.0, 1.875, 1.9, 2.0])
+    got = odo._nearest_samples(t, times)
+    assert np.array_equal(got, argmin_snap(t, times))
+    # halfway goes to the earlier sample; 0.3 and 0.375 both snap to sample 1
+    assert list(got) == [0, 0, 1, 1, 1, 1, 4, 7, 8, 8]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=30),
+       st.lists(st.tuples(st.integers(0, 30), fractions), max_size=20))
+def test_snap_matches_argmin(dts, picks):
+    t = np.cumsum([0.0] + dts)
+    n = len(t)
+    k = np.minimum([k for k, _ in picks], n - 1).astype(int)
+    f = np.array([f for _, f in picks])
+    times = np.sort(np.minimum(t[k] + f * (t[np.minimum(k + 1, n - 1)] - t[k]), t[-1]))
+    assert np.array_equal(odo._nearest_samples(t, times), argmin_snap(t, times))

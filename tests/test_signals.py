@@ -1,0 +1,134 @@
+import numpy as np
+import pytest
+
+from calckit import signals
+from calckit.errors import DomainError
+from calckit.signals import READ_BLOCK_LINES, SampledSignal, read_csv, write_csv
+
+
+def loop_write_csv(sig, path, headers):
+    """Reference: the one-row-at-a-time writer that write_csv replaced."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t," + ",".join(headers) + "\n")
+        for k in range(len(sig)):
+            row = [repr(float(sig.t[k]))] + [repr(float(v)) for v in sig.y[k]]
+            fh.write(",".join(row) + "\n")
+
+
+SPECIAL = [0.0, -0.0, 1.0, -3.0, 0.1, 1e16, 1.5e-5, 5e-324, 1.7976931348623157e308,
+           -2.2250738585072014e-308, 123456789.125, 1e-4, 9.999999999999999e15]
+
+
+def random_signal(n, d, seed):
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(1e-3, 1.0, n))
+    y = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, (n, d))
+    y.ravel()[:len(SPECIAL)] = SPECIAL[:y.size]
+    return SampledSignal(t, y)
+
+
+@pytest.mark.parametrize("n, block", [(2, 4096), (4096, 4096), (4097, 4096), (3, 1)])
+def test_write_csv_bytes_equal_row_loop(tmp_path, monkeypatch, n, block):
+    monkeypatch.setattr(signals, "WRITE_BLOCK_ROWS", block)
+    sig = random_signal(n, 3, seed=n)
+    headers = ["vx", "vy", "vz"]
+    write_csv(sig, tmp_path / "new.csv", headers)
+    loop_write_csv(sig, tmp_path / "old.csv", headers)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    back = read_csv(tmp_path / "new.csv", expected_headers=headers)
+    assert np.array_equal(back.t, sig.t) and np.array_equal(back.y, sig.y)
+
+
+# ---------------------------------------------------------------- read_csv
+
+SPELLINGS = ["1_000", " 2.5 ", "\t-3", "+.5", "5.", "1E5", "1e-400", "0.1", "७",
+             "1.7976931348623157e308", "4.9e-324", "  +1e+05  "]
+
+
+def data_lines(n, seed=0):
+    """n data lines of 3 fields; every 97th line is blank, spellings vary."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for k in range(n):
+        if k % 97 == 50:
+            lines.append("   " if k % 2 else "")
+            continue
+        field = SPELLINGS[k % len(SPELLINGS)] if k % 7 == 0 else repr(rng.standard_normal())
+        lines.append(f"{k},{field},{rng.uniform(-1, 1)!r}")
+    return lines
+
+
+def write_lines(path, lines, header="t,a,b", newline="\n"):
+    path.write_bytes((newline.join([header] + lines) + newline).encode("utf-8"))
+
+
+def test_read_csv_values_equal_float_per_field(tmp_path):
+    lines = data_lines(2 * READ_BLOCK_LINES + 300)
+    path = tmp_path / "in.csv"
+    write_lines(path, lines)
+    rows = [[float(f) for f in line.split(",")] for line in lines if line.strip()]
+    sig = read_csv(path, expected_headers=["a", "b"])
+    assert np.array_equal(sig.t, [r[0] for r in rows])
+    assert np.array_equal(sig.y, [r[1:] for r in rows])
+
+
+def bad_file(tmp_path, bad_index, bad_line, newline="\n"):
+    """A file whose data line bad_index is replaced; returns (path, lineno)."""
+    lines = data_lines(READ_BLOCK_LINES + 2000)
+    assert lines[bad_index].strip()
+    lines[bad_index] = bad_line
+    path = tmp_path / "bad.csv"
+    write_lines(path, lines, newline=newline)
+    return path, bad_index + 2          # 1-based, after the header
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("8300,1.0", "expected 3 fields, got 2"),
+    ("8300,1.0,2.0,3.0", "expected 3 fields, got 4"),
+    ("8300,0x10,1.0", "non-numeric field"),
+    ("8300,,1.0", "non-numeric field"),
+    ("8300,1__0,1.0", "non-numeric field"),
+    ("8300,1.0,nan", "non-finite field"),
+    ("Infinity,1.0,2.0", "non-finite field"),
+    ("8300,-1e500,2.0", "non-finite field"),
+])
+def test_read_csv_reports_line_past_first_block(tmp_path, bad_line, message):
+    path, lineno = bad_file(tmp_path, 8300, bad_line)
+    assert lineno > READ_BLOCK_LINES
+    with pytest.raises(DomainError, match=f"line {lineno}: {message}"):
+        read_csv(path)
+
+
+def test_read_csv_line_numbers_count_crlf_and_blank_lines(tmp_path):
+    path, lineno = bad_file(tmp_path, READ_BLOCK_LINES - 1, "1,2,inf", newline="\r\n")
+    with pytest.raises(DomainError, match=f"line {lineno}: non-finite field"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("first, second, lineno", [
+    ("x,1,2", "1,2", 3),        # non-numeric before a short line
+    ("1,nan,2", "1,2", 3),      # non-finite before a short line
+    ("1,2", "x,1,2", 3),        # short line before a non-numeric one
+    ("1,2,3", "1,inf,x", 4),    # one line: non-numeric wins over non-finite
+])
+def test_read_csv_first_malformed_line_wins(tmp_path, first, second, lineno):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,a,b\n0,0,0\n{first}\n{second}\n5,5,5\n")
+    with pytest.raises(DomainError, match=f"line {lineno}: "):
+        read_csv(path)
+
+
+def test_read_csv_header_and_size_errors(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("")
+    with pytest.raises(DomainError, match="line 1: empty file"):
+        read_csv(path)
+    path.write_text("x,a\n0,1\n1,2\n")
+    with pytest.raises(DomainError, match="line 1: header must start with 't,'"):
+        read_csv(path)
+    path.write_text("t,a\n\n0,1\n\n")
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        read_csv(path)
+    path.write_text("t,a\n1,1\n0,2\n")
+    with pytest.raises(DomainError, match="strictly increasing"):
+        read_csv(path)
