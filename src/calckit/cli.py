@@ -119,7 +119,6 @@ def cmd_optimize(args) -> int:
         print(f"tf: {_fmt(result.tf)}")
         print(f"miss_distance: {_fmt(result.miss_distance)}")
         residual = result.miss_distance
-        converged = result.converged
     elif args.scenario == "gymnast":
         model = opt.GymnastModel(config["half_length"], config["m1"], config["m2"],
                                  np.asarray(config["p0"], float),
@@ -134,7 +133,6 @@ def cmd_optimize(args) -> int:
             [0.0, 0.5 * model.g * result.tf ** 2])
         residual = float(max(np.max(np.abs(land - model.p_land)),
                              abs(result.omega * result.tf - model.theta_land)))
-        converged = result.converged
     elif args.scenario == "diver":
         model = opt.DiverModel(config["i_open"], config["i_tuck"], config["k"],
                                config["d_min"], config.get("platform_height", 10.0))
@@ -144,9 +142,9 @@ def cmd_optimize(args) -> int:
         print(f"tuck window: {_fmt(result.t_tuck_start)} {_fmt(result.t_tuck_end)}")
         print(f"entry time: {_fmt(result.entry_time)}")
         residual = abs(result.entry_angle_residual)
-        converged = result.converged
     else:
         raise CalcError(f"unknown scenario {args.scenario!r}")
+    converged = result.converged
     print(f"constraint residual: {_fmt(residual)}")
     print(f"converged: {converged}")
     if not converged:
@@ -199,6 +197,13 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- control
 
+def _print_metrics(metrics: lti.StepMetrics) -> None:
+    print(f"steady state: {_fmt(metrics.steady_state)}")
+    print(f"rise time: {_fmt(metrics.rise_time)}")
+    print(f"overshoot: {_fmt(metrics.overshoot)}")
+    print(f"settling time: {_fmt(metrics.settling_time)}")
+
+
 def _print_pole_table(values) -> None:
     print(f"{'real':>16} {'imag':>16}")
     for v in values:
@@ -221,12 +226,10 @@ def cmd_control(args) -> int:
     _report_header(args, [args.config] if getattr(args, "config", None) else [])
     if args.control_cmd == "linearize":
         ss, tf = _design_plant(args.model, args.config)
-        print("A:")
-        for row in ss.A:
-            print("  " + " ".join(_fmt(v) for v in row))
-        print("B:")
-        for row in ss.B:
-            print("  " + " ".join(_fmt(v) for v in row))
+        for name, mat in (("A", ss.A), ("B", ss.B)):
+            print(f"{name}:")
+            for row in mat:
+                print("  " + " ".join(_fmt(v) for v in row))
         print(f"lean transfer function: {tf}")
         return 0
     if args.control_cmd == "step":
@@ -240,10 +243,7 @@ def cmd_control(args) -> int:
         if args.out:
             write_csv(sig, args.out, headers=["y"])
             print(f"wrote: {args.out}")
-        print(f"steady state: {_fmt(metrics.steady_state)}")
-        print(f"rise time: {_fmt(metrics.rise_time)}")
-        print(f"overshoot: {_fmt(metrics.overshoot)}")
-        print(f"settling time: {_fmt(metrics.settling_time)}")
+        _print_metrics(metrics)
         return 0
     if args.control_cmd == "pd":
         _, plant = _design_plant(args.model, args.config)
@@ -258,11 +258,7 @@ def cmd_control(args) -> int:
         print("closed-loop poles:")
         _print_pole_table(lti.poles(closed))
         sig = lti.step_response(closed, args.T, args.dt)
-        metrics = lti.response_metrics(sig, final_hint=lti.dc_gain(closed))
-        print(f"steady state: {_fmt(metrics.steady_state)}")
-        print(f"rise time: {_fmt(metrics.rise_time)}")
-        print(f"overshoot: {_fmt(metrics.overshoot)}")
-        print(f"settling time: {_fmt(metrics.settling_time)}")
+        _print_metrics(lti.response_metrics(sig, final_hint=lti.dc_gain(closed)))
         return 0
     raise CalcError(f"unknown control subcommand {args.control_cmd!r}")
 

@@ -25,7 +25,6 @@ from .signals import SampledSignal
 
 __all__ = [
     "TransferFunction", "StateSpace", "StepMetrics", "PdGains",
-    "poly_add", "poly_mul", "poly_eval", "roots_dk",
     "poles", "zeros", "pd_tf", "unity_feedback", "dc_gain", "precompensator",
     "tf_to_ss", "ss_to_tf", "step_response", "response_metrics",
     "pd_pole_placement", "linearize", "subsystem",
@@ -259,10 +258,9 @@ def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
     if T <= 0:
         raise DomainError("horizon must be positive")
     ss = tf_to_ss(tf)
-    if ss.n_states == 0:
-        ts = np.arange(0.0, T + dt / 2, dt)
-        return SampledSignal(ts, np.full_like(ts, float(ss.D[0, 0])))
     ts = odesolve._time_grid(0.0, T, dt)
+    if ss.n_states == 0:
+        return SampledSignal(ts, np.full_like(ts, float(ss.D[0, 0])))
     xs = np.zeros((len(ts), ss.n_states))
     phi, gamma = _step_map(ss, dt)
     x = xs[0]

@@ -4,7 +4,8 @@ Given kinetic and potential energy functions K(q, qdot) and V(q), the robot
 equation matrices are assembled by finite differencing alone:
 
     D(q)  = Hessian of K in qdot at qdot = 0 (symmetrized)
-    C     = Christoffel combination of central-difference partials of D
+    C     = Christoffel combination of central-difference partials of D,
+            contracted with qdot by one einsum
     G(q)  = gradient of V
 
 so D qddot + C qdot + G = B_u Gamma. For kinetic energies quadratic in qdot
@@ -98,40 +99,26 @@ def gravity_vector(model: MechanicalModel, q) -> np.ndarray:
     return diffnum.gradient(v_of_q, q, _ENERGY_FD)
 
 
-def mass_matrix_partials(model: MechanicalModel, q) -> list[np.ndarray]:
-    """Central-difference partials dD/dq_k, one matrix per coordinate."""
+def mass_matrix_partials(model: MechanicalModel, q) -> np.ndarray:
+    """Central-difference partials as one array P[k, i, j] = dD_ij/dq_k."""
     q = _check_q(model, q)
-    partials = []
-    for k in range(model.n_dof):
-        e = np.zeros(model.n_dof)
-        e[k] = _FD_STEP
-        partials.append((mass_matrix(model, q + e) - mass_matrix(model, q - e))
-                        / (2.0 * _FD_STEP))
-    return partials
+    step = _FD_STEP * np.eye(model.n_dof)
+    return np.array([(mass_matrix(model, q + e) - mass_matrix(model, q - e))
+                     / (2.0 * _FD_STEP) for e in step])
 
 
 def coriolis_matrix(model: MechanicalModel, q, qd) -> np.ndarray:
     """C(q, qdot) from Christoffel symbols of the first kind:
     C_ij = sum_k (dD_ij/dq_k + dD_ik/dq_j - dD_jk/dq_i) qdot_k / 2."""
-    q = _check_q(model, q)
     qd = _check_q(model, qd)
-    n = model.n_dof
-    dD = mass_matrix_partials(model, q)
-    c = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc += 0.5 * (dD[k][i, j] + dD[j][i, k] - dD[i][j, k]) * qd[k]
-            c[i, j] = acc
-    return c
+    P = mass_matrix_partials(model, q)
+    return np.einsum("ijk,k->ij", 0.5 * (P.transpose(1, 2, 0) + P.transpose(1, 0, 2) - P), qd)
 
 
 def mass_matrix_rate(model: MechanicalModel, q, qd) -> np.ndarray:
     """dD/dt = sum_k dD/dq_k qdot_k, assembled from the same partials."""
     qd = _check_q(model, qd)
-    dD = mass_matrix_partials(model, q)
-    return sum(dD[k] * qd[k] for k in range(model.n_dof))
+    return np.einsum("kij,k->ij", mass_matrix_partials(model, q), qd)
 
 
 def robot_matrices(model: MechanicalModel, q, qd) -> RobotMatrices:

@@ -2,6 +2,9 @@
 exponential by scaling and squaring, and eigenvalues of small matrices via
 the Faddeev-LeVerrier characteristic polynomial.
 
+Euler and RK4 share one march on one time grid and supply only a step;
+the grid ends exactly at tf, shortening the final step if needed.
+
 The eigenvalue route is deliberately polynomial-based and size-capped at
 n <= 12, where the conditioning of the characteristic polynomial is still
 honest at desk scale; QR iteration is out of scope.
@@ -60,31 +63,30 @@ def _time_grid(t0: float, tf: float, dt: float) -> np.ndarray:
     return ts
 
 
-def euler_solve(prob: IvpProblem, dt: float) -> SampledSignal:
-    """Forward-Euler march from t0 to tf."""
+def _march(prob: IvpProblem, dt: float, step) -> SampledSignal:
+    """The one marching loop: x_{k+1} = step(t_k, x_k, t_{k+1} - t_k)."""
     ts = _time_grid(prob.t0, prob.tf, dt)
     xs = np.empty((len(ts), len(prob.x0)))
     xs[0] = prob.x0
     for k in range(len(ts) - 1):
-        h = ts[k + 1] - ts[k]
-        xs[k + 1] = xs[k] + h * _eval_rhs(prob, ts[k], xs[k])
+        xs[k + 1] = step(ts[k], xs[k], ts[k + 1] - ts[k])
     return SampledSignal(ts, xs)
+
+
+def euler_solve(prob: IvpProblem, dt: float) -> SampledSignal:
+    """Forward-Euler march from t0 to tf."""
+    return _march(prob, dt, lambda t, x, h: x + h * _eval_rhs(prob, t, x))
 
 
 def rk4_solve(prob: IvpProblem, dt: float) -> SampledSignal:
     """Classic fourth-order Runge-Kutta march from t0 to tf."""
-    ts = _time_grid(prob.t0, prob.tf, dt)
-    xs = np.empty((len(ts), len(prob.x0)))
-    xs[0] = prob.x0
-    for k in range(len(ts) - 1):
-        t, x = ts[k], xs[k]
-        h = ts[k + 1] - t
+    def step(t, x, h):
         k1 = _eval_rhs(prob, t, x)
         k2 = _eval_rhs(prob, t + 0.5 * h, x + 0.5 * h * k1)
         k3 = _eval_rhs(prob, t + 0.5 * h, x + 0.5 * h * k2)
         k4 = _eval_rhs(prob, t + h, x + h * k3)
-        xs[k + 1] = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return SampledSignal(ts, xs)
+        return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _march(prob, dt, step)
 
 
 def matrix_exponential(a, t: float = 1.0) -> np.ndarray:

@@ -13,10 +13,12 @@ applied per axis; between events the accelerometer bias estimate b_hat is
 subtracted before integrating. The measurement source, its rate, and the
 two-gain form are design choices of this package, not dictated by the data.
 
-The record is integrated one segment per measurement event: inside a
-segment b_hat is constant, so velocity and position are each one
-``np.cumsum`` that starts from the carried value, which forms every sum in
-the order of a sample-by-sample loop and so gives the same bits.
+There is one integrator; plain dead reckoning is the corrected one with no
+measurements and zero bias. It integrates one segment per measurement
+event: inside a segment b_hat is constant, so velocity and position are
+each one ``np.cumsum`` that starts from the carried value, which forms
+every sum in the order of a sample-by-sample loop and so gives the same
+bits.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .signals import SampledSignal
+from .signals import SampledSignal, read_csv, write_csv
 
 # An ImuTrace is a SampledSignal whose channels are acceleration axes
 # (1 to 3 of them, fixed across the record).
@@ -80,21 +82,12 @@ class BiasOdometry:
 
 
 def dead_reckon(trace: ImuTrace, v0, p0) -> Odometry:
-    """Integrate acceleration twice: v = v0 + int a, p = p0 + int v."""
-    d = _check_trace(trace)
-    v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    if len(v0) != d or len(p0) != d:
-        raise DimensionError(f"v0/p0 must have dimension {d}")
-    dt = np.diff(trace.t)
-    a = trace.y
-    v = np.empty_like(a)
-    v[0] = v0
-    v[1:] = v0 + np.cumsum(0.5 * (a[:-1] + a[1:]) * dt[:, None], axis=0)
-    p = np.empty_like(a)
-    p[0] = p0
-    p[1:] = p0 + np.cumsum(0.5 * (v[:-1] + v[1:]) * dt[:, None], axis=0)
-    return Odometry(SampledSignal(trace.t, v), SampledSignal(trace.t, p))
+    """Integrate acceleration twice: v = v0 + int a, p = p0 + int v.
+
+    This is bias_corrected_odometry without measurements or bias."""
+    zero = np.zeros(trace.dim)
+    out = bias_corrected_odometry(trace, (), FilterGains(0.0, 0.0), v0, p0, zero)
+    return Odometry(out.v, out.p)
 
 
 def _nearest_samples(t: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -242,8 +235,6 @@ def _axis_headers(prefix: str, d: int) -> list[str]:
 def _read_axes_csv(path, prefix: str, what: str) -> SampledSignal:
     """Peek at line 1 for the axis count d, then parse the file once against
     the exact header ``t,<prefix>x[,<prefix>y[,<prefix>z]]``."""
-    from .signals import read_csv
-
     with open(path, "r", encoding="utf-8") as fh:
         header = (fh.readline().splitlines() or [""])[0]
     d = header.count(",")
@@ -264,15 +255,11 @@ def read_measurements_csv(path) -> list[VelMeasurement]:
 
 
 def write_imu_csv(trace: ImuTrace, path) -> None:
-    from .signals import write_csv
-
     write_csv(trace, path, headers=_axis_headers("a", _check_trace(trace)))
 
 
 def write_measurements_csv(measurements, path) -> None:
     """Measurements CSV requires >= 2 rows, matching the signal contract."""
-    from .signals import write_csv
-
     ts = np.array([m.t for m in measurements])
     vs = np.array([m.v for m in measurements])
     write_csv(SampledSignal(ts, vs), path, headers=_axis_headers("v", vs.shape[1]))
@@ -286,6 +273,4 @@ def write_odometry_csv(result, path) -> None:
     if isinstance(result, BiasOdometry):
         columns.append(result.bias_history.y)
         headers += _axis_headers("b", d)
-    from .signals import write_csv
-
     write_csv(SampledSignal(result.v.t, np.hstack(columns)), path, headers=headers)

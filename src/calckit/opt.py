@@ -214,7 +214,6 @@ def constrained_descent(prob: ConstrainedProblem, x0,
         if np.max(np.abs(d)) < cfg.tol and after < 1e-8:
             return ConstrainedResult(x, lam, k, True, log)
         x = _line_step(f, x, d, float(-(d @ d)), cfg)
-    hx = prob.h(x)
     jac = diffnum.jacobian(prob.h, x, _FD)
     lam = -_multiplier_solve(jac, jac @ diffnum.gradient(f, x, _FD))
     return ConstrainedResult(x, lam, cfg.max_iters, False, log)
@@ -313,31 +312,29 @@ def freethrow_opt(params: FreeThrowParams, mode: str = "free", *,
         x0 = np.concatenate([freethrow_linear(params, tf_guess), [tf_guess]])
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
+    constraints = {
+        "fixed_tf": lambda z: np.array([z[2] - tf]),
+        "fixed_speed": lambda z: np.array([z[0] ** 2 + z[1] ** 2 - speed ** 2]),
+    }
+    if mode == "fixed_tf" and (tf is None or tf <= 0):
+        raise DomainError("fixed_tf mode needs a positive tf")
+    if mode == "fixed_speed" and (speed is None or speed <= 0):
+        raise DomainError("fixed_speed mode needs a positive speed")
     if mode == "free":
         res = gradient_descent(objective, x0, cfg)
-        v, tof, iters, conv = res.x[:2], float(res.x[2]), res.iterations, res.converged
-    elif mode == "fixed_tf":
-        if tf is None or tf <= 0:
-            raise DomainError("fixed_tf mode needs a positive tf")
-        prob = ConstrainedProblem(objective, lambda z: np.array([z[2] - tf]), 3, 1)
+    elif mode in constraints:
+        prob = ConstrainedProblem(objective, constraints[mode], 3, 1)
         res = constrained_descent(prob, x0, cfg)
-        v, tof, iters, conv = res.x[:2], float(res.x[2]), res.iterations, res.converged
-    elif mode == "fixed_speed":
-        if speed is None or speed <= 0:
-            raise DomainError("fixed_speed mode needs a positive speed")
-        prob = ConstrainedProblem(
-            objective, lambda z: np.array([z[0] ** 2 + z[1] ** 2 - speed ** 2]), 3, 1)
-        res = constrained_descent(prob, x0, cfg)
-        v, tof, iters, conv = res.x[:2], float(res.x[2]), res.iterations, res.converged
     else:
         raise DomainError(f"unknown mode {mode!r}")
+    v, tof = res.x[:2], float(res.x[2])
 
     miss = float(np.linalg.norm(params.ballistic(v, tof) - params.p_h))
     if mode == "fixed_speed" and miss > 1e-3:
         raise DomainError(
             f"fixed speed {speed} cannot reach the hoop (miss {miss:.4f} m)"
         )
-    return FreeThrowResult(v, tof, miss, iters, conv)
+    return FreeThrowResult(v, tof, miss, res.iterations, res.converged)
 
 
 # ---------------------------------------------------------------- gymnast

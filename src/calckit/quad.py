@@ -21,7 +21,7 @@ from .errors import ConvergenceError, DomainError
 from .signals import SampledSignal
 
 __all__ = [
-    "Interval", "Lamina", "SampledSignal", "riemann_sum", "darboux_bounds",
+    "Interval", "Lamina", "riemann_sum", "darboux_bounds",
     "trapezoid", "simpson", "trapezoid_sampled", "cumulative_trapezoid",
     "improper_type1", "path_length", "lamina_properties", "LaminaProperties",
     "volume_of_revolution", "antiderivative_numeric",

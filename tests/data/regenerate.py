@@ -106,6 +106,17 @@ def _build(dest: pathlib.Path):
     assert rc == 0, rc
     (golden / "optimize_freethrow.txt").write_text(buf.getvalue(), encoding="utf-8")
 
+    rc = cli_main(["project1", "--imu", "imu_fixture.csv",
+                   "--out", str(golden / "project1_dead_reckon.csv")])
+    assert rc == 0, rc
+
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rc = cli_main(["control", "pd", "--model", "segway", "--wn", "3",
+                       "--zeta", "0.9"])
+    assert rc == 0, rc
+    (golden / "control_pd_segway.txt").write_text(buf.getvalue(), encoding="utf-8")
+
     rc = cli_main(["simulate", "--model", "segway", "--q0", "0", "0.05",
                    "--T", "2", "--dt", "0.01", "--controller", "pd",
                    "--kp", "-28.62", "--kd", "-5.4", "--precomp", "0.31446541",

@@ -150,6 +150,13 @@ def test_control_step_integrator_never_settles_exit_2(capsys):
     assert "steady state" not in out
 
 
+def test_control_step_static_gain_zero_dt_exit_2(capsys):
+    code, _, err = run(capsys, "control", "step", "--num", "2", "--den", "1",
+                       "--dt", "0")
+    assert code == 2
+    assert "step size must be positive" in err
+
+
 def test_control_pd_segway_stable_poles(capsys):
     code, out, _ = run(capsys, "control", "pd", "--model", "segway",
                        "--wn", "3", "--zeta", "0.9", "--T", "5")
@@ -231,6 +238,21 @@ def test_golden_simulate_segway(tmp_path, capsys):
     assert out_csv.read_bytes() == (GOLDEN / "simulate_segway.csv").read_bytes()
 
 
+def test_golden_project1_dead_reckon(tmp_path, capsys):
+    out_csv = tmp_path / "out.csv"
+    code, _, _ = run(capsys, "project1", "--imu", str(DATA / "imu_fixture.csv"),
+                     "--out", str(out_csv))
+    assert code == 0
+    assert out_csv.read_bytes() == (GOLDEN / "project1_dead_reckon.csv").read_bytes()
+
+
+def test_golden_control_pd_segway(capsys):
+    code, out, _ = run(capsys, "control", "pd", "--model", "segway",
+                       "--wn", "3", "--zeta", "0.9")
+    assert code == 0
+    assert out == (GOLDEN / "control_pd_segway.txt").read_text(encoding="utf-8")
+
+
 def load_regenerate():
     spec = importlib.util.spec_from_file_location("regenerate", DATA / "regenerate.py")
     module = importlib.util.module_from_spec(spec)
@@ -242,7 +264,7 @@ def test_regenerate_check_rebuilds_every_file_byte_for_byte(capsys):
     regenerate = load_regenerate()
     committed = {p: p.read_bytes() for p in DATA.rglob("*") if p.is_file()}
     assert regenerate.main(["--check"]) == 0
-    assert "9 of 9 files match" in capsys.readouterr().out
+    assert "11 of 11 files match" in capsys.readouterr().out
     assert {p: p.read_bytes() for p in DATA.rglob("*") if p.is_file()} == committed
 
 
@@ -256,4 +278,4 @@ def test_regenerate_check_lists_a_changed_golden(tmp_path, capsys, monkeypatch):
     assert regenerate.main(["--check"]) == 1
     out = capsys.readouterr().out
     assert "differs: golden/project1_out.csv" in out
-    assert "8 of 9 files match" in out
+    assert "10 of 11 files match" in out

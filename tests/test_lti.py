@@ -6,11 +6,12 @@ import pytest
 from calckit import odesolve
 from calckit.errors import ConvergenceError, DomainError
 from calckit.lti import (PdGains, StateSpace, TransferFunction, dc_gain,
-                         linearize, pd_pole_placement, pd_tf, poles, poly_add,
-                         poly_eval, poly_mul, precompensator, response_metrics,
-                         roots_dk, ss_to_tf, step_response, subsystem,
-                         tf_to_ss, unity_feedback, zeros)
+                         linearize, pd_pole_placement, pd_tf, poles,
+                         precompensator, response_metrics, ss_to_tf,
+                         step_response, subsystem, tf_to_ss, unity_feedback,
+                         zeros)
 from calckit.mech import cart_pole_segway, pendulum
+from calckit.poly import poly_add, poly_eval, poly_mul, roots_dk
 
 G = 9.81
 
@@ -350,6 +351,15 @@ def test_step_response_partial_fractions_with_short_final_step():
     assert t[-1] == T and t[-1] - t[-2] == pytest.approx(5e-4)
     want = 1.0 - 3.0 * np.exp(-t) + 3.0 * np.exp(-2.0 * t) - np.exp(-3.0 * t)
     assert np.max(np.abs(sig.y[:, 0] - want)) <= 1e-12
+
+
+def test_static_gain_step_response_uses_the_ivp_grid():
+    sig = step_response(TransferFunction([2.0], [1.0]), 1.0, 0.3)
+    assert sig.t[-1] == 1.0
+    assert np.array_equal(sig.t, odesolve._time_grid(0.0, 1.0, 0.3))
+    assert np.all(sig.y == 2.0)
+    with pytest.raises(DomainError, match="step size must be positive"):
+        step_response(TransferFunction([2.0], [1.0]), 1.0, 0.0)
 
 
 def test_metrics_without_hint_refuse_an_unsettled_record():

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calckit.diffnum import DiffConfig, hessian
 from calckit.errors import DimensionError
 from calckit.linalg import is_positive_definite
 from calckit.mech import (MODEL_ZOO, MechanicalModel, cart_pole_segway,
                           coriolis_matrix, forward_dynamics, gravity_vector,
-                          gymnast_bar, mass_matrix, mass_matrix_rate,
-                          pendulum, planar_ballbot, robot_matrices, simulate)
+                          gymnast_bar, mass_matrix, mass_matrix_partials,
+                          mass_matrix_rate, pendulum, planar_ballbot, robot_matrices, simulate)
 
 G = 9.81
 
@@ -204,3 +206,50 @@ def test_gymnast_bar_inertia_matches_optimizer_model():
     d = mass_matrix(bar, [0.0, 0.0, 0.0])
     assert d[2, 2] == pytest.approx(opt_model.inertia, abs=1e-6)
     assert d[0, 0] == pytest.approx(60.0, abs=1e-6)
+
+
+# ------------------------------------------- einsum contractions vs the loops
+
+def loop_partials(model, q):
+    """Reference: one central-difference partial dD/dq_k per coordinate."""
+    q = np.asarray(q, dtype=float)
+    partials = []
+    for k in range(model.n_dof):
+        e = np.zeros(model.n_dof)
+        e[k] = 1e-4
+        partials.append((mass_matrix(model, q + e) - mass_matrix(model, q - e)) / 2e-4)
+    return partials
+
+
+def loop_coriolis(dD, qd):
+    """Reference: the i/j/k Christoffel loop."""
+    n = len(qd)
+    c = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            acc = 0.0
+            for k in range(n):
+                acc += 0.5 * (dD[k][i, j] + dD[j][i, k] - dD[i][j, k]) * qd[k]
+            c[i, j] = acc
+    return c
+
+
+@st.composite
+def zoo_states(draw):
+    name = draw(st.sampled_from(sorted(MODEL_ZOO)))
+    model = MODEL_ZOO[name]()
+    coord = st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from([0.0, -0.0])
+    q = draw(st.lists(coord, min_size=model.n_dof, max_size=model.n_dof))
+    qd = draw(st.lists(coord, min_size=model.n_dof, max_size=model.n_dof))
+    return model, np.array(q), np.array(qd)
+
+
+@settings(max_examples=120, deadline=None)
+@given(zoo_states())
+def test_einsum_contractions_equal_loops_bit_for_bit(state):
+    model, q, qd = state
+    dD = loop_partials(model, q)
+    assert mass_matrix_partials(model, q).tobytes() == np.array(dD).tobytes()
+    assert coriolis_matrix(model, q, qd).tobytes() == loop_coriolis(dD, qd).tobytes()
+    rate = sum(dD[k] * qd[k] for k in range(model.n_dof))
+    assert mass_matrix_rate(model, q, qd).tobytes() == rate.tobytes()

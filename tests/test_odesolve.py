@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from calckit import odesolve
 from calckit.errors import DimensionError, DomainError
 from calckit.linalg import determinant
 from calckit.odesolve import (IvpProblem, char_poly, eigenvalues, euler_solve,
@@ -178,3 +181,54 @@ def test_ivp_validation():
         IvpProblem(lambda t, x: x, [1.0], 1.0, 0.0)
     with pytest.raises(DomainError):
         rk4_solve(decay(), -0.1)
+
+
+# ------------------------------------------- the shared march vs the old loops
+
+def loop_euler(prob, dt):
+    ts = odesolve._time_grid(prob.t0, prob.tf, dt)
+    xs = np.empty((len(ts), len(prob.x0)))
+    xs[0] = prob.x0
+    for k in range(len(ts) - 1):
+        h = ts[k + 1] - ts[k]
+        xs[k + 1] = xs[k] + h * odesolve._eval_rhs(prob, ts[k], xs[k])
+    return ts, xs
+
+
+def loop_rk4(prob, dt):
+    ts = odesolve._time_grid(prob.t0, prob.tf, dt)
+    xs = np.empty((len(ts), len(prob.x0)))
+    xs[0] = prob.x0
+    for k in range(len(ts) - 1):
+        t, x = ts[k], xs[k]
+        h = ts[k + 1] - t
+        k1 = odesolve._eval_rhs(prob, t, x)
+        k2 = odesolve._eval_rhs(prob, t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = odesolve._eval_rhs(prob, t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = odesolve._eval_rhs(prob, t + h, x + h * k3)
+        xs[k + 1] = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return ts, xs
+
+
+@st.composite
+def ivp_cases(draw):
+    n = draw(st.integers(1, 3))
+    entries = st.floats(-2.0, 2.0, allow_nan=False)
+    a = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    x0 = draw(st.lists(entries | st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+    t0 = draw(st.floats(-1.0, 1.0))
+    tf = t0 + draw(st.floats(0.05, 2.0))
+    dt = draw(st.floats(0.01, 0.5))
+    prob = IvpProblem(lambda t, x: a @ x + np.sin(t + x), x0, t0, tf)
+    return prob, dt
+
+
+@settings(max_examples=100, deadline=None)
+@given(ivp_cases())
+def test_march_equals_old_loops_bit_for_bit(case):
+    prob, dt = case
+    for solve, loop in ((euler_solve, loop_euler), (rk4_solve, loop_rk4)):
+        sig = solve(prob, dt)
+        ts, xs = loop(prob, dt)
+        assert sig.t.tobytes() == ts.tobytes()
+        assert sig.y.tobytes() == xs.tobytes()

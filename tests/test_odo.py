@@ -314,3 +314,37 @@ def test_snap_matches_argmin(dts, picks):
     f = np.array([f for _, f in picks])
     times = np.sort(np.minimum(t[k] + f * (t[np.minimum(k + 1, n - 1)] - t[k]), t[-1]))
     assert np.array_equal(odo._nearest_samples(t, times), argmin_snap(t, times))
+
+
+# ------------------------------------- dead reckoning vs its old cumsum formula
+
+def formula_dead_reckon(trace, v0, p0):
+    """Reference: the separate trapezoid integrator dead_reckon used to have."""
+    dt = np.diff(trace.t)
+    a = trace.y
+    v = np.empty_like(a)
+    v[0] = v0
+    v[1:] = v0 + np.cumsum(0.5 * (a[:-1] + a[1:]) * dt[:, None], axis=0)
+    p = np.empty_like(a)
+    p[0] = p0
+    p[1:] = p0 + np.cumsum(0.5 * (v[:-1] + v[1:]) * dt[:, None], axis=0)
+    return v, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(odometry_cases())
+def test_dead_reckon_matches_old_formula(case):
+    trace, _, _, v0, p0, _ = case
+    zero = np.zeros(trace.dim)
+    out = dead_reckon(trace, zero, zero)
+    v, p = formula_dead_reckon(trace, zero, zero)
+    assert out.v.y.tobytes() == v.tobytes()
+    assert out.p.y.tobytes() == p.tobytes()
+    # nonzero starts only change the order of the additions: bound the
+    # roundoff by the same formula run on absolute values
+    out = dead_reckon(trace, v0, p0)
+    v, p = formula_dead_reckon(trace, v0, p0)
+    v_abs, p_abs = formula_dead_reckon(SampledSignal(trace.t, np.abs(trace.y)),
+                                       np.abs(v0), np.abs(p0))
+    assert np.all(np.abs(out.v.y - v) <= 1e-12 * v_abs)
+    assert np.all(np.abs(out.p.y - p) <= 1e-12 * p_abs)

@@ -6,10 +6,11 @@ import pytest
 from calckit import quad
 from calckit.diffnum import DiffConfig, derivative
 from calckit.errors import ConvergenceError, DimensionError, DomainError
-from calckit.quad import (Interval, Lamina, SampledSignal, antiderivative_numeric,
+from calckit.quad import (Interval, Lamina, antiderivative_numeric,
                           cumulative_trapezoid, darboux_bounds, improper_type1,
                           lamina_properties, path_length, riemann_sum, simpson,
                           trapezoid, trapezoid_sampled, volume_of_revolution)
+from calckit.signals import SampledSignal
 
 UNIT = Interval(0.0, 1.0)
 
