@@ -214,8 +214,6 @@ def _design_plant(model_name: str, config_path):
     """Lean-angle SISO plant of a zoo model linearized about upright/rest."""
     model = _build_model(model_name, config_path)
     ss = lti.linearize(model, np.zeros(model.n_dof), np.zeros(model.n_inputs))
-    if model.n_dof == 1:
-        return ss, lti.ss_to_tf(ss, 0, 0)
     coord = _LEAN_COORD.get(model_name, model.n_dof - 1)
     n = model.n_dof
     reduced = lti.subsystem(ss, [coord, n + coord], outputs=[coord])

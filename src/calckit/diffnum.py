@@ -5,6 +5,8 @@ evaluation appears only inside one_sided_limit, which realizes the limit
 from the right/left as an infinite limit in eta through x0 + s/eta, never
 touching x0 itself. Steps are scaled relative to |x| by default to tame
 cancellation at large arguments.
+partial_derivative, gradient and jacobian share one per-coordinate stencil,
+_central; derivative is its scalar twin. hessian's base step is 1e-4.
 """
 
 from __future__ import annotations
@@ -16,30 +18,26 @@ import numpy as np
 from .errors import ConvergenceError, DimensionError, DomainError
 
 _DIVERGENCE_LIMIT = 1e12
+_HESSIAN_H = 1e-4
 
 
 @dataclass(frozen=True)
 class DiffConfig:
-    """Step sizes for finite differencing.
+    """Step size for finite differencing.
 
-    h is the base step for first derivatives, hessian_h for second
-    differences; with relative=True the step at coordinate x is
-    h * max(1, |x|).
+    h is the base step for first derivatives; with relative=True the step
+    at coordinate x is h * max(1, |x|).
     """
 
     h: float = 1e-5
-    hessian_h: float = 1e-4
     relative: bool = True
 
     def __post_init__(self):
-        if self.h <= 0 or self.hessian_h <= 0:
+        if self.h <= 0:
             raise DomainError("finite-difference steps must be positive")
 
     def step(self, x: float) -> float:
         return self.h * max(1.0, abs(x)) if self.relative else self.h
-
-    def hessian_step(self, x: float) -> float:
-        return self.hessian_h * max(1.0, abs(x)) if self.relative else self.hessian_h
 
 
 def one_sided_limit(f, x0: float, side: str = "right", tol: float = 1e-9) -> float:
@@ -79,48 +77,45 @@ def derivative(f, x0: float, cfg: DiffConfig | None = None) -> float:
     return (hi - lo) / (2.0 * h)
 
 
-def partial_derivative(F, x0, i: int, cfg: DiffConfig | None = None) -> float:
-    """Central difference of F along the i-th natural basis direction."""
-    cfg = cfg or DiffConfig()
-    x0 = np.asarray(x0, dtype=float)
-    if not 0 <= i < len(x0):
-        raise DimensionError(f"index {i} out of range for dimension {len(x0)}")
+def _central(G, x0: np.ndarray, i: int, cfg: DiffConfig):
+    """(G(x0 + h e_i) - G(x0 - h e_i)) / 2h, the lower point evaluated first."""
     h = cfg.step(x0[i])
-    step = np.zeros_like(x0)
+    step = np.zeros(len(x0))
     step[i] = h
-    lo, hi = F(x0 - step), F(x0 + step)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    lo, hi = G(x0 - step), G(x0 + step)
+    if not np.isfinite((lo, hi)).all():
         raise DomainError(f"function not finite near coordinate {i}")
     return (hi - lo) / (2.0 * h)
 
 
+def partial_derivative(F, x0, i: int, cfg: DiffConfig | None = None) -> float:
+    """Central difference of F along the i-th natural basis direction."""
+    x0 = np.asarray(x0, dtype=float)
+    if not 0 <= i < len(x0):
+        raise DimensionError(f"index {i} out of range for dimension {len(x0)}")
+    return _central(F, x0, i, cfg or DiffConfig())
+
+
 def gradient(F, x0, cfg: DiffConfig | None = None) -> np.ndarray:
-    """Gradient assembled coordinate-by-coordinate from partial_derivative."""
+    """Gradient of a scalar function, one central difference per coordinate."""
     cfg = cfg or DiffConfig()
     x0 = np.asarray(x0, dtype=float)
-    return np.array([partial_derivative(F, x0, i, cfg) for i in range(len(x0))])
+    return np.array([_central(F, x0, i, cfg) for i in range(len(x0))])
 
 
 def jacobian(G, x0, cfg: DiffConfig | None = None) -> np.ndarray:
-    """m x n Jacobian of a vector map by central differences per column."""
+    """m x n Jacobian of a vector map, one central difference per column."""
     cfg = cfg or DiffConfig()
     x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
-    columns = []
-    for i in range(n):
-        h = cfg.step(x0[i])
-        step = np.zeros(n)
-        step[i] = h
-        lo = np.atleast_1d(np.asarray(G(x0 - step), dtype=float))
-        hi = np.atleast_1d(np.asarray(G(x0 + step), dtype=float))
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise DomainError(f"map not finite near coordinate {i}")
-        columns.append((hi - lo) / (2.0 * h))
-    return np.column_stack(columns)
+
+    def vec(x):
+        return np.atleast_1d(np.asarray(G(x), dtype=float))
+
+    return np.column_stack([_central(vec, x0, i, cfg) for i in range(len(x0))])
 
 
 def hessian(F, x0, cfg: DiffConfig | None = None) -> np.ndarray:
-    """Second-difference Hessian, symmetrized as (H + H^T)/2."""
+    """Second-difference Hessian; H[i, j] and H[j, i] are one value."""
     cfg = cfg or DiffConfig()
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
@@ -128,7 +123,7 @@ def hessian(F, x0, cfg: DiffConfig | None = None) -> np.ndarray:
     f0 = float(F(x0))
     if not np.isfinite(f0):
         raise DomainError("function not finite at the base point")
-    steps = [cfg.hessian_step(x0[i]) for i in range(n)]
+    steps = [_HESSIAN_H * max(1.0, abs(x)) if cfg.relative else _HESSIAN_H for x in x0]
     for i in range(n):
         ei = np.zeros(n)
         ei[i] = steps[i]
@@ -146,4 +141,4 @@ def hessian(F, x0, cfg: DiffConfig | None = None) -> np.ndarray:
             if not all(np.isfinite(v) for v in (fpp, fpm, fmp, fmm)):
                 raise DomainError(f"function not finite near coordinates ({i}, {j})")
             H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * steps[i] * steps[j])
-    return 0.5 * (H + H.T)
+    return H

@@ -239,8 +239,9 @@ def linearize(model: mech.MechanicalModel, q_eq, torques_eq) -> StateSpace:
                                mech.forward_dynamics(model, q_eq, np.zeros(n), u)])
 
     x_eq = np.concatenate([q_eq, np.zeros(n)])
-    a = diffnum.jacobian(dynamics, x_eq, diffnum.DiffConfig(h=1e-5, relative=False))
-    b = diffnum.jacobian(forced, torques_eq, diffnum.DiffConfig(h=1e-5, relative=False))
+    cfg = diffnum.DiffConfig(h=1e-5, relative=False)
+    a = diffnum.jacobian(dynamics, x_eq, cfg)
+    b = diffnum.jacobian(forced, torques_eq, cfg)
     c = np.hstack([np.eye(n), np.zeros((n, n))])
     d = np.zeros((n, model.n_inputs))
     return StateSpace(a, b, c, d)
@@ -290,7 +291,9 @@ def _step_map(ss: StateSpace, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _crossing_time(t: np.ndarray, y: np.ndarray, level: float) -> float:
-    """First time y crosses the level, linearly interpolated."""
+    """First time y reaches the level: t[0], or linearly interpolated."""
+    if (y[0] >= level) if level > 0 else (y[0] <= level):
+        return float(t[0])
     for k in range(1, len(y)):
         y0, y1 = y[k - 1], y[k]
         if (y0 - level) * (y1 - level) <= 0 and y0 != y1:

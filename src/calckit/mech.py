@@ -3,15 +3,16 @@
 Given kinetic and potential energy functions K(q, qdot) and V(q), the robot
 equation matrices are assembled by finite differencing alone:
 
-    D(q)  = Hessian of K in qdot at qdot = 0 (symmetrized)
-    C     = Christoffel combination of central-difference partials of D,
-            contracted with qdot by one einsum
-    G(q)  = gradient of V
+    D(q)  = diffnum.hessian of K in qdot at qdot = 0
+    C     = Christoffel combination of the partials dD/dq (diffnum.jacobian
+            of the flattened D), contracted with qdot by one einsum
+    G(q)  = diffnum.gradient of V
 
 so D qddot + C qdot + G = B_u Gamma. For kinetic energies quadratic in qdot
 (every model in the zoo) this reproduces the symbolic derivation to roundoff
 and keeps the skew-symmetry of dD/dt - 2C. Finite-difference steps are fixed
-at 1e-4; the zoo energies are smooth trig/polynomials at desk scale.
+at 1e-4; the zoo energies are smooth trig/polynomials at desk scale. diffnum
+checks every energy value for finiteness (DomainError).
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from typing import Callable
 import numpy as np
 
 from . import diffnum
-from .errors import DimensionError, DomainError
+from .errors import DimensionError
 from .linalg import lu_solve
 from .odesolve import IvpProblem, rk4_solve
 from .signals import SampledSignal
 
-_FD_STEP = 1e-4
-_ENERGY_FD = diffnum.DiffConfig(h=_FD_STEP, hessian_h=_FD_STEP, relative=False)
+_ENERGY_FD = diffnum.DiffConfig(h=1e-4, relative=False)
 
 
 @dataclass(frozen=True)
@@ -75,36 +75,19 @@ def _check_q(model: MechanicalModel, q) -> np.ndarray:
 def mass_matrix(model: MechanicalModel, q) -> np.ndarray:
     """D(q): second-difference Hessian of K in the velocities at qdot = 0."""
     q = _check_q(model, q)
-
-    def k_of_v(v):
-        val = float(model.kinetic(q, v))
-        if not np.isfinite(val):
-            raise DomainError("kinetic energy is not finite")
-        return val
-
-    d = diffnum.hessian(k_of_v, np.zeros(model.n_dof), _ENERGY_FD)
-    return 0.5 * (d + d.T)
+    return diffnum.hessian(lambda v: model.kinetic(q, v), np.zeros(model.n_dof), _ENERGY_FD)
 
 
 def gravity_vector(model: MechanicalModel, q) -> np.ndarray:
     """G(q) = grad V."""
-    q = _check_q(model, q)
-
-    def v_of_q(qq):
-        val = float(model.potential(qq))
-        if not np.isfinite(val):
-            raise DomainError("potential energy is not finite")
-        return val
-
-    return diffnum.gradient(v_of_q, q, _ENERGY_FD)
+    return diffnum.gradient(model.potential, _check_q(model, q), _ENERGY_FD)
 
 
 def mass_matrix_partials(model: MechanicalModel, q) -> np.ndarray:
     """Central-difference partials as one array P[k, i, j] = dD_ij/dq_k."""
     q = _check_q(model, q)
-    step = _FD_STEP * np.eye(model.n_dof)
-    return np.array([(mass_matrix(model, q + e) - mass_matrix(model, q - e))
-                     / (2.0 * _FD_STEP) for e in step])
+    jac = diffnum.jacobian(lambda qq: mass_matrix(model, qq).ravel(), q, _ENERGY_FD)
+    return np.ascontiguousarray(jac.T).reshape((model.n_dof,) * 3)
 
 
 def coriolis_matrix(model: MechanicalModel, q, qd) -> np.ndarray:

@@ -22,6 +22,8 @@ from .errors import ConvergenceError, DimensionError, DomainError, SingularityEr
 from .linalg import lu_solve
 
 _FD = diffnum.DiffConfig()
+_ARMIJO_BETA = 0.5      # armijo halving factor
+_ARMIJO_C = 1e-4        # armijo sufficient-decrease constant
 
 
 # ---------------------------------------------------------------- roots
@@ -96,8 +98,6 @@ class DescentConfig:
     tol: float = 1e-8            # on the (projected) gradient infinity norm
     max_iters: int = 50_000
     backtracking: str = "off"    # "off" or "armijo"
-    beta: float = 0.5            # armijo halving factor
-    armijo_c: float = 1e-4       # armijo sufficient-decrease constant
 
     def __post_init__(self):
         if self.step <= 0 or self.tol <= 0 or self.max_iters < 1:
@@ -121,9 +121,9 @@ def _line_step(f, x, d, g_dot_d, cfg: DescentConfig) -> np.ndarray:
     t = 1.0
     while t > 1e-16:
         trial = x + t * d
-        if f(trial) <= fx + cfg.armijo_c * t * g_dot_d:
+        if f(trial) <= fx + _ARMIJO_C * t * g_dot_d:
             return trial
-        t *= cfg.beta
+        t *= _ARMIJO_BETA
     return x + t * d
 
 

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import diffnum
 from .errors import ConvergenceError, DomainError
 from .signals import SampledSignal
 
@@ -195,21 +196,20 @@ def improper_type1(f, a: float, tol: float = 1e-8, max_doublings: int = 20) -> f
 def path_length(fx, fy, t0: float, tf: float, n: int) -> float:
     """Length of the planar path (fx(t), fy(t)) for t in [t0, tf].
 
-    The speed integrand is assembled from central-difference derivatives of
-    fx and fy (step (tf-t0)/(100 n)) and integrated with Simpson's rule on n
-    panels (n is rounded up to even).
+    The speed integrand is assembled from diffnum.derivative of fx and fy
+    on the absolute step (tf-t0)/(100 n) and integrated with Simpson's rule
+    on n panels (n is rounded up to even).
     """
     if n < 2:
         raise DomainError("need n >= 2 panels")
     n += n % 2
-    h = (tf - t0) / (100.0 * n)
+    iv = Interval(t0, tf)
+    cfg = diffnum.DiffConfig(h=iv.width / (100.0 * n), relative=False)
 
     def speed(t):
-        dx = (fx(t + h) - fx(t - h)) / (2.0 * h)
-        dy = (fy(t + h) - fy(t - h)) / (2.0 * h)
-        return math.hypot(dx, dy)
+        return math.hypot(diffnum.derivative(fx, t, cfg), diffnum.derivative(fy, t, cfg))
 
-    return simpson(speed, Interval(t0, tf), n)
+    return simpson(speed, iv, n)
 
 
 @dataclass(frozen=True)

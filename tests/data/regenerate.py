@@ -98,30 +98,35 @@ def _build(dest: pathlib.Path):
                    "--plot", str(golden / "project1_plot.svg")])
     assert rc == 0, rc
 
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        rc = cli_main(["optimize", "--scenario", "freethrow",
-                       "--config", "freethrow.json", "--mode", "fixed_tf",
-                       "--tf", "1.0"])
-    assert rc == 0, rc
-    (golden / "optimize_freethrow.txt").write_text(buf.getvalue(), encoding="utf-8")
+    _stdout_golden(cli_main, golden / "optimize_freethrow.txt",
+                   ["optimize", "--scenario", "freethrow", "--config", "freethrow.json",
+                    "--mode", "fixed_tf", "--tf", "1.0"])
 
     rc = cli_main(["project1", "--imu", "imu_fixture.csv",
                    "--out", str(golden / "project1_dead_reckon.csv")])
     assert rc == 0, rc
 
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        rc = cli_main(["control", "pd", "--model", "segway", "--wn", "3",
-                       "--zeta", "0.9"])
-    assert rc == 0, rc
-    (golden / "control_pd_segway.txt").write_text(buf.getvalue(), encoding="utf-8")
+    _stdout_golden(cli_main, golden / "control_pd_segway.txt",
+                   ["control", "pd", "--model", "segway", "--wn", "3", "--zeta", "0.9"])
+    _stdout_golden(cli_main, golden / "control_linearize_pendulum.txt",
+                   ["control", "linearize", "--model", "pendulum"])
+    _stdout_golden(cli_main, golden / "control_pd_pendulum.txt",
+                   ["control", "pd", "--model", "pendulum", "--wn", "4", "--zeta", "0.7"])
 
     rc = cli_main(["simulate", "--model", "segway", "--q0", "0", "0.05",
                    "--T", "2", "--dt", "0.01", "--controller", "pd",
                    "--kp", "-28.62", "--kd", "-5.4", "--precomp", "0.31446541",
                    "--out", str(golden / "simulate_segway.csv")])
     assert rc == 0, rc
+
+
+def _stdout_golden(cli_main, path: pathlib.Path, argv):
+    """Run one CLI command and write its stdout to path."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rc = cli_main(argv)
+    assert rc == 0, rc
+    path.write_text(buf.getvalue(), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import pathlib
 import shutil
 
 import numpy as np
+import pytest
 
 from calckit.cli import main
 from calckit.signals import read_csv
@@ -150,11 +151,42 @@ def test_control_step_integrator_never_settles_exit_2(capsys):
     assert "steady state" not in out
 
 
+def metric_lines(out):
+    return {k: float(v) for k, _, v in (l.partition(": ") for l in out.splitlines())
+            if k in ("steady state", "rise time", "overshoot", "settling time")}
+
+
+def test_control_step_static_gain(capsys):
+    code, out, _ = run(capsys, "control", "step", "--num", "2", "--den", "1")
+    assert code == 0
+    assert metric_lines(out) == {"steady state": 2.0, "rise time": 0.0,
+                                 "overshoot": 0.0, "settling time": 0.0}
+
+
+def test_control_step_direct_term(capsys):
+    code, out, _ = run(capsys, "control", "step", "--num", "2", "1", "--den", "1", "1")
+    assert code == 0
+    m = metric_lines(out)
+    assert m["rise time"] == pytest.approx(math.log(5.0), abs=1e-6)
+    assert m["settling time"] == pytest.approx(math.log(25.0), abs=1e-3)
+    assert (m["overshoot"], m["steady state"]) == (0.0, 2.0)
+
+
 def test_control_step_static_gain_zero_dt_exit_2(capsys):
     code, _, err = run(capsys, "control", "step", "--num", "2", "--den", "1",
                        "--dt", "0")
     assert code == 2
     assert "step size must be positive" in err
+
+
+def test_nonfinite_energy_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "pendulum.json"
+    cfg.write_text('{"gravity": Infinity}')
+    code, _, err = run(capsys, "simulate", "--model", "pendulum", "--config", str(cfg),
+                       "--q0", "0.3", "--T", "0.1", "--dt", "0.01",
+                       "--out", str(tmp_path / "out.csv"))
+    assert code == 2
+    assert "not finite" in err
 
 
 def test_control_pd_segway_stable_poles(capsys):
@@ -253,6 +285,19 @@ def test_golden_control_pd_segway(capsys):
     assert out == (GOLDEN / "control_pd_segway.txt").read_text(encoding="utf-8")
 
 
+def test_golden_control_linearize_pendulum(capsys):
+    code, out, _ = run(capsys, "control", "linearize", "--model", "pendulum")
+    assert code == 0
+    assert out == (GOLDEN / "control_linearize_pendulum.txt").read_text(encoding="utf-8")
+
+
+def test_golden_control_pd_pendulum(capsys):
+    code, out, _ = run(capsys, "control", "pd", "--model", "pendulum",
+                       "--wn", "4", "--zeta", "0.7")
+    assert code == 0
+    assert out == (GOLDEN / "control_pd_pendulum.txt").read_text(encoding="utf-8")
+
+
 def load_regenerate():
     spec = importlib.util.spec_from_file_location("regenerate", DATA / "regenerate.py")
     module = importlib.util.module_from_spec(spec)
@@ -264,7 +309,7 @@ def test_regenerate_check_rebuilds_every_file_byte_for_byte(capsys):
     regenerate = load_regenerate()
     committed = {p: p.read_bytes() for p in DATA.rglob("*") if p.is_file()}
     assert regenerate.main(["--check"]) == 0
-    assert "11 of 11 files match" in capsys.readouterr().out
+    assert "13 of 13 files match" in capsys.readouterr().out
     assert {p: p.read_bytes() for p in DATA.rglob("*") if p.is_file()} == committed
 
 
@@ -278,4 +323,4 @@ def test_regenerate_check_lists_a_changed_golden(tmp_path, capsys, monkeypatch):
     assert regenerate.main(["--check"]) == 1
     out = capsys.readouterr().out
     assert "differs: golden/project1_out.csv" in out
-    assert "10 of 11 files match" in out
+    assert "12 of 13 files match" in out

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calckit.diffnum import (DiffConfig, derivative, gradient, hessian,
                              jacobian, one_sided_limit, partial_derivative)
@@ -158,3 +161,112 @@ def test_config_validation():
         one_sided_limit(math.sin, 0.0, "right", tol=-1.0)
     with pytest.raises(DomainError):
         one_sided_limit(math.sin, 0.0, "up")
+
+
+# ------------------------------------------- one stencil vs the old loops
+
+def old_partial(F, x0, i, cfg):
+    """Reference: the partial_derivative body that gradient used to loop over."""
+    h = cfg.step(x0[i])
+    step = np.zeros_like(x0)
+    step[i] = h
+    lo, hi = F(x0 - step), F(x0 + step)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DomainError(f"function not finite near coordinate {i}")
+    return (hi - lo) / (2.0 * h)
+
+
+def old_jacobian(G, x0, cfg):
+    """Reference: the column loop jacobian used to carry."""
+    n = len(x0)
+    columns = []
+    for i in range(n):
+        h = cfg.step(x0[i])
+        step = np.zeros(n)
+        step[i] = h
+        lo = np.atleast_1d(np.asarray(G(x0 - step), dtype=float))
+        hi = np.atleast_1d(np.asarray(G(x0 + step), dtype=float))
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise DomainError(f"map not finite near coordinate {i}")
+        columns.append((hi - lo) / (2.0 * h))
+    return np.column_stack(columns)
+
+
+def old_hessian(F, x0, cfg, hessian_h=1e-4):
+    """Reference: the Hessian loop followed by the (H + H^T)/2 step."""
+    n = len(x0)
+    H = np.zeros((n, n))
+    f0 = float(F(x0))
+    steps = [hessian_h * max(1.0, abs(x0[i])) if cfg.relative else hessian_h
+             for i in range(n)]
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = steps[i]
+        fp, fm = float(F(x0 + ei)), float(F(x0 - ei))
+        H[i, i] = (fp - 2.0 * f0 + fm) / steps[i] ** 2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = steps[j]
+            fpp, fpm = float(F(x0 + ei + ej)), float(F(x0 + ei - ej))
+            fmp, fmm = float(F(x0 - ei + ej)), float(F(x0 - ei - ej))
+            H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * steps[i] * steps[j])
+    return 0.5 * (H + H.T)
+
+
+SCALAR_MAPS = [
+    lambda v: float(np.sin(v) @ np.cos(v[::-1]) + 1e-3 * (v @ v)),     # Python float
+    lambda v: np.tanh(v).prod() + v[0] * v[-1] ** 2,                   # numpy float64
+    lambda v: math.atan(v[0]) - 0.5 * math.cos(v[-1]),                 # math on entries
+]
+VECTOR_MAPS = SCALAR_MAPS + [
+    lambda v: np.array([np.sin(v).sum(), v[0] * v[-1], np.exp(-1e-6 * (v @ v))]),
+    lambda v: [math.atan(v[-1]), float(v.sum())],                      # a list
+    lambda v: np.cumsum(v ** 3),                                       # m = n
+]
+
+# entries of x0: +-0.0 or |x| between 1e-3 and 1e3, either sign
+coords = (st.sampled_from([0.0, -0.0])
+          | st.builds(lambda m, s: s * m, st.floats(1e-3, 1e3), st.sampled_from([1.0, -1.0])))
+points = st.lists(coords, min_size=1, max_size=6).map(np.array)
+configs = st.builds(DiffConfig, h=st.sampled_from([1e-5, 1e-4, 1e-7]), relative=st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(points, configs, st.sampled_from(range(len(SCALAR_MAPS))))
+def test_gradient_equals_old_partial_loop_bit_for_bit(x0, cfg, k):
+    F = SCALAR_MAPS[k]
+    want = np.array([old_partial(F, x0, i, cfg) for i in range(len(x0))])
+    got = gradient(F, x0, cfg)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    for i in range(len(x0)):
+        assert np.float64(partial_derivative(F, x0, i, cfg)).tobytes() == want[i].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(points, configs, st.sampled_from(range(len(VECTOR_MAPS))))
+def test_jacobian_equals_old_column_loop_bit_for_bit(x0, cfg, k):
+    G = VECTOR_MAPS[k]
+    want = old_jacobian(G, x0, cfg)
+    got = jacobian(G, x0, cfg)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(points, configs, st.sampled_from(range(len(SCALAR_MAPS))))
+def test_hessian_equals_old_symmetrized_loop_bit_for_bit(x0, cfg, k):
+    F = SCALAR_MAPS[k]
+    assert hessian(F, x0, cfg).tobytes() == old_hessian(F, x0, cfg).tobytes()
+
+
+@pytest.mark.parametrize("diff", [gradient, jacobian, hessian,
+                                  lambda F, x0: partial_derivative(F, x0, 1)])
+def test_nonfinite_values_raise_domain_error(diff):
+    F = lambda v: math.inf if v[1] > 0.5 else float(v @ v)
+    with pytest.raises(DomainError, match="not finite"):
+        diff(F, [0.2, 0.5])
+
+
+def test_diff_config_has_one_step():
+    assert [f.name for f in dataclasses.fields(DiffConfig)] == ["h", "relative"]

@@ -12,6 +12,7 @@ from calckit.lti import (PdGains, StateSpace, TransferFunction, dc_gain,
                          zeros)
 from calckit.mech import cart_pole_segway, pendulum
 from calckit.poly import poly_add, poly_eval, poly_mul, roots_dk
+from calckit.signals import SampledSignal
 
 G = 9.81
 
@@ -435,3 +436,28 @@ def test_segway_pd_design_end_to_end():
 
     traj = simulate(model, controller, [0.0, 0.05], [0.0, 0.0], 5.0, 2e-3)
     assert abs(traj.y[-1, 1]) < 0.005
+
+
+# ------------------------------------------- responses that start past a level
+
+def test_static_gain_metrics_are_instantaneous():
+    sig = step_response(TransferFunction([2.0], [1.0]), 10.0, 1e-3)
+    m = response_metrics(sig, final_hint=2.0)
+    assert (m.rise_time, m.overshoot, m.settling_time, m.steady_state) == (0.0, 0.0, 0.0, 2.0)
+    neg = response_metrics(step_response(TransferFunction([-2.0], [1.0]), 1.0, 1e-3),
+                           final_hint=-2.0)
+    assert (neg.rise_time, neg.settling_time) == (0.0, 0.0)
+    # a first sample exactly on the level counts as reached, even if the next stays there
+    on_level = SampledSignal(np.linspace(0.0, 1.0, 11), np.full(11, 0.9))
+    assert response_metrics(on_level, final_hint=1.0).rise_time == 0.0
+
+
+def test_direct_term_metrics_match_closed_form():
+    # (s + 2)/(s + 1): y = 2 - e^-t starts at 1, past the 10% level 0.2, so
+    # rise = t(1.8) - 0 = ln 5 and the 2% band |e^-t| <= 0.04 is entered at ln 25
+    dt = 1e-3
+    m = response_metrics(step_response(TransferFunction([2.0, 1.0], [1.0, 1.0]), 10.0, dt),
+                         final_hint=2.0)
+    assert m.rise_time == pytest.approx(math.log(5.0), abs=1e-6)
+    assert math.log(25.0) - dt <= m.settling_time <= math.log(25.0)
+    assert m.overshoot == 0.0 and m.steady_state == 2.0

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calckit.diffnum import DiffConfig, hessian
-from calckit.errors import DimensionError
+from calckit.diffnum import DiffConfig, gradient, hessian
+from calckit.errors import DimensionError, DomainError
 from calckit.linalg import is_positive_definite
 from calckit.mech import (MODEL_ZOO, MechanicalModel, cart_pole_segway,
                           coriolis_matrix, forward_dynamics, gravity_vector,
@@ -48,7 +48,7 @@ def test_kinetic_quadratic_gives_base_point_independence():
     q = np.array([0.2, 0.5])
     rng = np.random.default_rng(4)
     base = mass_matrix(model, q)
-    cfg = DiffConfig(h=1e-4, hessian_h=1e-4, relative=False)
+    cfg = DiffConfig(h=1e-4, relative=False)
     for _ in range(5):
         v0 = rng.uniform(-1, 1, size=2)
         shifted = hessian(lambda v: model.kinetic(q, v), v0, cfg)
@@ -253,3 +253,28 @@ def test_einsum_contractions_equal_loops_bit_for_bit(state):
     assert coriolis_matrix(model, q, qd).tobytes() == loop_coriolis(dD, qd).tobytes()
     rate = sum(dD[k] * qd[k] for k in range(model.n_dof))
     assert mass_matrix_rate(model, q, qd).tobytes() == rate.tobytes()
+
+
+# ------------------------------------------- energies straight into diffnum
+
+@settings(max_examples=120, deadline=None)
+@given(zoo_states())
+def test_unwrapped_energies_equal_the_old_wrappers_bit_for_bit(state):
+    model, q, _ = state
+    cfg = DiffConfig(h=1e-4, relative=False)
+    d = hessian(lambda v: float(model.kinetic(q, v)), np.zeros(model.n_dof), cfg)
+    assert mass_matrix(model, q).tobytes() == (0.5 * (d + d.T)).tobytes()
+    g = gradient(lambda qq: float(model.potential(qq)), q, cfg)
+    assert gravity_vector(model, q).tobytes() == g.tobytes()
+    assert mass_matrix_partials(model, q).flags.c_contiguous
+
+
+@pytest.mark.parametrize("kinetic,potential", [
+    (lambda q, qd: math.inf if qd[0] > 0 else 0.5 * qd[0] ** 2, lambda q: 0.0),
+    (lambda q, qd: 0.5 * qd[0] ** 2, lambda q: math.nan),
+    (lambda q, qd: math.inf, lambda q: 0.0),
+])
+def test_nonfinite_energy_raises_domain_error(kinetic, potential):
+    model = MechanicalModel(1, {}, kinetic, potential, np.eye(1))
+    with pytest.raises(DomainError, match="not finite"):
+        forward_dynamics(model, [0.2], [0.0], [0.0])

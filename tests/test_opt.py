@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from calckit import opt
 from calckit.errors import (ConvergenceError, DimensionError, DomainError,
                             SingularityError)
 from calckit.opt import (ConstrainedProblem, DescentConfig, DiverModel,
@@ -335,3 +337,22 @@ def test_problem_dimension_validation():
         ConstrainedProblem(lambda v: 0.0, lambda v: v, 2, 2)
     with pytest.raises(DimensionError):
         constrained_descent(BENCH_QUAD, [0.0, 0.0, 0.0], ARMIJO)
+
+
+def test_descent_config_keeps_only_the_knobs_callers_set():
+    assert [f.name for f in dataclasses.fields(DescentConfig)] == [
+        "step", "tol", "max_iters", "backtracking"]
+
+
+def test_armijo_halves_until_sufficient_decrease():
+    # f = x^2 from x = 1 along d = -2: t = 1 lands on f = 1, not below
+    # 1 + 1e-4 * t * (-4); t = 0.5 lands on 0 and is taken
+    f = lambda v: float(v[0] ** 2)
+    step = opt._line_step(f, np.array([1.0]), np.array([-2.0]), -4.0, ARMIJO)
+    assert step.tolist() == [0.0]
+    # with slope -2 the Armijo line is 1e-4 * t * (-2): f(1) = -1e-4 is half
+    # the decrease it asks for, f(0.5) = -1e-4 is exactly on it
+    values = {0.0: 0.0, 1.0: -1e-4, 0.5: -1e-4}
+    g = lambda v: values.get(float(v[0]), 1.0)
+    step = opt._line_step(g, np.array([0.0]), np.array([1.0]), -2.0, ARMIJO)
+    assert step.tolist() == [0.5]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calckit import quad
 from calckit.diffnum import DiffConfig, derivative
@@ -219,6 +221,37 @@ def test_path_length_parabola():
     assert exact == pytest.approx(1.4789428575, abs=1e-9)
     got = path_length(lambda t: t, lambda t: t * t, 0.0, 1.0, 256)
     assert got == pytest.approx(1.4789428575, abs=1e-6)
+
+
+def old_path_length(fx, fy, t0, tf, n):
+    """Reference: the speed formula path_length carried before it used diffnum."""
+    n += n % 2
+    h = (tf - t0) / (100.0 * n)
+
+    def speed(t):
+        dx = (fx(t + h) - fx(t - h)) / (2.0 * h)
+        dy = (fy(t + h) - fy(t - h)) / (2.0 * h)
+        return math.hypot(dx, dy)
+
+    return simpson(speed, Interval(t0, tf), n)
+
+
+CURVES = [
+    (math.cos, math.sin),
+    (lambda t: t, lambda t: t * t),
+    (lambda t: 3.0 * math.cos(2.0 * t) + t, lambda t: math.exp(-0.1 * t) * math.sin(t)),
+    (np.sin, lambda t: np.cos(t) ** 3),              # numpy functions, also on arrays
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-50.0, 50.0), st.floats(1e-3, 20.0), st.integers(2, 64),
+       st.sampled_from(range(len(CURVES))))
+def test_path_length_equals_old_speed_formula_bit_for_bit(t0, width, n, k):
+    fx, fy = CURVES[k]
+    tf = t0 + width
+    assert (np.float64(path_length(fx, fy, t0, tf, n)).tobytes()
+            == np.float64(old_path_length(fx, fy, t0, tf, n)).tobytes())
 
 
 def test_lamina_unit_square():
