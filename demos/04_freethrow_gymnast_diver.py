@@ -39,6 +39,17 @@ print(f"  launch v0 = ({g.v0[0]:.4f}, {g.v0[1]:.4f}) m/s, spin {g.omega:.4f} rad
 print(f"  lands at ({land[0]:.6f}, {land[1]:.6f}) with {g.omega * g.tf / math.pi:.6f}"
       f" half-rotations")
 
+print("\n== heavy bar: 1.8 m, 30 + 30 kg, land at (1.2, 2.0) with 2.5 rad ==")
+heavy = opt.GymnastModel(half_length=0.9, m1=30.0, m2=30.0, p0=[0.0, 3.0],
+                         p_land=[1.2, 2.0], theta_land=2.5)
+h = opt.gymnast_optimize(heavy)
+dx, dy = heavy.p_land - heavy.p0
+area = dx * dx + dy * dy + heavy.inertia * heavy.theta_land ** 2
+closed = 9.81 * (math.sqrt(area) + dy) / 2.0
+print(f"  default config: {h.iterations} iterations, converged {h.converged}")
+print(f"  objective {h.objective:.12f} against the closed form {closed:.12f}"
+      f" (tf {h.tf:.6f} vs {(4.0 * area / 9.81 ** 2) ** 0.25:.6f} s)")
+
 print("\n== diver: 10 m platform, one half rotation, 1 m clearance ==")
 diver = opt.DiverModel(i_open=1.0, i_tuck=0.4, k=1, d_min=1.0)
 d = opt.diver_optimize(diver)

@@ -2,11 +2,13 @@
 Lagrange stationary points, and the projectile scenario stack (free throw,
 bar gymnast, platform diver).
 
-The constrained method is first order: each iteration restores feasibility
-with one minimum-norm Newton step on the constraints, then steps along the
-negative gradient projected onto the constraint null space. Multipliers use
-the convention grad f + J^T lambda = 0. The Lagrange solver cross-checks the
-same problems by Newton iteration on the stationarity system.
+Each constrained iteration restores feasibility with one minimum-norm Newton
+step on the constraints, then steps within the constraint null space. The
+fixed-step mode steps along the projected negative gradient; the Armijo mode
+line-searches along a Levenberg-damped Newton (SQP) step on the KKT system
+and falls back to the projected gradient where that step fails. Multipliers
+use the convention grad f + J^T lambda = 0. The Lagrange solver cross-checks
+the same problems by Newton iteration on the stationarity system.
 """
 
 from __future__ import annotations
@@ -183,13 +185,45 @@ def _multiplier_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         ) from None
 
 
+def _kkt_direction(prob: ConstrainedProblem, x, g, jac, lam, mu: float):
+    """Damped Newton direction p from [[H + mu I, J^T], [J, 0]] [p; nu] = [-g; 0],
+    H the Hessian of the Lagrangian f + lam . h at x; None unless p is a
+    finite descent direction (g . p < 0) of a nonsingular system."""
+    hess = diffnum.hessian(lambda v: prob.objective(v) + lam @ prob.h(v), x, _FD)
+    kkt = np.block([[hess + mu * np.eye(prob.n), jac.T],
+                    [jac, np.zeros((prob.m, prob.m))]])
+    try:
+        p = lu_solve(kkt, np.concatenate([-g, np.zeros(prob.m)]))[: prob.n]
+    except SingularityError:
+        return None
+    if not np.all(np.isfinite(p)) or not g @ p < 0:
+        return None
+    return p
+
+
 def constrained_descent(prob: ConstrainedProblem, x0,
                         cfg: DescentConfig | None = None) -> ConstrainedResult:
-    """Feasibility restoration plus null-space projected gradient descent.
+    """Feasibility restoration plus a null-space step.
 
-    Stops when the projected direction and the constraint violation are both
-    small: ||d||_inf < tol and ||h||_inf < 1e-8. The multiplier estimate is
-    -(J J^T)^-1 J grad f at the returned point.
+    Each iteration restores feasibility, then forms the gradient g, the
+    constraint Jacobian J, the multipliers lambda = -(J J^T)^-1 J g and the
+    projected gradient d = -(g + J^T lambda). It stops when
+    ||d||_inf < tol and ||h||_inf < 1e-8, and reports lambda at that point.
+
+    backtracking="off" steps by cfg.step * d, the textbook projected
+    gradient. "armijo" line-searches along the damped KKT Newton direction p
+    of [[H + mu I, J^T], [J, 0]] [p; nu] = [-g; 0], H the Hessian of the
+    Lagrangian f + lambda . h. The damping mu = ||d||_inf is proportional to
+    the residual (Fan & Yuan, Computing 74, 2005): it bounds steps along
+    flat directions and vanishes at a solution, where the steps become
+    Newton steps. Where the KKT matrix is singular, p is not finite or
+    g . p >= 0 (an indefinite H, as near a constrained maximum), the step
+    is along d.
+
+    Evaluations per iteration, n = prob.n: 4n + 2 of h and 2n of f for the
+    restoration and d; 1 + at most 54 of f for the armijo line search; in
+    armijo mode one Lagrangian Hessian, 1 + 2n + 2n(n - 1) of f and of h.
+    The converging iteration stops before the Hessian and the line search.
     """
     cfg = cfg or DescentConfig()
     x = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -213,7 +247,12 @@ def constrained_descent(prob: ConstrainedProblem, x0,
         d = -(g + jac.T @ lam)                          # null-space projection
         if np.max(np.abs(d)) < cfg.tol and after < 1e-8:
             return ConstrainedResult(x, lam, k, True, log)
-        x = _line_step(f, x, d, float(-(d @ d)), cfg)
+        step, slope = d, float(-(d @ d))
+        if cfg.backtracking == "armijo":
+            p = _kkt_direction(prob, x, g, jac, lam, float(np.max(np.abs(d))))
+            if p is not None:
+                step, slope = p, float(g @ p)
+        x = _line_step(f, x, step, slope, cfg)
     jac = diffnum.jacobian(prob.h, x, _FD)
     lam = -_multiplier_solve(jac, jac @ diffnum.gradient(f, x, _FD))
     return ConstrainedResult(x, lam, cfg.max_iters, False, log)
@@ -386,8 +425,9 @@ def gymnast_optimize(model: GymnastModel, cfg: DescentConfig | None = None) -> G
     Flight is ballistic for the center of mass with free planar rotation at
     constant rate; the landing constraints are CoM(tf) = p_land and
     omega * tf = theta_land. The objective is the effort form
-    ||v0||^2 / 2 + I omega^2 / 2. Heavy or long bars make that badly scaled
-    for armijo's unit trial step; pass a fixed-step config there.
+    ||v0||^2 / 2 + I omega^2 / 2. Its minimum has the closed form
+    tf = (4A / g^2)^(1/4) and value g (sqrt(A) + dy) / 2, with
+    A = dx^2 + dy^2 + I theta^2 and (dx, dy) = p_land - p0.
     """
     cfg = cfg or DescentConfig(backtracking="armijo")
     delta = model.p_land - model.p0

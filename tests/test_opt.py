@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from calckit import opt
+from calckit import diffnum, opt
 from calckit.errors import (ConvergenceError, DimensionError, DomainError,
                             SingularityError)
 from calckit.opt import (ConstrainedProblem, DescentConfig, DiverModel,
@@ -155,6 +157,120 @@ def test_first_order_stationarity_at_solutions():
         assert np.max(np.abs(prob.h(res.x))) <= 1e-7
 
 
+def _first_order_reference(prob, x0, cfg):
+    # the projected-gradient loop as it stood before the KKT step: restore,
+    # then step along d with slope -d.d (the fixed-step mode still is this)
+    x = np.asarray(x0, dtype=float)
+    for k in range(cfg.max_iters):
+        hx = prob.h(x)
+        jac = diffnum.jacobian(prob.h, x, opt._FD)
+        x = x - jac.T @ opt._multiplier_solve(jac, hx)
+        after = float(np.max(np.abs(prob.h(x))))
+        g = diffnum.gradient(prob.objective, x, opt._FD)
+        jac = diffnum.jacobian(prob.h, x, opt._FD)
+        lam = -opt._multiplier_solve(jac, jac @ g)
+        d = -(g + jac.T @ lam)
+        if np.max(np.abs(d)) < cfg.tol and after < 1e-8:
+            return x, lam, k
+        x = opt._line_step(prob.objective, x, d, float(-(d @ d)), cfg)
+    return x, None, cfg.max_iters
+
+
+FIXED_STEP_CASES = [(BENCH_QUAD, [4.0, -7.0], DescentConfig(step=0.1)),
+                    (BENCH_CIRCLE, [1.0, 0.0], DescentConfig(step=0.05)),
+                    (BENCH_CIRCLE, [0.3, 0.9], DescentConfig(step=0.2, max_iters=40))]
+
+
+@pytest.mark.parametrize("prob, x0, cfg", FIXED_STEP_CASES)
+def test_fixed_step_mode_is_the_projected_gradient_bit_for_bit(prob, x0, cfg):
+    x, lam, k = _first_order_reference(prob, x0, cfg)
+    res = constrained_descent(prob, x0, cfg)
+    assert res.iterations == k
+    assert res.x.tobytes() == x.tobytes()
+    if lam is not None:
+        assert res.lam.tobytes() == lam.tobytes()
+
+
+def test_singular_kkt_matrix_falls_back_to_the_projected_gradient(monkeypatch):
+    # a KKT solve that always fails must leave exactly the armijo d-step loop
+    real = opt.lu_solve
+    kkt_solves = []
+
+    def lu_solve(a, b):
+        if len(b) == BENCH_CIRCLE.n + BENCH_CIRCLE.m:
+            kkt_solves.append(len(b))
+            raise SingularityError("forced")
+        return real(a, b)
+
+    monkeypatch.setattr(opt, "lu_solve", lu_solve)
+    res = constrained_descent(BENCH_CIRCLE, [1.0, 0.0], ARMIJO)
+    x, lam, k = _first_order_reference(BENCH_CIRCLE, [1.0, 0.0], ARMIJO)
+    assert res.converged and len(kkt_solves) == res.iterations > 0
+    assert res.iterations == k
+    assert res.x.tobytes() == x.tobytes() and res.lam.tobytes() == lam.tobytes()
+
+
+def test_start_next_to_the_constrained_maximum_reaches_the_minimum(monkeypatch):
+    # at (r, r) the Lagrangian Hessian 2 lam I is negative definite: the
+    # Newton direction climbs (g.p > 0), so the d fallback has to move first
+    directions = []
+    real = opt._kkt_direction
+
+    def spy(*args):
+        p = real(*args)
+        directions.append(p)
+        return p
+
+    monkeypatch.setattr(opt, "_kkt_direction", spy)
+    r = math.sqrt(0.5)
+    res = constrained_descent(BENCH_CIRCLE, [r + 1e-3, r - 2e-3], ARMIJO)
+    assert res.converged
+    assert res.x == pytest.approx([-r, -r], abs=1e-7)
+    assert directions[0] is None
+    assert directions[-1] is not None     # Newton steps finish the solve
+
+
+def _counted(prob, calls):
+    def f(x):
+        calls["f"] += 1
+        return prob.objective(x)
+
+    def h(x):
+        calls["h"] += 1
+        return prob.constraints(x)
+
+    return ConstrainedProblem(f, h, prob.n, prob.m)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: opt.gymnast_optimize(GymnastModel(0.9, 30.0, 30.0, [0.0, 3.0], [1.2, 2.0], 2.5)),
+    lambda: opt.diver_optimize(DiverModel(1.0, 0.4, 3, 1.0)),
+    lambda: opt.constrained_descent(BENCH_CIRCLE, [1.0, 0.0], ARMIJO),
+], ids=["heavy-gymnast", "diver-k3", "circle"])
+def test_evaluations_per_iteration_within_the_documented_bound(monkeypatch, solve):
+    # per armijo iteration: 4n + 2 evaluations of h and 2n of f, a line
+    # search of 1 + at most 54 of f, and one Lagrangian Hessian of
+    # 1 + 2n + 2n(n - 1) of each; the converging iteration stops before the
+    # Hessian and the line search
+    runs = []
+    real = opt.constrained_descent
+
+    def counting(prob, x0, cfg=None):
+        calls = {"f": 0, "h": 0}
+        res = real(_counted(prob, calls), x0, cfg)
+        runs.append((prob.n, res, calls))
+        return res
+
+    monkeypatch.setattr(opt, "constrained_descent", counting)
+    solve()
+    (n, res, calls), = runs
+    assert res.converged
+    k, hessian = res.iterations, 1 + 2 * n + 2 * n * (n - 1)
+    assert calls["h"] == k * (4 * n + 2 + hessian) + 4 * n + 2
+    assert k * (2 * n + 2 + hessian) + 2 * n <= calls["f"]
+    assert calls["f"] <= k * (2 * n + 55 + hessian) + 2 * n
+
+
 def test_lagrange_matches_descent_on_quadratic():
     res = lagrange_solve(BENCH_QUAD, [0.0, 0.0])
     assert res.x == pytest.approx([1.0, 1.0], abs=1e-8)
@@ -280,13 +396,53 @@ def test_gymnast_with_rotation_hits_posture():
 
 
 def test_gymnast_heavy_bar_needs_fixed_steps():
-    # armijo's unit trial step destabilizes this ill-scaled inertia;
-    # the plain fixed-step mode walks the manifold reliably
+    # the fixed-step mode is kept as the textbook projected gradient; it
+    # walks this ill-scaled manifold with small steps (the default armijo
+    # mode solves it with Newton steps, see the closed-form tests below)
     model = GymnastModel(0.9, 30.0, 30.0, [0.0, 3.0], [1.0, 0.0],
                          theta_land=math.pi)
     res = gymnast_optimize(model, DescentConfig(step=1e-3, max_iters=100_000))
     assert res.converged
     assert res.omega * res.tf == pytest.approx(math.pi, abs=1e-6)
+
+
+def _gymnast_closed_form(model):
+    # tf minimizes (A + g dy tf^2 + g^2 tf^4 / 4) / (2 tf^2)
+    dx, dy = model.p_land - model.p0
+    area = dx * dx + dy * dy + model.inertia * model.theta_land ** 2
+    return (4.0 * area / model.g ** 2) ** 0.25, model.g * (math.sqrt(area) + dy) / 2.0
+
+
+def _check_gymnast_optimum(model):
+    res = gymnast_optimize(model)
+    tf, best = _gymnast_closed_form(model)
+    assert res.converged
+    assert res.tf == pytest.approx(tf, abs=1e-6)
+    assert res.objective == pytest.approx(best, rel=1e-10)
+    return res
+
+
+def test_gymnast_heavy_bar_80_924_reaches_the_closed_form():
+    model = GymnastModel(0.9, 30.0, 30.0, [0.0, 3.0], [1.2, 2.0], theta_land=2.5)
+    res = _check_gymnast_optimum(model)
+    assert res.objective == pytest.approx(80.924091016683, abs=1e-9)
+
+
+landings = st.tuples(st.floats(0.5, 2.0), st.floats(0.0, 2.5), st.floats(1.0, 3.5))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(1.0, 2.5), st.floats(0.3, 0.5), landings)
+def test_gymnast_light_bar_closed_form(mass, half, landing):
+    x, y, theta = landing
+    _check_gymnast_optimum(GymnastModel(half, mass, mass, [0.0, 3.0], [x, y], theta))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(20.0, 40.0), st.floats(20.0, 40.0), st.floats(0.8, 1.0), landings)
+def test_gymnast_heavy_bar_closed_form(m1, m2, half, landing):
+    x, y, theta = landing
+    _check_gymnast_optimum(GymnastModel(half, m1, m2, [0.0, 3.0], [x, y], theta))
 
 
 # ---------------------------------------------------------------- diver
@@ -330,6 +486,35 @@ def test_diver_tuck_speeds_rotation():
     # tucking reduces the momentum needed for the same rotation
     rigid = DiverModel(i_open=1.0, i_tuck=1.0 - 1e-6, k=1, d_min=1.0)
     assert diver_optimize(DIVER).L < diver_optimize(rigid).L
+
+
+def _full_tuck_v0y(model, eps=1e-3, g=9.81):
+    # on the full-tuck branch L = k pi I_tuck / te and v0x = d_min / te, so
+    # the effort is C / (2 te^2) + v0y^2 / 2 with C = d_min^2 + eps (k pi I_tuck)^2;
+    # with te' = te / s, s = sqrt(v0y^2 + 2 g H), its derivative is v0y - C / (te^2 s)
+    c = model.d_min ** 2 + eps * (model.k * math.pi * model.i_tuck) ** 2
+
+    def slope(v):
+        s = math.sqrt(v * v + 2.0 * g * model.platform_height)
+        return v - c / (diver_entry_time(v, g, model.platform_height) ** 2 * s)
+
+    return bisection(slope, 0.0, 5.0, tol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.floats(0.8, 1.2), st.floats(0.3, 0.5), st.floats(0.8, 1.2))
+def test_diver_lands_on_the_full_tuck_minimum(k, i_open, i_tuck, d_min):
+    # tucking for the whole flight needs the least momentum, so the optimum
+    # has the tuck window [0, te]; the no-tuck branch is also stationary
+    model = DiverModel(i_open=i_open, i_tuck=i_tuck, k=k, d_min=d_min)
+    res = diver_optimize(model)
+    assert res.converged
+    assert res.t_tuck_start == 0.0 and res.t_tuck_end == res.entry_time
+    v0y = _full_tuck_v0y(model)
+    te = diver_entry_time(v0y)
+    assert res.v0[1] == pytest.approx(v0y, abs=1e-6)
+    assert res.v0[0] == pytest.approx(model.d_min / te, abs=1e-6)
+    assert res.L == pytest.approx(k * math.pi * i_tuck / te, abs=1e-6)
 
 
 def test_problem_dimension_validation():
