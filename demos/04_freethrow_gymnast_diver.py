@@ -46,7 +46,7 @@ h = opt.gymnast_optimize(heavy)
 dx, dy = heavy.p_land - heavy.p0
 area = dx * dx + dy * dy + heavy.inertia * heavy.theta_land ** 2
 closed = 9.81 * (math.sqrt(area) + dy) / 2.0
-print(f"  default config: {h.iterations} iterations, converged {h.converged}")
+print(f"  descent: {h.iterations} iterations, converged {h.converged}")
 print(f"  objective {h.objective:.12f} against the closed form {closed:.12f}"
       f" (tf {h.tf:.6f} vs {(4.0 * area / 9.81 ** 2) ** 0.25:.6f} s)")
 

@@ -15,12 +15,12 @@ print("== cart-pole from its energies ==")
 model = mech.cart_pole_segway(cart_mass=1.0, pole_mass=1.0, length=1.0)
 q = np.array([0.0, math.pi / 4.0])
 qd = np.array([0.2, 1.0])
-mats = mech.robot_matrices(model, q, qd)
-print(f"  D(q) =\n{mats.D}")
-print(f"  C(q, qd) =\n{mats.C}")
-print(f"  G(q) = {mats.G}")
+C = mech.coriolis_matrix(model, q, qd)
+print(f"  D(q) =\n{mech.mass_matrix(model, q)}")
+print(f"  C(q, qd) =\n{C}")
+print(f"  G(q) = {mech.gravity_vector(model, q)}")
 
-skew = mech.mass_matrix_rate(model, q, qd) - 2.0 * mats.C
+skew = mech.mass_matrix_rate(model, q, qd) - 2.0 * C
 print(f"  || (Ddot - 2C) + (Ddot - 2C)^T ||_inf = {np.max(np.abs(skew + skew.T)):.2e}"
       "   (skew-symmetry survives the numerics)")
 

@@ -107,14 +107,12 @@ def _load_json(path) -> dict:
 def cmd_optimize(args) -> int:
     config = _load_json(args.config)
     _report_header(args, [args.config])
-    cfg = opt.DescentConfig(backtracking="armijo", max_iters=args.max_iters,
-                            tol=1e-6 if args.scenario == "diver" else 1e-8)
     if args.scenario == "freethrow":
         params = opt.FreeThrowParams(np.asarray(config["p0"], float),
                                      np.asarray(config["p_h"], float),
                                      config.get("g", 9.81))
         result = opt.freethrow_opt(params, args.mode, tf=args.tf, speed=args.speed,
-                                   cfg=cfg)
+                                   max_iters=args.max_iters)
         print(f"v0: {_fmt(result.v[0])} {_fmt(result.v[1])}")
         print(f"tf: {_fmt(result.tf)}")
         print(f"miss_distance: {_fmt(result.miss_distance)}")
@@ -124,7 +122,7 @@ def cmd_optimize(args) -> int:
                                  np.asarray(config["p0"], float),
                                  np.asarray(config["p_land"], float),
                                  config["theta_land"], config.get("g", 9.81))
-        result = opt.gymnast_optimize(model, cfg)
+        result = opt.gymnast_optimize(model, max_iters=args.max_iters)
         print(f"v0: {_fmt(result.v0[0])} {_fmt(result.v0[1])}")
         print(f"omega: {_fmt(result.omega)}")
         print(f"tf: {_fmt(result.tf)}")
@@ -136,12 +134,13 @@ def cmd_optimize(args) -> int:
     elif args.scenario == "diver":
         model = opt.DiverModel(config["i_open"], config["i_tuck"], config["k"],
                                config["d_min"], config.get("platform_height", 10.0))
-        result = opt.diver_optimize(model, cfg)
+        result = opt.diver_optimize(model, max_iters=args.max_iters)
         print(f"v0: {_fmt(result.v0[0])} {_fmt(result.v0[1])}")
         print(f"L: {_fmt(result.L)}")
         print(f"tuck window: {_fmt(result.t_tuck_start)} {_fmt(result.t_tuck_end)}")
         print(f"entry time: {_fmt(result.entry_time)}")
-        residual = abs(result.entry_angle_residual)
+        residual = max(abs(result.entry_angle_residual),
+                       abs(result.v0[0] * result.entry_time - model.d_min))
     else:
         raise CalcError(f"unknown scenario {args.scenario!r}")
     converged = result.converged

@@ -30,6 +30,8 @@ __all__ = [
     "pd_pole_placement", "linearize", "subsystem",
 ]
 
+_COUPLING_TOL = 1e-9    # subsystem: largest A/C entry still counted as decoupled
+
 
 @dataclass(frozen=True)
 class TransferFunction:
@@ -190,28 +192,27 @@ def ss_to_tf(ss: StateSpace, input: int = 0, output: int = 0) -> TransferFunctio
     return TransferFunction(num, den)
 
 
-def subsystem(ss: StateSpace, states, inputs=None, outputs=None,
-              tol: float = 1e-9) -> StateSpace:
-    """Exact structural restriction to a subset of states.
+def subsystem(ss: StateSpace, states, outputs=None) -> StateSpace:
+    """Exact structural restriction to a subset of states, all inputs kept.
 
     Valid only when the kept states evolve independently of the dropped ones
-    (the corresponding A block is zero within tol); anything else raises
+    (the corresponding A block is zero within _COUPLING_TOL, relative to
+    1 + max |A|) and the kept outputs do not read them; anything else raises
     DomainError. This is a structure check, not a pole-zero cancellation.
     """
     states = list(states)
-    inputs = list(range(ss.B.shape[1])) if inputs is None else list(inputs)
     outputs = list(range(ss.C.shape[0])) if outputs is None else list(outputs)
     dropped = [i for i in range(ss.n_states) if i not in states]
     scale = 1.0 + float(np.max(np.abs(ss.A))) if ss.A.size else 1.0
     if dropped:
         coupling = np.max(np.abs(ss.A[np.ix_(states, dropped)]))
-        if coupling > tol * scale:
+        if coupling > _COUPLING_TOL * scale:
             raise DomainError(
                 f"kept states couple to dropped states (|A| = {coupling:.3e})")
-        if np.max(np.abs(ss.C[np.ix_(outputs, dropped)])) > tol:
+        if np.max(np.abs(ss.C[np.ix_(outputs, dropped)])) > _COUPLING_TOL:
             raise DomainError("kept outputs read dropped states")
-    return StateSpace(ss.A[np.ix_(states, states)], ss.B[np.ix_(states, inputs)],
-                      ss.C[np.ix_(outputs, states)], ss.D[np.ix_(outputs, inputs)])
+    return StateSpace(ss.A[np.ix_(states, states)], ss.B[states],
+                      ss.C[np.ix_(outputs, states)], ss.D[outputs])
 
 
 def linearize(model: mech.MechanicalModel, q_eq, torques_eq) -> StateSpace:

@@ -58,13 +58,6 @@ class MechanicalModel:
         return float(self.kinetic(q, qd)) + float(self.potential(q))
 
 
-@dataclass(frozen=True)
-class RobotMatrices:
-    D: np.ndarray
-    C: np.ndarray
-    G: np.ndarray
-
-
 def _check_q(model: MechanicalModel, q) -> np.ndarray:
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if len(q) != model.n_dof:
@@ -104,11 +97,6 @@ def mass_matrix_rate(model: MechanicalModel, q, qd) -> np.ndarray:
     return np.einsum("kij,k->ij", mass_matrix_partials(model, q), qd)
 
 
-def robot_matrices(model: MechanicalModel, q, qd) -> RobotMatrices:
-    return RobotMatrices(mass_matrix(model, q), coriolis_matrix(model, q, qd),
-                         gravity_vector(model, q))
-
-
 def forward_dynamics(model: MechanicalModel, q, qd, torques) -> np.ndarray:
     """qddot = D^-1 (B_u Gamma - C qdot - G)."""
     q = _check_q(model, q)
@@ -116,9 +104,9 @@ def forward_dynamics(model: MechanicalModel, q, qd, torques) -> np.ndarray:
     torques = np.atleast_1d(np.asarray(torques, dtype=float))
     if len(torques) != model.n_inputs:
         raise DimensionError(f"expected {model.n_inputs} torques, got {len(torques)}")
-    mats = robot_matrices(model, q, qd)
-    rhs = model.input_map @ torques - mats.C @ qd - mats.G
-    return lu_solve(mats.D, rhs)
+    d = mass_matrix(model, q)
+    c = coriolis_matrix(model, q, qd)
+    return lu_solve(d, model.input_map @ torques - c @ qd - gravity_vector(model, q))
 
 
 def simulate(model: MechanicalModel, controller, q0, qd0, T: float, dt: float) -> SampledSignal:

@@ -21,7 +21,7 @@ import numpy as np
 from . import poly
 from .errors import DimensionError, DomainError
 from .linalg import as_mat, norm_inf
-from .signals import SampledSignal
+from .signals import SampledSignal, check_grid_size
 
 _EIG_MAX_N = 12
 
@@ -54,6 +54,7 @@ def _eval_rhs(prob: IvpProblem, t: float, x: np.ndarray) -> np.ndarray:
 def _time_grid(t0: float, tf: float, dt: float) -> np.ndarray:
     if dt <= 0:
         raise DomainError("step size must be positive")
+    check_grid_size((tf - t0) / dt + 1.0, "time grid")
     n_full = int(math.floor((tf - t0) / dt + 1e-12))
     ts = t0 + dt * np.arange(n_full + 1)
     if ts[-1] < tf - 1e-12 * max(1.0, abs(tf)):

@@ -3,10 +3,11 @@ Lagrange stationary points, and the projectile scenario stack (free throw,
 bar gymnast, platform diver).
 
 Each constrained iteration restores feasibility with one minimum-norm Newton
-step on the constraints, then steps within the constraint null space. The
-fixed-step mode steps along the projected negative gradient; the Armijo mode
-line-searches along a Levenberg-damped Newton (SQP) step on the KKT system
-and falls back to the projected gradient where that step fails. Multipliers
+step on the constraints, then line-searches (Armijo) along a
+Levenberg-damped Newton (SQP) step on the KKT system, falling back to the
+projected negative gradient where that step fails. Every descent stops on
+the same bound, 1e-8 on the (projected) gradient and on the constraint
+violation; the iteration budget max_iters is its only setting. Multipliers
 use the convention grad f + J^T lambda = 0. The Lagrange solver cross-checks
 the same problems by Newton iteration on the stationarity system.
 """
@@ -14,7 +15,7 @@ the same problems by Newton iteration on the stationarity system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,6 +27,7 @@ from .linalg import lu_solve
 _FD = diffnum.DiffConfig()
 _ARMIJO_BETA = 0.5      # armijo halving factor
 _ARMIJO_C = 1e-4        # armijo sufficient-decrease constant
+_STOP_TOL = 1e-8        # descent stops below this on ||d||_inf (||g||_inf) and ||h||_inf
 
 
 # ---------------------------------------------------------------- roots
@@ -95,20 +97,6 @@ def newton_root(F, x0, tol: float = 1e-10, max_iters: int = 50) -> np.ndarray:
 # ---------------------------------------------------------------- descent
 
 @dataclass(frozen=True)
-class DescentConfig:
-    step: float = 1e-2           # fixed step length when backtracking is off
-    tol: float = 1e-8            # on the (projected) gradient infinity norm
-    max_iters: int = 50_000
-    backtracking: str = "off"    # "off" or "armijo"
-
-    def __post_init__(self):
-        if self.step <= 0 or self.tol <= 0 or self.max_iters < 1:
-            raise DomainError("descent configuration must have positive step/tol/budget")
-        if self.backtracking not in ("off", "armijo"):
-            raise DomainError("backtracking must be 'off' or 'armijo'")
-
-
-@dataclass(frozen=True)
 class DescentResult:
     x: np.ndarray
     f_value: float
@@ -116,9 +104,7 @@ class DescentResult:
     converged: bool
 
 
-def _line_step(f, x, d, g_dot_d, cfg: DescentConfig) -> np.ndarray:
-    if cfg.backtracking == "off":
-        return x + cfg.step * d
+def _line_step(f, x, d, g_dot_d) -> np.ndarray:
     fx = f(x)
     t = 1.0
     while t > 1e-16:
@@ -129,20 +115,22 @@ def _line_step(f, x, d, g_dot_d, cfg: DescentConfig) -> np.ndarray:
     return x + t * d
 
 
-def gradient_descent(f, x0, cfg: DescentConfig | None = None) -> DescentResult:
-    """Minimize f by steepest descent with a numeric gradient."""
-    cfg = cfg or DescentConfig()
+def gradient_descent(f, x0, *, max_iters: int = 50_000) -> DescentResult:
+    """Minimize f by steepest descent with a numeric gradient and an Armijo
+    line search; stops when ||grad f||_inf < 1e-8."""
+    if max_iters < 1:
+        raise DomainError(f"descent iteration budget must be at least 1, got {max_iters}")
     x = np.atleast_1d(np.asarray(x0, dtype=float))
-    for k in range(cfg.max_iters):
+    for k in range(max_iters):
         g = diffnum.gradient(f, x, _FD)
         if not np.all(np.isfinite(g)):
             raise DomainError("gradient is not finite at an iterate")
-        if np.max(np.abs(g)) < cfg.tol:
+        if np.max(np.abs(g)) < _STOP_TOL:
             return DescentResult(x, float(f(x)), k, True)
-        x = _line_step(f, x, -g, -float(g @ g), cfg)
+        x = _line_step(f, x, -g, -float(g @ g))
         if not np.all(np.isfinite(x)) or not np.isfinite(f(x)):
             raise DomainError("objective is not finite at an iterate")
-    return DescentResult(x, float(f(x)), cfg.max_iters, False)
+    return DescentResult(x, float(f(x)), max_iters, False)
 
 
 @dataclass(frozen=True)
@@ -171,8 +159,6 @@ class ConstrainedResult:
     lam: np.ndarray
     iterations: int
     converged: bool
-    # (||h|| before, ||h|| after) for every restoration step; diagnostics only
-    restoration_log: list = field(default_factory=list, repr=False)
 
 
 def _multiplier_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -201,43 +187,42 @@ def _kkt_direction(prob: ConstrainedProblem, x, g, jac, lam, mu: float):
     return p
 
 
-def constrained_descent(prob: ConstrainedProblem, x0,
-                        cfg: DescentConfig | None = None) -> ConstrainedResult:
-    """Feasibility restoration plus a null-space step.
+def constrained_descent(prob: ConstrainedProblem, x0, *,
+                        max_iters: int = 50_000) -> ConstrainedResult:
+    """Feasibility restoration plus a damped Newton step in the null space.
 
     Each iteration restores feasibility, then forms the gradient g, the
     constraint Jacobian J, the multipliers lambda = -(J J^T)^-1 J g and the
     projected gradient d = -(g + J^T lambda). It stops when
-    ||d||_inf < tol and ||h||_inf < 1e-8, and reports lambda at that point.
+    ||d||_inf < 1e-8 and ||h||_inf < 1e-8, and reports lambda at that point.
 
-    backtracking="off" steps by cfg.step * d, the textbook projected
-    gradient. "armijo" line-searches along the damped KKT Newton direction p
-    of [[H + mu I, J^T], [J, 0]] [p; nu] = [-g; 0], H the Hessian of the
-    Lagrangian f + lambda . h. The damping mu = ||d||_inf is proportional to
-    the residual (Fan & Yuan, Computing 74, 2005): it bounds steps along
-    flat directions and vanishes at a solution, where the steps become
-    Newton steps. Where the KKT matrix is singular, p is not finite or
-    g . p >= 0 (an indefinite H, as near a constrained maximum), the step
-    is along d.
+    Otherwise it line-searches (Armijo) along the damped KKT Newton
+    direction p of [[H + mu I, J^T], [J, 0]] [p; nu] = [-g; 0], H the
+    Hessian of the Lagrangian f + lambda . h. The damping mu = ||d||_inf is
+    proportional to the residual (Fan & Yuan, Computing 74, 2005): it
+    bounds steps along flat directions and vanishes at a solution, where the
+    steps become Newton steps. Where the KKT matrix is singular, p is not
+    finite or g . p >= 0 (an indefinite H, as near a constrained maximum),
+    the line search runs along d instead.
 
-    Evaluations per iteration, n = prob.n: 4n + 2 of h and 2n of f for the
-    restoration and d; 1 + at most 54 of f for the armijo line search; in
-    armijo mode one Lagrangian Hessian, 1 + 2n + 2n(n - 1) of f and of h.
-    The converging iteration stops before the Hessian and the line search.
+    Evaluations per iteration, n = prob.n, in this order: for the
+    restoration and d, 4n + 2 of h (h at x, its Jacobian, h after the
+    restoration, the Jacobian there) and 2n of f; one Lagrangian Hessian,
+    1 + 2n + 2n(n - 1) of f and of h; 1 + at most 54 of f for the line
+    search. The converging iteration stops before the Hessian and the line
+    search.
     """
-    cfg = cfg or DescentConfig()
+    if max_iters < 1:
+        raise DomainError(f"descent iteration budget must be at least 1, got {max_iters}")
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if len(x) != prob.n:
         raise DimensionError(f"x0 has dimension {len(x)}, problem declares n={prob.n}")
     f = prob.objective
-    log: list[tuple[float, float]] = []
-    for k in range(cfg.max_iters):
+    for k in range(max_iters):
         hx = prob.h(x)
-        before = float(np.max(np.abs(hx)))
         jac = diffnum.jacobian(prob.h, x, _FD)
         x = x - jac.T @ _multiplier_solve(jac, hx)      # minimum-norm Newton step
-        after = float(np.max(np.abs(prob.h(x))))
-        log.append((before, after))
+        violation = float(np.max(np.abs(prob.h(x))))
 
         g = diffnum.gradient(f, x, _FD)
         if not np.all(np.isfinite(g)):
@@ -245,17 +230,16 @@ def constrained_descent(prob: ConstrainedProblem, x0,
         jac = diffnum.jacobian(prob.h, x, _FD)
         lam = -_multiplier_solve(jac, jac @ g)
         d = -(g + jac.T @ lam)                          # null-space projection
-        if np.max(np.abs(d)) < cfg.tol and after < 1e-8:
-            return ConstrainedResult(x, lam, k, True, log)
-        step, slope = d, float(-(d @ d))
-        if cfg.backtracking == "armijo":
-            p = _kkt_direction(prob, x, g, jac, lam, float(np.max(np.abs(d))))
-            if p is not None:
-                step, slope = p, float(g @ p)
-        x = _line_step(f, x, step, slope, cfg)
+        if np.max(np.abs(d)) < _STOP_TOL and violation < _STOP_TOL:
+            return ConstrainedResult(x, lam, k, True)
+        p = _kkt_direction(prob, x, g, jac, lam, float(np.max(np.abs(d))))
+        if p is None:
+            x = _line_step(f, x, d, float(-(d @ d)))
+        else:
+            x = _line_step(f, x, p, float(g @ p))
     jac = diffnum.jacobian(prob.h, x, _FD)
     lam = -_multiplier_solve(jac, jac @ diffnum.gradient(f, x, _FD))
-    return ConstrainedResult(x, lam, cfg.max_iters, False, log)
+    return ConstrainedResult(x, lam, max_iters, False)
 
 
 @dataclass(frozen=True)
@@ -332,7 +316,7 @@ class FreeThrowResult:
 
 def freethrow_opt(params: FreeThrowParams, mode: str = "free", *,
                   tf: float | None = None, speed: float | None = None,
-                  x0=None, cfg: DescentConfig | None = None) -> FreeThrowResult:
+                  x0=None, max_iters: int = 50_000) -> FreeThrowResult:
     """Minimize the squared miss distance over (vx, vy, tf).
 
     mode "free" is unconstrained; "fixed_tf" pins the flight time and
@@ -340,8 +324,6 @@ def freethrow_opt(params: FreeThrowParams, mode: str = "free", *,
     An infeasible fixed speed that leaves the miss above 1e-3 m raises
     DomainError rather than returning silently.
     """
-    cfg = cfg or DescentConfig(backtracking="armijo")
-
     def objective(z):
         miss = params.ballistic(z[:2], z[2]) - params.p_h
         return float(miss @ miss)
@@ -360,10 +342,10 @@ def freethrow_opt(params: FreeThrowParams, mode: str = "free", *,
     if mode == "fixed_speed" and (speed is None or speed <= 0):
         raise DomainError("fixed_speed mode needs a positive speed")
     if mode == "free":
-        res = gradient_descent(objective, x0, cfg)
+        res = gradient_descent(objective, x0, max_iters=max_iters)
     elif mode in constraints:
         prob = ConstrainedProblem(objective, constraints[mode], 3, 1)
-        res = constrained_descent(prob, x0, cfg)
+        res = constrained_descent(prob, x0, max_iters=max_iters)
     else:
         raise DomainError(f"unknown mode {mode!r}")
     v, tof = res.x[:2], float(res.x[2])
@@ -419,7 +401,7 @@ class GymnastResult:
     converged: bool
 
 
-def gymnast_optimize(model: GymnastModel, cfg: DescentConfig | None = None) -> GymnastResult:
+def gymnast_optimize(model: GymnastModel, *, max_iters: int = 50_000) -> GymnastResult:
     """Cheapest launch (v0x, v0y, omega, tf) landing on the target posture.
 
     Flight is ballistic for the center of mass with free planar rotation at
@@ -429,7 +411,6 @@ def gymnast_optimize(model: GymnastModel, cfg: DescentConfig | None = None) -> G
     tf = (4A / g^2)^(1/4) and value g (sqrt(A) + dy) / 2, with
     A = dx^2 + dy^2 + I theta^2 and (dx, dy) = p_land - p0.
     """
-    cfg = cfg or DescentConfig(backtracking="armijo")
     delta = model.p_land - model.p0
     inertia = model.inertia
 
@@ -452,7 +433,7 @@ def gymnast_optimize(model: GymnastModel, cfg: DescentConfig | None = None) -> G
         tf0,
     ])
     prob = ConstrainedProblem(objective, constraints, 4, 3)
-    res = constrained_descent(prob, x0, cfg)
+    res = constrained_descent(prob, x0, max_iters=max_iters)
     return GymnastResult(res.x[:2].copy(), float(res.x[2]), float(res.x[3]),
                          float(objective(res.x)), res.iterations, res.converged)
 
@@ -506,7 +487,7 @@ class DiverResult:
     converged: bool
 
 
-def diver_optimize(model: DiverModel, cfg: DescentConfig | None = None) -> DiverResult:
+def diver_optimize(model: DiverModel, *, max_iters: int = 50_000) -> DiverResult:
     """Minimum-effort launch (v0x, v0y, L, t1, t2) with vertical entry after
     k half rotations and horizontal clearance d_min at entry.
 
@@ -514,7 +495,6 @@ def diver_optimize(model: DiverModel, cfg: DescentConfig | None = None) -> Diver
     iterates may park just outside the box; reported times are clamped. The
     effort objective ||v0||^2 / 2 + eps L^2 / 2 uses eps = 1e-3.
     """
-    cfg = cfg or DescentConfig(backtracking="armijo", tol=1e-6)
     g = 9.81
     eps = 1e-3
     target = model.k * math.pi
@@ -534,7 +514,7 @@ def diver_optimize(model: DiverModel, cfg: DescentConfig | None = None) -> Diver
     tau0 = t10 / model.i_open + (t20 - t10) / model.i_tuck + (te0 - t20) / model.i_open
     x0 = np.array([model.d_min / te0, v0y0, target / tau0, t10, t20])
     prob = ConstrainedProblem(objective, constraints, 5, 2)
-    res = constrained_descent(prob, x0, cfg)
+    res = constrained_descent(prob, x0, max_iters=max_iters)
 
     v0x, v0y, L, t1, t2 = res.x
     te = diver_entry_time(v0y, g, model.platform_height)

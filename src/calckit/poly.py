@@ -64,8 +64,11 @@ def roots_dk(p, tol: float = 1e-12, max_iters: int = 500) -> list[complex]:
 
     Starts from points on a circle of radius 1 + max|c_i / c_n| with the
     angles offset by 0.4 rad, and stops when the largest update falls below
-    tol. Clustered (multiple) roots converge slowly and lose accuracy in
-    proportion to their multiplicity; call with a looser tol there.
+    tol, or when every |p(z_i)| is within Horner's rounding bound
+    2 deg eps sum |c_j| |z_i|^j, where further updates are rounding noise
+    (the stopping rule of Bini, Numer. Algorithms 13, 1996). Clustered
+    (multiple) roots converge slowly and lose accuracy in proportion to
+    their multiplicity; call with a looser tol there.
     """
     p = trim(p)
     deg = len(p) - 1
@@ -75,16 +78,18 @@ def roots_dk(p, tol: float = 1e-12, max_iters: int = 500) -> list[complex]:
     radius = 1.0 + float(np.max(np.abs(p[:-1] / lead))) if deg else 1.0
     angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
     z = radius * np.exp(1j * angles)
-    coeffs = p.astype(complex)
+    coeffs, magnitudes = p.astype(complex), np.abs(p)
+    rounding = 2.0 * deg * np.finfo(float).eps
     for _ in range(max_iters):
         values = np.array([_horner(coeffs, zi) for zi in z])
+        noise = rounding * np.array([_horner(magnitudes, abs(zi)).real for zi in z])
         updates = np.zeros(deg, dtype=complex)
         for i in range(deg):
             diff = z[i] - np.delete(z, i)
             diff[diff == 0] = 1e-30
             updates[i] = values[i] / (lead * np.prod(diff))
         z = z - updates
-        if np.max(np.abs(updates)) < tol:
+        if np.max(np.abs(updates)) < tol or np.all(np.abs(values) <= noise):
             return sorted(map(complex, z), key=lambda r: (r.real, r.imag))
     raise ConvergenceError(
         f"root iteration did not settle in {max_iters} iterations "

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diffnum
 from .errors import ConvergenceError, DomainError
-from .signals import SampledSignal
+from .signals import SampledSignal, check_grid_size
 
 __all__ = [
     "Interval", "Lamina", "riemann_sum", "darboux_bounds",
@@ -91,6 +91,7 @@ def riemann_sum(f, iv: Interval, n: int, scheme: str = "left") -> float:
     """Riemann sum on n uniform panels; scheme in {left, right, midpoint}."""
     if n < 1:
         raise DomainError("need n >= 1 panels")
+    check_grid_size(n, "riemann sum")
     h = iv.width / n
     if scheme == "left":
         xs = iv.a + h * np.arange(n)
@@ -115,6 +116,7 @@ def darboux_bounds(f, iv: Interval, n: int, m: int) -> tuple[float, float]:
         raise DomainError("need n >= 1 panels")
     if m < 2:
         raise DomainError("need m >= 2 subsamples per panel")
+    check_grid_size(n * m, "darboux sampling")
     h = iv.width / n
     lower = upper = 0.0
     offsets = np.linspace(0.0, h, m)
@@ -131,6 +133,7 @@ def trapezoid(f, iv: Interval, n: int) -> float:
     """Composite trapezoid rule on a uniform grid; exact for affine f."""
     if n < 1:
         raise DomainError("need n >= 1 panels")
+    check_grid_size(n + 1, "trapezoid rule")
     xs = np.linspace(iv.a, iv.b, n + 1)
     ys = _sample(f, xs)
     h = iv.width / n
@@ -143,6 +146,7 @@ def simpson(f, iv: Interval, n: int) -> float:
         raise DomainError("need n >= 1 panels")
     if n % 2:
         raise DomainError("Simpson's rule needs an even panel count")
+    check_grid_size(n + 1, "Simpson's rule")
     xs = np.linspace(iv.a, iv.b, n + 1)
     ys = _sample(f, xs)
     h = iv.width / n
@@ -230,6 +234,7 @@ def lamina_properties(lam: Lamina, n: int) -> LaminaProperties:
     if n < 1:
         raise DomainError("need n >= 1 panels")
     n += n % 2
+    check_grid_size(n + 1, "lamina integrals")
     iv = lam.interval
     xs = np.linspace(iv.a, iv.b, n + 1)
     fs = _sample(lam.f, xs)
@@ -260,6 +265,7 @@ def volume_of_revolution(f, iv: Interval, n: int) -> float:
     if n < 1:
         raise DomainError("need n >= 1 panels")
     n += n % 2
+    check_grid_size(n + 1, "volume of revolution")
     xs = np.linspace(iv.a, iv.b, n + 1)
     ys = _sample(f, xs)
     if np.any(ys < 0):

@@ -10,6 +10,8 @@ separators, every field finite.
 lines, each converted by one ``np.array`` call; memory stays bounded by the
 block, not the file. ``write_csv`` formats WRITE_BLOCK_ROWS rows per format
 string. Both keep the bytes and line numbers of a one-field-at-a-time loop.
+Every uniform grid the package builds (ODE time grids, fixed-panel
+quadrature) is refused by ``check_grid_size`` above MAX_GRID_POINTS points.
 """
 
 from __future__ import annotations
@@ -23,6 +25,15 @@ from .errors import DimensionError, DomainError
 
 READ_BLOCK_LINES = 8192     # lines converted per np.array call in read_csv
 WRITE_BLOCK_ROWS = 4096     # rows formatted per string in write_csv
+MAX_GRID_POINTS = 10_000_000  # 80 MB per float64 array of grid values
+
+
+def check_grid_size(points: float, what: str) -> None:
+    """DomainError unless a grid of `points` points fits in MAX_GRID_POINTS
+    (a NaN or infinite count never does)."""
+    if not points <= MAX_GRID_POINTS:
+        raise DomainError(f"{what} needs {points:.4g} points, over the budget of "
+                          f"{MAX_GRID_POINTS:,}")
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,6 @@ def test_c06_elementary_derivative_oracles():
 
 def test_c07_constrained_optimization():
     with criterion(7, "solver cross-checks, free-throw agreement, KKT residuals"):
-        cfg = opt.DescentConfig(backtracking="armijo")
         benches = [
             (opt.ConstrainedProblem(lambda v: v[0] ** 2 + v[1] ** 2,
                                     lambda v: np.array([v[0] + v[1] - 2.0]), 2, 1),
@@ -115,14 +114,14 @@ def test_c07_constrained_optimization():
              [1.0, 0.0], [-1.0, -0.5], [0.5]),
         ]
         for prob, x_descent, x_newton, lam0 in benches:
-            descent = opt.constrained_descent(prob, x_descent, cfg)
+            descent = opt.constrained_descent(prob, x_descent)
             newton = opt.lagrange_solve(prob, x_newton, lam0=lam0)
             assert descent.converged
             assert np.max(np.abs(descent.x - newton.x)) <= 1e-6
             assert np.max(np.abs(prob.h(descent.x))) <= 1e-7
             g = diffnum.gradient(prob.objective, descent.x)
             J = diffnum.jacobian(prob.h, descent.x)
-            assert np.max(np.abs(g + J.T @ descent.lam)) <= 10.0 * cfg.tol
+            assert np.max(np.abs(g + J.T @ descent.lam)) <= 10.0 * opt._STOP_TOL
 
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -91,6 +91,23 @@ def test_optimize_diver_runs(capsys):
     assert "constraint residual:" in out
 
 
+def test_optimize_diver_residual_covers_both_constraints(capsys):
+    # one iteration leaves both constraints violated; here the clearance
+    # residual v0x te - d_min is the larger one
+    code, out, _ = run(capsys, "optimize", "--scenario", "diver",
+                       "--config", str(DATA / "diver.json"), "--max-iters", "1")
+    assert code == 3
+    f = dict(line.split(": ", 1) for line in out.splitlines())
+    v0x, _ = map(float, f["v0"].split())
+    t1, t2 = map(float, f["tuck window"].split())
+    big_l, te = float(f["L"]), float(f["entry time"])
+    angle = big_l * (t1 / 1.0 + (t2 - t1) / 0.4 + (te - t2) / 1.0) - math.pi
+    clearance = v0x * te - 1.0
+    assert abs(clearance) > abs(angle)
+    assert float(f["constraint residual"]) == pytest.approx(
+        max(abs(angle), abs(clearance)), rel=1e-8)
+
+
 def test_optimize_budget_exhaustion_exit_3(tmp_path, capsys):
     import json
 
@@ -102,6 +119,14 @@ def test_optimize_budget_exhaustion_exit_3(tmp_path, capsys):
                        "--config", str(cfg), "--max-iters", "3")
     assert code == 3
     assert "constraint residual:" in out   # residuals still reported
+
+
+@pytest.mark.parametrize("scenario", ["freethrow", "gymnast", "diver"])
+def test_optimize_empty_budget_exit_2(scenario, capsys):
+    code, _, err = run(capsys, "optimize", "--scenario", scenario,
+                       "--config", str(DATA / f"{scenario}.json"), "--max-iters", "0")
+    assert code == 2
+    assert "budget must be at least 1" in err
 
 
 def test_simulate_config_overrides_model_parameters(tmp_path, capsys):
@@ -187,6 +212,21 @@ def test_nonfinite_energy_exits_2(tmp_path, capsys):
                        "--out", str(tmp_path / "out.csv"))
     assert code == 2
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--expr", "x", "--a", "0", "--b", "1", "--n", "1000000000000"],
+    ["simulate", "--model", "pendulum", "--q0", "0.1", "--T", "1e12", "--dt", "1e-3"],
+    ["control", "step", "--num", "1", "--den", "1", "1", "--T", "1e12", "--dt", "1e-3"],
+], ids=["integrate", "simulate", "control-step"])
+def test_grid_over_the_point_budget_exits_2(argv, tmp_path, capsys):
+    out_csv = tmp_path / "x.csv"
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(out_csv)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "over the budget of 10,000,000" in err
+    assert not out_csv.exists()
 
 
 def test_control_pd_segway_stable_poles(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calckit import odesolve
@@ -174,6 +174,51 @@ def test_eigenvalue_sum_matches_trace():
         s = sum(eigenvalues(a))
         assert s.real == pytest.approx(np.trace(a), abs=1e-7)
         assert abs(s.imag) <= 1e-7
+
+
+@st.composite
+def separated_spectra(draw):
+    # eigenvalues on the grid 0.5 (j + i k), |j| <= 6, 1 <= k <= 4 for the
+    # complex pairs: any two are at least 0.5 apart, and n <= 12
+    pairs = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)),
+                          unique=True, max_size=6))
+    reals = draw(st.lists(st.integers(-6, 6), unique=True, min_size=0 if pairs else 1,
+                          max_size=12 - 2 * len(pairs)))
+    return reals, pairs, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _similar_to_blocks(reals, pairs, seed):
+    """Q diag(reals, [[a, b], [-b, a]] per pair) Q^T (halved grid values),
+    Q a random orthogonal matrix, so the spectrum is known exactly."""
+    n = len(reals) + 2 * len(pairs)
+    d = np.zeros((n, n))
+    d[range(len(reals)), range(len(reals))] = 0.5 * np.asarray(reals, float)
+    for j, (re, im) in enumerate(pairs):
+        i = len(reals) + 2 * j
+        d[i:i + 2, i:i + 2] = 0.5 * np.array([[re, im], [-im, re]])
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q @ d @ q.T
+
+
+@settings(max_examples=40, deadline=None)
+@given(separated_spectra())
+@example(([-6, -5, -3, 0], [(-6, 2), (-5, 4), (-3, 4), (-1, 4)], 0))
+@example(([], [(-6, 1), (-5, 1), (-4, 1), (-3, 1), (-2, 1), (-1, 1)], 0))
+def test_char_poly_and_eigenvalues_match_numpy(spectrum):
+    # Faddeev-LeVerrier coefficients against np.poly (from LAPACK eigenvalues):
+    # measured worst error 1e-13 of the largest coefficient, 1e-11 allowed.
+    # Eigenvalues against np.linalg.eigvals, matched to the nearest: the root
+    # error grows with the conditioning of the polynomial, 2e-10 at worst
+    # over 1,500 examples but 3.9e-7 for the densest packings of twelve
+    # eigenvalues on this grid; 1e-5 allowed. The two examples once stalled
+    # the root iteration at the roundoff floor (ConvergenceError).
+    a = _similar_to_blocks(*spectrum)
+    want = np.poly(a)[::-1].real
+    got = char_poly(a)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+    ours = np.array(eigenvalues(a))
+    for lam in np.linalg.eigvals(a):
+        assert np.min(np.abs(ours - lam)) <= 1e-5
 
 
 def test_ivp_validation():

@@ -1,22 +1,20 @@
-import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calckit import diffnum, opt
 from calckit.errors import (ConvergenceError, DimensionError, DomainError,
                             SingularityError)
-from calckit.opt import (ConstrainedProblem, DescentConfig, DiverModel,
+from calckit.opt import (ConstrainedProblem, DiverModel,
                          FreeThrowParams, GymnastModel, bisection,
                          constrained_descent, diver_entry_orientation,
                          diver_entry_time, diver_optimize, freethrow_linear,
                          freethrow_opt, gradient_descent, gymnast_optimize,
                          lagrange_solve, newton_root)
-
-ARMIJO = DescentConfig(backtracking="armijo")
 
 BENCH_QUAD = ConstrainedProblem(lambda v: v[0] ** 2 + v[1] ** 2,
                                 lambda v: np.array([v[0] + v[1] - 2.0]), 2, 1)
@@ -89,37 +87,36 @@ def test_newton_degenerate_root_exhausts_budget():
 
 def test_quadratic_bowl_minimum():
     res = gradient_descent(lambda v: (v[0] - 3.0) ** 2 + (v[1] + 1.0) ** 2,
-                           [0.0, 0.0], ARMIJO)
+                           [0.0, 0.0])
     assert res.converged
     assert res.x == pytest.approx([3.0, -1.0], abs=1e-6)
 
 
 def test_start_at_optimum_stays_put():
     res = gradient_descent(lambda v: (v[0] - 3.0) ** 2 + (v[1] + 1.0) ** 2,
-                           [3.0, -1.0], ARMIJO)
+                           [3.0, -1.0])
     assert res.converged and res.iterations <= 1
     assert res.x == pytest.approx([3.0, -1.0], abs=1e-8)
 
 
 def test_rosenbrock_reaches_floor():
     rosen = lambda v: (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
-    res = gradient_descent(rosen, [-1.2, 1.0], DescentConfig(backtracking="armijo",
-                                                             max_iters=50_000))
+    res = gradient_descent(rosen, [-1.2, 1.0], max_iters=50_000)
     assert res.f_value < 1e-6
 
 
 def test_objective_scaling_leaves_argmin():
     base = lambda v: (v[0] - 3.0) ** 2 + (v[1] + 1.0) ** 2
-    ref = gradient_descent(base, [0.0, 0.0], ARMIJO).x
+    ref = gradient_descent(base, [0.0, 0.0]).x
     for c in (0.5, 3.0):
-        scaled = gradient_descent(lambda v: c * base(v), [0.0, 0.0], ARMIJO).x
+        scaled = gradient_descent(lambda v: c * base(v), [0.0, 0.0]).x
         assert np.max(np.abs(scaled - ref)) <= 1e-6
 
 
 # ------------------------------------------------------- constrained descent
 
 def test_symmetric_quadratic_benchmark():
-    res = constrained_descent(BENCH_QUAD, [0.0, 0.0], ARMIJO)
+    res = constrained_descent(BENCH_QUAD, [0.0, 0.0])
     assert res.converged
     assert res.x == pytest.approx([1.0, 1.0], abs=1e-7)
     # gradient (2, 2) + lambda * (1, 1) = 0 fixes lambda = -2
@@ -127,7 +124,7 @@ def test_symmetric_quadratic_benchmark():
 
 
 def test_circle_benchmark_by_hand_lagrange():
-    res = constrained_descent(BENCH_CIRCLE, [1.0, 0.0], ARMIJO)
+    res = constrained_descent(BENCH_CIRCLE, [1.0, 0.0])
     assert res.converged
     assert res.x == pytest.approx([-math.sqrt(0.5), -math.sqrt(0.5)], abs=1e-6)
 
@@ -136,32 +133,47 @@ def test_duplicated_constraint_rows_singular():
     prob = ConstrainedProblem(lambda v: v[0] ** 2 + v[1] ** 2,
                               lambda v: np.array([v[0] - 1.0, v[0] - 1.0]), 3, 2)
     with pytest.raises(SingularityError):
-        constrained_descent(prob, [0.0, 0.0, 0.0], ARMIJO)
+        constrained_descent(prob, [0.0, 0.0, 0.0])
 
 
 def test_restoration_never_inflates_violation():
+    # constrained_descent's documented call order: each iteration evaluates
+    # h at x, its 2n-point Jacobian, h after the restoration, the Jacobian
+    # there, then (except on the converging iteration) the Lagrangian Hessian
     for prob, x0 in ((BENCH_QUAD, [4.0, -7.0]), (BENCH_CIRCLE, [1.0, 0.0])):
-        res = constrained_descent(prob, x0, ARMIJO)
+        norms = []
+
+        def constraints(x, h=prob.constraints):
+            hx = h(x)
+            norms.append(float(np.max(np.abs(hx))))
+            return hx
+
+        res = constrained_descent(ConstrainedProblem(prob.objective, constraints,
+                                                     prob.n, prob.m), x0)
         assert res.converged
-        for before, after in res.restoration_log:
+        n = prob.n
+        per_iteration = 4 * n + 2 + 1 + 2 * n + 2 * n * (n - 1)
+        assert len(norms) == res.iterations * per_iteration + 4 * n + 2
+        for k in range(res.iterations + 1):
+            before, after = norms[k * per_iteration], norms[k * per_iteration + 2 * n + 1]
             assert after <= before + 1e-12
 
 
 def test_first_order_stationarity_at_solutions():
     from calckit import diffnum
     for prob, x0 in ((BENCH_QUAD, [0.0, 0.0]), (BENCH_CIRCLE, [1.0, 0.0])):
-        res = constrained_descent(prob, x0, ARMIJO)
+        res = constrained_descent(prob, x0)
         g = diffnum.gradient(prob.objective, res.x)
         J = diffnum.jacobian(prob.h, res.x)
-        assert np.max(np.abs(g + J.T @ res.lam)) <= 10.0 * ARMIJO.tol
+        assert np.max(np.abs(g + J.T @ res.lam)) <= 10.0 * opt._STOP_TOL
         assert np.max(np.abs(prob.h(res.x))) <= 1e-7
 
 
-def _first_order_reference(prob, x0, cfg):
+def _first_order_reference(prob, x0, max_iters=50_000):
     # the projected-gradient loop as it stood before the KKT step: restore,
-    # then step along d with slope -d.d (the fixed-step mode still is this)
+    # then line-search along d with slope -d.d
     x = np.asarray(x0, dtype=float)
-    for k in range(cfg.max_iters):
+    for k in range(max_iters):
         hx = prob.h(x)
         jac = diffnum.jacobian(prob.h, x, opt._FD)
         x = x - jac.T @ opt._multiplier_solve(jac, hx)
@@ -170,25 +182,10 @@ def _first_order_reference(prob, x0, cfg):
         jac = diffnum.jacobian(prob.h, x, opt._FD)
         lam = -opt._multiplier_solve(jac, jac @ g)
         d = -(g + jac.T @ lam)
-        if np.max(np.abs(d)) < cfg.tol and after < 1e-8:
+        if np.max(np.abs(d)) < 1e-8 and after < 1e-8:
             return x, lam, k
-        x = opt._line_step(prob.objective, x, d, float(-(d @ d)), cfg)
-    return x, None, cfg.max_iters
-
-
-FIXED_STEP_CASES = [(BENCH_QUAD, [4.0, -7.0], DescentConfig(step=0.1)),
-                    (BENCH_CIRCLE, [1.0, 0.0], DescentConfig(step=0.05)),
-                    (BENCH_CIRCLE, [0.3, 0.9], DescentConfig(step=0.2, max_iters=40))]
-
-
-@pytest.mark.parametrize("prob, x0, cfg", FIXED_STEP_CASES)
-def test_fixed_step_mode_is_the_projected_gradient_bit_for_bit(prob, x0, cfg):
-    x, lam, k = _first_order_reference(prob, x0, cfg)
-    res = constrained_descent(prob, x0, cfg)
-    assert res.iterations == k
-    assert res.x.tobytes() == x.tobytes()
-    if lam is not None:
-        assert res.lam.tobytes() == lam.tobytes()
+        x = opt._line_step(prob.objective, x, d, float(-(d @ d)))
+    return x, None, max_iters
 
 
 def test_singular_kkt_matrix_falls_back_to_the_projected_gradient(monkeypatch):
@@ -203,8 +200,8 @@ def test_singular_kkt_matrix_falls_back_to_the_projected_gradient(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(opt, "lu_solve", lu_solve)
-    res = constrained_descent(BENCH_CIRCLE, [1.0, 0.0], ARMIJO)
-    x, lam, k = _first_order_reference(BENCH_CIRCLE, [1.0, 0.0], ARMIJO)
+    res = constrained_descent(BENCH_CIRCLE, [1.0, 0.0])
+    x, lam, k = _first_order_reference(BENCH_CIRCLE, [1.0, 0.0])
     assert res.converged and len(kkt_solves) == res.iterations > 0
     assert res.iterations == k
     assert res.x.tobytes() == x.tobytes() and res.lam.tobytes() == lam.tobytes()
@@ -223,7 +220,7 @@ def test_start_next_to_the_constrained_maximum_reaches_the_minimum(monkeypatch):
 
     monkeypatch.setattr(opt, "_kkt_direction", spy)
     r = math.sqrt(0.5)
-    res = constrained_descent(BENCH_CIRCLE, [r + 1e-3, r - 2e-3], ARMIJO)
+    res = constrained_descent(BENCH_CIRCLE, [r + 1e-3, r - 2e-3])
     assert res.converged
     assert res.x == pytest.approx([-r, -r], abs=1e-7)
     assert directions[0] is None
@@ -245,19 +242,19 @@ def _counted(prob, calls):
 @pytest.mark.parametrize("solve", [
     lambda: opt.gymnast_optimize(GymnastModel(0.9, 30.0, 30.0, [0.0, 3.0], [1.2, 2.0], 2.5)),
     lambda: opt.diver_optimize(DiverModel(1.0, 0.4, 3, 1.0)),
-    lambda: opt.constrained_descent(BENCH_CIRCLE, [1.0, 0.0], ARMIJO),
+    lambda: opt.constrained_descent(BENCH_CIRCLE, [1.0, 0.0]),
 ], ids=["heavy-gymnast", "diver-k3", "circle"])
 def test_evaluations_per_iteration_within_the_documented_bound(monkeypatch, solve):
-    # per armijo iteration: 4n + 2 evaluations of h and 2n of f, a line
+    # per iteration: 4n + 2 evaluations of h and 2n of f, a line
     # search of 1 + at most 54 of f, and one Lagrangian Hessian of
     # 1 + 2n + 2n(n - 1) of each; the converging iteration stops before the
     # Hessian and the line search
     runs = []
     real = opt.constrained_descent
 
-    def counting(prob, x0, cfg=None):
+    def counting(prob, x0, **kwargs):
         calls = {"f": 0, "h": 0}
-        res = real(_counted(prob, calls), x0, cfg)
+        res = real(_counted(prob, calls), x0, **kwargs)
         runs.append((prob.n, res, calls))
         return res
 
@@ -278,7 +275,7 @@ def test_lagrange_matches_descent_on_quadratic():
 
 
 def test_lagrange_matches_descent_on_circle():
-    descent = constrained_descent(BENCH_CIRCLE, [1.0, 0.0], ARMIJO)
+    descent = constrained_descent(BENCH_CIRCLE, [1.0, 0.0])
     newton = lagrange_solve(BENCH_CIRCLE, [-1.0, -0.5], lam0=[0.5])
     assert np.max(np.abs(descent.x - newton.x)) <= 1e-6
     assert np.max(np.abs(descent.lam - newton.lam)) <= 1e-6
@@ -395,17 +392,6 @@ def test_gymnast_with_rotation_hits_posture():
     assert res.omega * res.tf == pytest.approx(math.pi, abs=1e-6)
 
 
-def test_gymnast_heavy_bar_needs_fixed_steps():
-    # the fixed-step mode is kept as the textbook projected gradient; it
-    # walks this ill-scaled manifold with small steps (the default armijo
-    # mode solves it with Newton steps, see the closed-form tests below)
-    model = GymnastModel(0.9, 30.0, 30.0, [0.0, 3.0], [1.0, 0.0],
-                         theta_land=math.pi)
-    res = gymnast_optimize(model, DescentConfig(step=1e-3, max_iters=100_000))
-    assert res.converged
-    assert res.omega * res.tf == pytest.approx(math.pi, abs=1e-6)
-
-
 def _gymnast_closed_form(model):
     # tf minimizes (A + g dy tf^2 + g^2 tf^4 / 4) / (2 tf^2)
     dx, dy = model.p_land - model.p0
@@ -440,6 +426,7 @@ def test_gymnast_light_bar_closed_form(mass, half, landing):
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(20.0, 40.0), st.floats(20.0, 40.0), st.floats(0.8, 1.0), landings)
+@example(30.0, 30.0, 0.9, (1.0, 0.0, math.pi))
 def test_gymnast_heavy_bar_closed_form(m1, m2, half, landing):
     x, y, theta = landing
     _check_gymnast_optimum(GymnastModel(half, m1, m2, [0.0, 3.0], [x, y], theta))
@@ -503,6 +490,7 @@ def _full_tuck_v0y(model, eps=1e-3, g=9.81):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.floats(0.8, 1.2), st.floats(0.3, 0.5), st.floats(0.8, 1.2))
+@example(2, 1.05859375, 0.5, 1.0)      # v0y once stopped 1.02e-6 from the optimum
 def test_diver_lands_on_the_full_tuck_minimum(k, i_open, i_tuck, d_min):
     # tucking for the whole flight needs the least momentum, so the optimum
     # has the tuck window [0, te]; the no-tuck branch is also stationary
@@ -521,23 +509,40 @@ def test_problem_dimension_validation():
     with pytest.raises(DimensionError):
         ConstrainedProblem(lambda v: 0.0, lambda v: v, 2, 2)
     with pytest.raises(DimensionError):
-        constrained_descent(BENCH_QUAD, [0.0, 0.0, 0.0], ARMIJO)
+        constrained_descent(BENCH_QUAD, [0.0, 0.0, 0.0])
 
 
-def test_descent_config_keeps_only_the_knobs_callers_set():
-    assert [f.name for f in dataclasses.fields(DescentConfig)] == [
-        "step", "tol", "max_iters", "backtracking"]
+SOLVES = {
+    gradient_descent: lambda **kw: gradient_descent(lambda v: float(v @ v), [1.0], **kw),
+    constrained_descent: lambda **kw: constrained_descent(BENCH_QUAD, [0.0, 0.0], **kw),
+    freethrow_opt: lambda **kw: freethrow_opt(HOOP, "fixed_tf", tf=1.0, **kw),
+    gymnast_optimize: lambda **kw: gymnast_optimize(
+        GymnastModel(0.5, 5.0, 5.0, [0.0, 3.0], [1.0, 0.0], 1.0), **kw),
+    diver_optimize: lambda **kw: diver_optimize(DIVER, **kw),
+}
+PROBLEM_INPUTS = {"f", "x0", "prob", "params", "mode", "tf", "speed", "model"}
+
+
+@pytest.mark.parametrize("solver", SOLVES, ids=lambda fn: fn.__name__)
+def test_max_iters_is_the_only_solver_setting(solver):
+    params = dict(inspect.signature(solver).parameters)
+    budget = params.pop("max_iters")
+    assert budget.kind is budget.KEYWORD_ONLY and budget.default == 50_000
+    assert set(params) <= PROBLEM_INPUTS
+    assert SOLVES[solver](max_iters=1).iterations <= 1
+    with pytest.raises(DomainError):
+        SOLVES[solver](max_iters=0)
 
 
 def test_armijo_halves_until_sufficient_decrease():
     # f = x^2 from x = 1 along d = -2: t = 1 lands on f = 1, not below
     # 1 + 1e-4 * t * (-4); t = 0.5 lands on 0 and is taken
     f = lambda v: float(v[0] ** 2)
-    step = opt._line_step(f, np.array([1.0]), np.array([-2.0]), -4.0, ARMIJO)
+    step = opt._line_step(f, np.array([1.0]), np.array([-2.0]), -4.0)
     assert step.tolist() == [0.0]
     # with slope -2 the Armijo line is 1e-4 * t * (-2): f(1) = -1e-4 is half
     # the decrease it asks for, f(0.5) = -1e-4 is exactly on it
     values = {0.0: 0.0, 1.0: -1e-4, 0.5: -1e-4}
     g = lambda v: values.get(float(v[0]), 1.0)
-    step = opt._line_step(g, np.array([0.0]), np.array([1.0]), -2.0, ARMIJO)
+    step = opt._line_step(g, np.array([0.0]), np.array([1.0]), -2.0)
     assert step.tolist() == [0.5]

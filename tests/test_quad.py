@@ -12,7 +12,7 @@ from calckit.quad import (Interval, Lamina, antiderivative_numeric,
                           cumulative_trapezoid, darboux_bounds, improper_type1,
                           lamina_properties, path_length, riemann_sum, simpson,
                           trapezoid, trapezoid_sampled, volume_of_revolution)
-from calckit.signals import SampledSignal
+from calckit.signals import MAX_GRID_POINTS, SampledSignal
 
 UNIT = Interval(0.0, 1.0)
 
@@ -44,6 +44,25 @@ def test_riemann_midpoint_million_panels():
 def test_riemann_rejects_nonfinite_evaluations():
     with pytest.raises(DomainError):
         riemann_sum(lambda x: 1.0 / x, UNIT, 4, "left")
+
+
+SQUARE = Lamina(lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x, UNIT, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("rule", [
+    lambda f: riemann_sum(f, UNIT, MAX_GRID_POINTS + 1, "midpoint"),
+    lambda f: trapezoid(f, UNIT, MAX_GRID_POINTS),
+    lambda f: simpson(f, UNIT, MAX_GRID_POINTS),
+    lambda f: darboux_bounds(f, UNIT, MAX_GRID_POINTS // 2 + 1, 2),
+    lambda f: lamina_properties(SQUARE, MAX_GRID_POINTS),
+    lambda f: volume_of_revolution(f, UNIT, MAX_GRID_POINTS),
+], ids=["riemann", "trapezoid", "simpson", "darboux", "lamina", "volume"])
+def test_uniform_rules_refuse_grids_over_the_point_budget(rule):
+    def never(x):
+        raise AssertionError("integrand sampled past the budget")
+
+    with pytest.raises(DomainError, match="over the budget"):
+        rule(never)
 
 
 def test_darboux_monotone_endpoint_extrema():
