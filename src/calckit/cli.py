@@ -101,7 +101,10 @@ def cmd_project1(args) -> int:
 
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise CalcError(f"{path}: JSON nested too deeply") from None
 
 
 def cmd_optimize(args) -> int:
@@ -204,8 +207,10 @@ def _print_metrics(metrics: lti.StepMetrics) -> None:
 
 
 def _print_pole_table(values) -> None:
+    """Rows in order of the printed real part, then the imaginary part, so a
+    conjugate pair whose real parts differ in the last bits lists -imag first."""
     print(f"{'real':>16} {'imag':>16}")
-    for v in values:
+    for v in sorted(values, key=lambda v: (float(f"{v.real:.8f}"), v.imag)):
         print(f"{v.real:>16.8f} {v.imag:>16.8f}")
 
 

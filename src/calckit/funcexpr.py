@@ -215,11 +215,16 @@ class _Parser:
 
 
 def parse(tokens: list[Token]) -> ExprAst:
-    """Build an AST from a token sequence, rejecting trailing garbage."""
+    """Build an AST from a token sequence, rejecting trailing garbage and
+    nesting deeper than the interpreter's recursion limit."""
     if not tokens:
         raise ParseError("empty token sequence", 0)
     parser = _Parser(tokens)
-    ast = parser.expr()
+    try:
+        ast = parser.expr()
+    except RecursionError:
+        tok = parser.peek() or tokens[-1]
+        raise ParseError("expression nested too deeply", tok.position) from None
     leftover = parser.peek()
     if leftover is not None:
         raise ParseError(f"unexpected {leftover.lexeme!r} after expression", leftover.position)
@@ -243,7 +248,10 @@ def evaluate(ast: ExprAst,
     shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
     grid = shape or (1,)        # a scalar evaluation runs on one-element arrays
     with np.errstate(all="ignore"):
-        value = np.broadcast_to(_eval(ast, env, grid), grid)
+        try:
+            value = np.broadcast_to(_eval(ast, env, grid), grid)
+        except RecursionError:
+            raise EvalError("expression nested too deeply to evaluate") from None
     return np.array(value) if shape else float(value[0])
 
 

@@ -1,15 +1,16 @@
-"""Root finding, gradient descent with and without equality constraints,
-Lagrange stationary points, and the projectile scenario stack (free throw,
-bar gymnast, platform diver).
+"""Root finding, one descent for minimization with or without equality
+constraints, Lagrange stationary points, and the projectile scenario stack
+(free throw, bar gymnast, platform diver).
 
-Each constrained iteration restores feasibility with one minimum-norm Newton
+Each descent iteration restores feasibility with one minimum-norm Newton
 step on the constraints, then line-searches (Armijo) along a
 Levenberg-damped Newton (SQP) step on the KKT system, falling back to the
-projected negative gradient where that step fails. Every descent stops on
-the same bound, 1e-8 on the (projected) gradient and on the constraint
-violation; the iteration budget max_iters is its only setting. Multipliers
-use the convention grad f + J^T lambda = 0. The Lagrange solver cross-checks
-the same problems by Newton iteration on the stationarity system.
+projected negative gradient where that step fails. Without constraints
+(m = 0) the restoration is empty and the step is damped Newton. The descent
+stops at 1e-8 on the projected gradient and on the constraint violation;
+the iteration budget max_iters is its only setting. Multipliers use the
+convention grad f + J^T lambda = 0. The Lagrange solver cross-checks the
+same problems by Newton iteration on the stationarity system.
 """
 
 from __future__ import annotations
@@ -96,14 +97,6 @@ def newton_root(F, x0, tol: float = 1e-10, max_iters: int = 50) -> np.ndarray:
 
 # ---------------------------------------------------------------- descent
 
-@dataclass(frozen=True)
-class DescentResult:
-    x: np.ndarray
-    f_value: float
-    iterations: int
-    converged: bool
-
-
 def _line_step(f, x, d, g_dot_d) -> np.ndarray:
     fx = f(x)
     t = 1.0
@@ -115,27 +108,10 @@ def _line_step(f, x, d, g_dot_d) -> np.ndarray:
     return x + t * d
 
 
-def gradient_descent(f, x0, *, max_iters: int = 50_000) -> DescentResult:
-    """Minimize f by steepest descent with a numeric gradient and an Armijo
-    line search; stops when ||grad f||_inf < 1e-8."""
-    if max_iters < 1:
-        raise DomainError(f"descent iteration budget must be at least 1, got {max_iters}")
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    for k in range(max_iters):
-        g = diffnum.gradient(f, x, _FD)
-        if not np.all(np.isfinite(g)):
-            raise DomainError("gradient is not finite at an iterate")
-        if np.max(np.abs(g)) < _STOP_TOL:
-            return DescentResult(x, float(f(x)), k, True)
-        x = _line_step(f, x, -g, -float(g @ g))
-        if not np.all(np.isfinite(x)) or not np.isfinite(f(x)):
-            raise DomainError("objective is not finite at an iterate")
-    return DescentResult(x, float(f(x)), max_iters, False)
-
-
 @dataclass(frozen=True)
 class ConstrainedProblem:
-    """Objective f: R^n -> R with equality constraints h: R^n -> R^m, m < n."""
+    """Objective f: R^n -> R with equality constraints h: R^n -> R^m,
+    0 <= m < n; with m = 0 (no constraints) h returns an empty array."""
 
     objective: Callable[[np.ndarray], float]
     constraints: Callable[[np.ndarray], np.ndarray]
@@ -143,8 +119,8 @@ class ConstrainedProblem:
     m: int
 
     def __post_init__(self):
-        if not 0 < self.m < self.n:
-            raise DimensionError(f"need 0 < m < n, got m={self.m}, n={self.n}")
+        if not 0 <= self.m < self.n:
+            raise DimensionError(f"need 0 <= m < n, got m={self.m}, n={self.n}")
 
     def h(self, x) -> np.ndarray:
         hx = np.atleast_1d(np.asarray(self.constraints(x), dtype=float))
@@ -205,6 +181,9 @@ def constrained_descent(prob: ConstrainedProblem, x0, *,
     finite or g . p >= 0 (an indefinite H, as near a constrained maximum),
     the line search runs along d instead.
 
+    With m = 0 the restoration and the multipliers are empty and d = -g:
+    the step is Levenberg-damped Newton on f.
+
     Evaluations per iteration, n = prob.n, in this order: for the
     restoration and d, 4n + 2 of h (h at x, its Jacobian, h after the
     restoration, the Jacobian there) and 2n of f; one Lagrangian Hessian,
@@ -222,7 +201,7 @@ def constrained_descent(prob: ConstrainedProblem, x0, *,
         hx = prob.h(x)
         jac = diffnum.jacobian(prob.h, x, _FD)
         x = x - jac.T @ _multiplier_solve(jac, hx)      # minimum-norm Newton step
-        violation = float(np.max(np.abs(prob.h(x))))
+        violation = float(np.max(np.abs(prob.h(x)), initial=0.0))
 
         g = diffnum.gradient(f, x, _FD)
         if not np.all(np.isfinite(g)):
@@ -316,38 +295,35 @@ class FreeThrowResult:
 
 def freethrow_opt(params: FreeThrowParams, mode: str = "free", *,
                   tf: float | None = None, speed: float | None = None,
-                  x0=None, max_iters: int = 50_000) -> FreeThrowResult:
-    """Minimize the squared miss distance over (vx, vy, tf).
+                  max_iters: int = 50_000) -> FreeThrowResult:
+    """Minimize the squared miss distance over (vx, vy, tf) by constrained
+    descent from the throw that hits the hoop at tf = 1 (at the given tf in
+    mode "fixed_tf").
 
-    mode "free" is unconstrained; "fixed_tf" pins the flight time and
-    "fixed_speed" pins vx^2 + vy^2 = speed^2 (both via constrained descent).
-    An infeasible fixed speed that leaves the miss above 1e-3 m raises
-    DomainError rather than returning silently.
+    mode "free" has no constraints (m = 0); "fixed_tf" pins the flight time
+    and "fixed_speed" pins vx^2 + vy^2 = speed^2. An infeasible fixed speed
+    that leaves the miss above 1e-3 m raises DomainError rather than
+    returning silently.
     """
     def objective(z):
         miss = params.ballistic(z[:2], z[2]) - params.p_h
         return float(miss @ miss)
 
-    if x0 is None:
-        tf_guess = tf if (mode == "fixed_tf" and tf) else 1.0
-        x0 = np.concatenate([freethrow_linear(params, tf_guess), [tf_guess]])
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-
     constraints = {
+        "free": lambda z: np.empty(0),
         "fixed_tf": lambda z: np.array([z[2] - tf]),
         "fixed_speed": lambda z: np.array([z[0] ** 2 + z[1] ** 2 - speed ** 2]),
     }
+    if mode not in constraints:
+        raise DomainError(f"unknown mode {mode!r}")
     if mode == "fixed_tf" and (tf is None or tf <= 0):
         raise DomainError("fixed_tf mode needs a positive tf")
     if mode == "fixed_speed" and (speed is None or speed <= 0):
         raise DomainError("fixed_speed mode needs a positive speed")
-    if mode == "free":
-        res = gradient_descent(objective, x0, max_iters=max_iters)
-    elif mode in constraints:
-        prob = ConstrainedProblem(objective, constraints[mode], 3, 1)
-        res = constrained_descent(prob, x0, max_iters=max_iters)
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
+    tf0 = tf if mode == "fixed_tf" else 1.0
+    x0 = np.concatenate([freethrow_linear(params, tf0), [tf0]])
+    prob = ConstrainedProblem(objective, constraints[mode], 3, 0 if mode == "free" else 1)
+    res = constrained_descent(prob, x0, max_iters=max_iters)
     v, tof = res.x[:2], float(res.x[2])
 
     miss = float(np.linalg.norm(params.ballistic(v, tof) - params.p_h))

@@ -62,20 +62,24 @@ def poly_eval(p, s) -> complex:
 def roots_dk(p, tol: float = 1e-12, max_iters: int = 500) -> list[complex]:
     """All roots by simultaneous Weierstrass iteration.
 
-    Starts from points on a circle of radius 1 + max|c_i / c_n| with the
-    angles offset by 0.4 rad, and stops when the largest update falls below
-    tol, or when every |p(z_i)| is within Horner's rounding bound
-    2 deg eps sum |c_j| |z_i|^j, where further updates are rounding noise
-    (the stopping rule of Bini, Numer. Algorithms 13, 1996). Clustered
-    (multiple) roots converge slowly and lose accuracy in proportion to
-    their multiplicity; call with a looser tol there.
+    Starts from points on a circle, the angles offset by 0.4 rad, whose
+    radius is Fujiwara's bound on every root, 2 max(|c_{n-1} / c_n|,
+    |c_{n-2} / c_n|^(1/2), ..., |c_0 / (2 c_n)|^(1/n)) (Tohoku Math. J. 10,
+    1916). Stops when the largest update falls below tol, or when every
+    |p(z_i)| is within Horner's rounding bound 2 deg eps sum |c_j| |z_i|^j,
+    where further updates are rounding noise (the stopping rule of Bini,
+    Numer. Algorithms 13, 1996). Clustered (multiple) roots converge slowly
+    and lose accuracy in proportion to their multiplicity; call with a
+    looser tol there.
     """
     p = trim(p)
     deg = len(p) - 1
     if deg < 1:
         raise DomainError("root finding needs degree >= 1")
     lead = p[-1]
-    radius = 1.0 + float(np.max(np.abs(p[:-1] / lead))) if deg else 1.0
+    ratios = np.abs(p[-2::-1] / lead)       # |c_{n-k} / c_n| for k = 1..n
+    ratios[-1] /= 2.0
+    radius = 2.0 * float(np.max(ratios ** (1.0 / np.arange(1, deg + 1))))
     angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
     z = radius * np.exp(1j * angles)
     coeffs, magnitudes = p.astype(complex), np.abs(p)

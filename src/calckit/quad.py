@@ -148,9 +148,13 @@ def simpson(f, iv: Interval, n: int) -> float:
         raise DomainError("Simpson's rule needs an even panel count")
     check_grid_size(n + 1, "Simpson's rule")
     xs = np.linspace(iv.a, iv.b, n + 1)
-    ys = _sample(f, xs)
-    h = iv.width / n
-    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
+    return float(_simpson_sum(_sample(f, xs), iv.width / n))
+
+
+def _simpson_sum(ys: np.ndarray, h: float):
+    """Composite Simpson sum along axis 0 of samples on an even-panel grid of step h."""
+    return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum(axis=0)
+                      + 2.0 * ys[2:-2:2].sum(axis=0))
 
 
 def trapezoid_sampled(sig: SampledSignal, channel: int = 0) -> float:
@@ -241,23 +245,13 @@ def lamina_properties(lam: Lamina, n: int) -> LaminaProperties:
     gs = _sample(lam.g, xs)
     if np.any(fs < gs):
         raise DomainError("upper boundary dips below lower boundary on the grid")
-    rho_h = lam.rho * lam.h
-    w = _simpson_weights(n, iv.width / n)
     gap = fs - gs
-    mass = rho_h * float(w @ gap)
+    moments = np.column_stack([gap, xs * gap, 0.5 * (fs ** 2 - gs ** 2),
+                               xs ** 2 * gap + (fs ** 3 - gs ** 3) / 3.0])
+    mass, mx, my, iz = map(float, lam.rho * lam.h * _simpson_sum(moments, iv.width / n))
     if mass <= 0:
         raise DomainError("lamina has zero area on the integration grid")
-    mx = rho_h * float(w @ (xs * gap))
-    my = rho_h * float(w @ (0.5 * (fs ** 2 - gs ** 2)))
-    iz = rho_h * float(w @ (xs ** 2 * gap + (fs ** 3 - gs ** 3) / 3.0))
     return LaminaProperties(mass, mx / mass, my / mass, iz)
-
-
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    return w * h / 3.0
 
 
 def volume_of_revolution(f, iv: Interval, n: int) -> float:
@@ -270,9 +264,7 @@ def volume_of_revolution(f, iv: Interval, n: int) -> float:
     ys = _sample(f, xs)
     if np.any(ys < 0):
         raise DomainError("profile must be nonnegative for the disk method")
-    h = iv.width / n
-    return float(math.pi * h / 3.0 * (ys[0] ** 2 + ys[-1] ** 2
-                 + 4.0 * (ys[1:-1:2] ** 2).sum() + 2.0 * (ys[2:-2:2] ** 2).sum()))
+    return float(math.pi * _simpson_sum(ys ** 2, iv.width / n))
 
 
 def antiderivative_numeric(f, a: float) -> Callable[[float], float]:

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from calckit.cli import main
+from calckit.cli import _print_pole_table, main
 from calckit.signals import read_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -229,6 +229,34 @@ def test_grid_over_the_point_budget_exits_2(argv, tmp_path, capsys):
     assert not out_csv.exists()
 
 
+DEEP = 3000
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("(" * DEEP + "x" + ")" * DEEP, "expression nested too deeply (at offset"),
+    ("-" * DEEP + "x", "expression nested too deeply (at offset"),
+    ("+".join(["x"] * 20_000), "expression nested too deeply to evaluate"),
+], ids=["parentheses", "unary-minus", "flat-sum"])
+def test_deeply_nested_expression_exits_2(expr, message, capsys):
+    code, _, err = run(capsys, "integrate", f"--expr={expr}", "--a", "0", "--b", "1")
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--scenario", "diver"],
+    ["simulate", "--model", "pendulum", "--q0", "0.1", "--T", "1", "--dt", "0.1"],
+], ids=["optimize", "simulate"])
+def test_deeply_nested_json_config_exits_2(argv, tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * DEEP + "]" * DEEP)
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    code, _, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert "JSON nested too deeply" in err
+
+
 def test_control_pd_segway_stable_poles(capsys):
     code, out, _ = run(capsys, "control", "pd", "--model", "segway",
                        "--wn", "3", "--zeta", "0.9", "--T", "5")
@@ -245,6 +273,15 @@ def test_control_pd_segway_stable_poles(capsys):
         except ValueError:
             break
     assert reals and all(r < 0.0 for r in reals)
+
+
+def test_pole_table_lists_the_negative_imaginary_part_of_a_pair_first(capsys):
+    # the real parts differ in the last bit, as computed conjugates can
+    upper, lower = complex(-1.5, 2.5), complex(np.nextafter(-1.5, 0.0), -2.5)
+    for values in ([upper, lower], [lower, upper]):
+        _print_pole_table(values)
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(row.split()[1]) for row in rows] == [-2.5, 2.5]
 
 
 def test_control_linearize_prints_tf(capsys):

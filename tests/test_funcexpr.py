@@ -111,6 +111,18 @@ def test_unknown_function_raises_at_evaluation():
         evaluate(ast)
 
 
+def test_nesting_past_the_recursion_limit_raises_calckit_errors():
+    with pytest.raises(ParseError) as info:
+        parse_text("(" * 3000 + "x" + ")" * 3000)
+    assert 0 < info.value.position < 3000
+    with pytest.raises(ParseError):
+        parse_text("-" * 3000 + "x")
+    with pytest.raises(EvalError):          # a flat sum parses into a deep left spine
+        evaluate(parse_text("+".join(["x"] * 20_000)), {"x": 1.0})
+    nested = "(" * 100 + "-x^2+1" + ")" * 100
+    assert evaluate(parse_text(nested), {"x": np.array([0.5, 2.0])}).tolist() == [0.75, -3.0]
+
+
 def test_builtins_match_reference_library():
     names = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
              "atan": math.atan, "exp": math.exp, "ln": math.log,

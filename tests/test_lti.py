@@ -73,6 +73,17 @@ def test_roots_residuals_on_random_polynomials():
             assert abs(poly_eval(coeffs, r)) <= 1e-8 * scale
 
 
+def test_roots_of_degree_12_stable_spectra_within_80_iterations():
+    # started on Fujiwara's bound these take at most about 60 iterations
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        pairs = -rng.uniform(0.1, 3.0, 6) + 1j * rng.uniform(0.1, 3.0, 6)
+        want = np.concatenate([pairs, pairs.conj()])
+        got = np.array(roots_dk(np.poly(want).real[::-1], max_iters=80))
+        gaps = np.abs(got[:, None] - want[None, :])
+        assert np.max(gaps.min(axis=0)) <= 1e-6 and np.max(gaps.min(axis=1)) <= 1e-6
+
+
 def test_roots_budget_exhaustion():
     with pytest.raises(ConvergenceError):
         roots_dk([1.0, 3.0, 3.0, 1.0], tol=1e-15, max_iters=20)

@@ -13,7 +13,7 @@ from calckit.opt import (ConstrainedProblem, DiverModel,
                          FreeThrowParams, GymnastModel, bisection,
                          constrained_descent, diver_entry_orientation,
                          diver_entry_time, diver_optimize, freethrow_linear,
-                         freethrow_opt, gradient_descent, gymnast_optimize,
+                         freethrow_opt, gymnast_optimize,
                          lagrange_solve, newton_root)
 
 BENCH_QUAD = ConstrainedProblem(lambda v: v[0] ** 2 + v[1] ** 2,
@@ -85,32 +85,66 @@ def test_newton_degenerate_root_exhausts_budget():
 
 # ---------------------------------------------------------------- descent
 
+def _unconstrained(f, n: int) -> ConstrainedProblem:
+    return ConstrainedProblem(f, lambda v: np.empty(0), n, 0)
+
+
+BOWL = _unconstrained(lambda v: (v[0] - 3.0) ** 2 + (v[1] + 1.0) ** 2, 2)
+
+
 def test_quadratic_bowl_minimum():
-    res = gradient_descent(lambda v: (v[0] - 3.0) ** 2 + (v[1] + 1.0) ** 2,
-                           [0.0, 0.0])
+    res = constrained_descent(BOWL, [0.0, 0.0])
     assert res.converged
     assert res.x == pytest.approx([3.0, -1.0], abs=1e-6)
+    assert res.lam.shape == (0,)
 
 
 def test_start_at_optimum_stays_put():
-    res = gradient_descent(lambda v: (v[0] - 3.0) ** 2 + (v[1] + 1.0) ** 2,
-                           [3.0, -1.0])
+    res = constrained_descent(BOWL, [3.0, -1.0])
     assert res.converged and res.iterations <= 1
     assert res.x == pytest.approx([3.0, -1.0], abs=1e-8)
 
 
 def test_rosenbrock_reaches_floor():
     rosen = lambda v: (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
-    res = gradient_descent(rosen, [-1.2, 1.0], max_iters=50_000)
-    assert res.f_value < 1e-6
+    res = constrained_descent(_unconstrained(rosen, 2), [-1.2, 1.0], max_iters=100)
+    assert res.converged
+    assert rosen(res.x) < 1e-6
 
 
 def test_objective_scaling_leaves_argmin():
-    base = lambda v: (v[0] - 3.0) ** 2 + (v[1] + 1.0) ** 2
-    ref = gradient_descent(base, [0.0, 0.0]).x
+    ref = constrained_descent(BOWL, [0.0, 0.0]).x
     for c in (0.5, 3.0):
-        scaled = gradient_descent(lambda v: c * base(v), [0.0, 0.0]).x
-        assert np.max(np.abs(scaled - ref)) <= 1e-6
+        scaled = _unconstrained(lambda v: c * BOWL.objective(v), 2)
+        assert np.max(np.abs(constrained_descent(scaled, [0.0, 0.0]).x - ref)) <= 1e-6
+
+
+@st.composite
+def _spd_quadratics(draw):
+    # A = Q diag(eigenvalues) Q^T with eigenvalues in [0.3, 3], b ~ N(0, 1)
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = q @ np.diag(rng.uniform(0.3, 3.0, n)) @ q.T
+    return 0.5 * (a + a.T), rng.standard_normal(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spd_quadratics())
+def test_unconstrained_quadratic_matches_numpy_solve(quadratic):
+    a, b = quadratic
+    prob = _unconstrained(lambda v: 0.5 * v @ a @ v + b @ v, len(b))
+    res = constrained_descent(prob, np.zeros(len(b)))
+    assert res.converged
+    want = np.linalg.solve(a, -b)
+    assert np.max(np.abs(res.x - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
+
+
+def test_unconstrained_descent_agrees_with_lagrange_solve():
+    prob = _unconstrained(lambda v: math.cosh(v[0] - 1.0) + (v[1] - v[0]) ** 2
+                          + 0.1 * v[1] ** 4, 2)
+    got = constrained_descent(prob, [0.0, 0.0]).x
+    assert np.max(np.abs(got - lagrange_solve(prob, [0.0, 0.0]).x)) <= 1e-8
 
 
 # ------------------------------------------------------- constrained descent
@@ -509,18 +543,21 @@ def test_problem_dimension_validation():
     with pytest.raises(DimensionError):
         ConstrainedProblem(lambda v: 0.0, lambda v: v, 2, 2)
     with pytest.raises(DimensionError):
+        ConstrainedProblem(lambda v: 0.0, lambda v: v, 2, -1)
+    with pytest.raises(DimensionError):      # a map returning values declares m > 0
+        constrained_descent(ConstrainedProblem(lambda v: 0.0, lambda v: v, 2, 0), [0.0, 0.0])
+    with pytest.raises(DimensionError):
         constrained_descent(BENCH_QUAD, [0.0, 0.0, 0.0])
 
 
 SOLVES = {
-    gradient_descent: lambda **kw: gradient_descent(lambda v: float(v @ v), [1.0], **kw),
     constrained_descent: lambda **kw: constrained_descent(BENCH_QUAD, [0.0, 0.0], **kw),
     freethrow_opt: lambda **kw: freethrow_opt(HOOP, "fixed_tf", tf=1.0, **kw),
     gymnast_optimize: lambda **kw: gymnast_optimize(
         GymnastModel(0.5, 5.0, 5.0, [0.0, 3.0], [1.0, 0.0], 1.0), **kw),
     diver_optimize: lambda **kw: diver_optimize(DIVER, **kw),
 }
-PROBLEM_INPUTS = {"f", "x0", "prob", "params", "mode", "tf", "speed", "model"}
+PROBLEM_INPUTS = {"x0", "prob", "params", "mode", "tf", "speed", "model"}
 
 
 @pytest.mark.parametrize("solver", SOLVES, ids=lambda fn: fn.__name__)

@@ -326,6 +326,41 @@ def test_volume_rejects_negative_profile():
         volume_of_revolution(lambda x: -1.0, UNIT, 4)
 
 
+def _weighted_simpson(ys, iv: Interval, n: int) -> float:
+    # reference: the rule as a dot product with the weights
+    # h/3 [1, 4, 2, ..., 2, 4, 1]
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-2:2] = 2.0
+    return float(w * (iv.width / n) / 3.0 @ ys)
+
+
+def test_shared_simpson_sum_matches_the_weights_formula():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        a0, a1, k, b0, b1 = rng.uniform(0.1, 2.0, 5)
+        f = lambda x: a0 + 4.0 + a1 * np.sin(k * x)
+        g = lambda x: b0 * np.cos(b1 * x)
+        lo = rng.uniform(-3.0, 1.0)
+        iv, n = Interval(lo, lo + rng.uniform(0.5, 4.0)), 2 * int(rng.integers(1, 200))
+        rho, h = rng.uniform(0.5, 3.0, 2)
+        got = lamina_properties(Lamina(f, g, iv, rho, h), n)
+        xs = np.linspace(iv.a, iv.b, n + 1)
+        fs, gs = f(xs), g(xs)
+        gap = fs - gs
+        mass = rho * h * _weighted_simpson(gap, iv, n)
+        want = [mass, rho * h * _weighted_simpson(xs * gap, iv, n) / mass,
+                rho * h * _weighted_simpson(0.5 * (fs ** 2 - gs ** 2), iv, n) / mass,
+                rho * h * _weighted_simpson(xs ** 2 * gap + (fs ** 3 - gs ** 3) / 3.0, iv, n)]
+        scale = [mass, max(abs(iv.a), abs(iv.b)), np.max(np.abs(fs) + np.abs(gs)), want[3]]
+        for value, ref, size in zip(
+                (got.mass, got.centroid_x, got.centroid_y, got.Iz), want, scale):
+            assert abs(value - ref) <= 1e-14 * size
+        volume = volume_of_revolution(f, iv, n)
+        assert abs(volume - math.pi * _weighted_simpson(fs ** 2, iv, n)) <= 4e-15 * volume
+        assert simpson(f, iv, n) == pytest.approx(_weighted_simpson(fs, iv, n), rel=4e-15)
+
+
 def test_antiderivative_of_cos_is_sin():
     F = antiderivative_numeric(math.cos, 0.0)
     assert F(math.pi / 2.0) == pytest.approx(1.0, abs=1e-9)
