@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from calckit.diffnum import DiffConfig, gradient, hessian
 from calckit.errors import DimensionError, DomainError
 from calckit.linalg import is_positive_definite
+from calckit import mech
 from calckit.mech import (MODEL_ZOO, MechanicalModel, cart_pole_segway,
                           coriolis_matrix, forward_dynamics, gravity_vector,
                           gymnast_bar, mass_matrix, mass_matrix_partials,
@@ -278,3 +279,57 @@ def test_nonfinite_energy_raises_domain_error(kinetic, potential):
     model = MechanicalModel(1, {}, kinetic, potential, np.eye(1))
     with pytest.raises(DomainError, match="not finite"):
         forward_dynamics(model, [0.2], [0.0], [0.0])
+
+
+# ------------------------------------------- symbolic Euler-Lagrange oracle
+
+def symbolic_dynamics(model, sympy):
+    """D, Ddot qdot, dL/dq and G of a model, derived by sympy from the same
+    energy code: mech's np.sin/np.cos are swapped for sympy's while the
+    energies are evaluated on symbols. Returns a function of (q, qdot)."""
+    n = model.n_dof
+    q = list(sympy.symbols(f"q:{n}"))
+    v = list(sympy.symbols(f"v:{n}"))
+    trig = type("trig", (), {"sin": staticmethod(sympy.sin), "cos": staticmethod(sympy.cos)})
+    real_np, mech.np = mech.np, trig
+    try:
+        K = sympy.sympify(model.kinetic(q, v))
+        V = sympy.sympify(model.potential(q))
+    finally:
+        mech.np = real_np
+    D = sympy.hessian(K, v)
+    Dv = D * sympy.Matrix(v)
+    Ddot_v = sum((Dv.diff(qk) * vk for qk, vk in zip(q, v)), sympy.zeros(n, 1))
+    dLdq = sympy.Matrix([(K - V).diff(qk) for qk in q])
+    G = sympy.Matrix([V.diff(qk) for qk in q])
+    fn = sympy.lambdify([q, v], [D, Ddot_v, dLdq, G], "numpy")
+
+    def exact(qq, vv):
+        d, ddot_v, dldq, g = (np.array(a, dtype=float).reshape(s) for a, s in
+                              zip(fn(qq, vv), [(n, n), (n,), (n,), (n,)]))
+        return d, ddot_v, dldq, g
+    return exact
+
+
+def assert_close(got, exact, tol=1e-6):
+    got, exact = np.asarray(got), np.asarray(exact)
+    assert np.all(np.abs(got - exact) <= tol * np.maximum(1.0, np.abs(exact)))
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_ZOO))
+def test_robot_equations_match_the_symbolic_euler_lagrange_oracle(name):
+    sympy = pytest.importorskip("sympy")
+    model = MODEL_ZOO[name]()
+    exact = symbolic_dynamics(model, sympy)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        q = rng.uniform(-3.0, 3.0, size=model.n_dof)
+        qd = rng.uniform(-3.0, 3.0, size=model.n_dof)
+        torques = rng.uniform(-2.0, 2.0, size=model.n_inputs)
+        d, ddot_qd, dldq, g = exact(q, qd)
+        assert_close(mass_matrix(model, q), d)
+        assert_close(gravity_vector(model, q), g)
+        # C qdot = Ddot qdot - dK/dq, and dK/dq = dL/dq + G
+        assert_close(coriolis_matrix(model, q, qd) @ qd, ddot_qd - dldq - g)
+        qdd = np.linalg.solve(d, model.input_map @ torques - ddot_qd + dldq)
+        assert_close(forward_dynamics(model, q, qd, torques), qdd)
