@@ -1,18 +1,15 @@
 """Numerical Euler-Lagrange engine.
 
 Given kinetic and potential energy functions K(q, qdot) and V(q), the robot
-equation matrices are assembled by finite differencing alone:
-
-    D(q)  = diffnum.hessian of K in qdot at qdot = 0
-    C     = Christoffel combination of the partials dD/dq (diffnum.jacobian
-            of the flattened D), contracted with qdot by one einsum
-    G(q)  = diffnum.gradient of V
-
-so D qddot + C qdot + G = B_u Gamma. For kinetic energies quadratic in qdot
-(every model in the zoo) this reproduces the symbolic derivation to roundoff
-and keeps the skew-symmetry of dD/dt - 2C. Finite-difference steps are fixed
-at 1e-4; the zoo energies are smooth trig/polynomials at desk scale. diffnum
-checks every energy value for finiteness (DomainError).
+equations come from finite differencing alone: D(q) is the diffnum.hessian
+of K in qdot at qdot = 0, Ddot qdot is one central difference of D along
+qdot, and dL/dq is the diffnum.gradient of L = K - V. forward_dynamics solves
+d/dt(D qdot) - dL/dq = B_u Gamma without forming C or G; coriolis_matrix and
+gravity_vector give the textbook D qddot + C qdot + G = B_u Gamma. For
+kinetic energies quadratic in qdot (every model in the zoo) this reproduces
+the symbolic derivation to truncation error. Finite-difference steps are
+fixed at 1e-4; the zoo energies are smooth trig/polynomials at desk scale.
+diffnum checks every energy value for finiteness (DomainError).
 """
 
 from __future__ import annotations
@@ -76,37 +73,34 @@ def gravity_vector(model: MechanicalModel, q) -> np.ndarray:
     return diffnum.gradient(model.potential, _check_q(model, q), _ENERGY_FD)
 
 
-def mass_matrix_partials(model: MechanicalModel, q) -> np.ndarray:
-    """Central-difference partials as one array P[k, i, j] = dD_ij/dq_k."""
-    q = _check_q(model, q)
-    jac = diffnum.jacobian(lambda qq: mass_matrix(model, qq).ravel(), q, _ENERGY_FD)
-    return np.ascontiguousarray(jac.T).reshape((model.n_dof,) * 3)
+def mass_matrix_rate(model: MechanicalModel, q, qd) -> np.ndarray:
+    """dD/dt = sum_k dD/dq_k qdot_k: one central difference of D along qdot."""
+    q, qd = _check_q(model, q), _check_q(model, qd)
+    jac = diffnum.jacobian(lambda s: mass_matrix(model, q + s[0] * qd).ravel(), [0.0], _ENERGY_FD)
+    return jac.reshape(model.n_dof, model.n_dof)
 
 
 def coriolis_matrix(model: MechanicalModel, q, qd) -> np.ndarray:
-    """C(q, qdot) from Christoffel symbols of the first kind:
-    C_ij = sum_k (dD_ij/dq_k + dD_ik/dq_j - dD_jk/dq_i) qdot_k / 2."""
-    qd = _check_q(model, qd)
-    P = mass_matrix_partials(model, q)
-    return np.einsum("ijk,k->ij", 0.5 * (P.transpose(1, 2, 0) + P.transpose(1, 0, 2) - P), qd)
-
-
-def mass_matrix_rate(model: MechanicalModel, q, qd) -> np.ndarray:
-    """dD/dt = sum_k dD/dq_k qdot_k, assembled from the same partials."""
-    qd = _check_q(model, qd)
-    return np.einsum("kij,k->ij", mass_matrix_partials(model, q), qd)
+    """C = (Ddot + M - M^T) / 2 with M = d(D qdot)/dq: the Christoffel sum
+    C_ij = sum_k (dD_ij/dq_k + dD_ik/dq_j - dD_jk/dq_i) qdot_k / 2 regrouped,
+    so Ddot - 2C = M^T - M is skew by construction."""
+    q, qd = _check_q(model, q), _check_q(model, qd)
+    m = diffnum.jacobian(lambda qq: mass_matrix(model, qq) @ qd, q, _ENERGY_FD)
+    return 0.5 * (mass_matrix_rate(model, q, qd) + m - m.T)
 
 
 def forward_dynamics(model: MechanicalModel, q, qd, torques) -> np.ndarray:
-    """qddot = D^-1 (B_u Gamma - C qdot - G)."""
-    q = _check_q(model, q)
-    qd = _check_q(model, qd)
+    """qddot = D^-1 (B_u Gamma - Ddot qdot + dL/dq), with L = K - V.
+
+    One call costs 6n^2 + 4n + 3 energy evaluations: three Hessians of K at
+    2n^2 + 1 each (D at q and at q -/+ h qdot), plus 2n each of K and V."""
+    q, qd = _check_q(model, q), _check_q(model, qd)
     torques = np.atleast_1d(np.asarray(torques, dtype=float))
     if len(torques) != model.n_inputs:
         raise DimensionError(f"expected {model.n_inputs} torques, got {len(torques)}")
-    d = mass_matrix(model, q)
-    c = coriolis_matrix(model, q, qd)
-    return lu_solve(d, model.input_map @ torques - c @ qd - gravity_vector(model, q))
+    dldq = diffnum.gradient(lambda v: model.kinetic(v, qd) - model.potential(v), q, _ENERGY_FD)
+    rhs = model.input_map @ torques - mass_matrix_rate(model, q, qd) @ qd + dldq
+    return lu_solve(mass_matrix(model, q), rhs)
 
 
 def simulate(model: MechanicalModel, controller, q0, qd0, T: float, dt: float) -> SampledSignal:

@@ -63,8 +63,8 @@ class FilterGains:
     def __post_init__(self):
         if not 0.0 <= self.l1 <= 2.0:
             raise DomainError(f"l1 must lie in [0, 2], got {self.l1}")
-        if self.l2 < 0.0:
-            raise DomainError(f"l2 must be nonnegative, got {self.l2}")
+        if not 0.0 <= self.l2 < np.inf:
+            raise DomainError(f"l2 must be finite and nonnegative, got {self.l2}")
 
 
 @dataclass(frozen=True)

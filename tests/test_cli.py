@@ -2,6 +2,7 @@ import importlib.util
 import math
 import pathlib
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,16 @@ def test_project1_malformed_csv_reports_line(tmp_path, capsys):
                        "--out", str(tmp_path / "o.csv"))
     assert code == 2
     assert "line 3" in err
+
+
+def test_project1_nonfinite_l2_exit_2_before_integrating(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "project1", "--imu", str(DATA / "imu_fixture.csv"),
+                           "--meas", str(DATA / "meas_fixture.csv"), "--l2", "nan",
+                           "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert "l2" in err
 
 
 def test_optimize_gymnast_runs(capsys):

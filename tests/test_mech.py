@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from calckit.linalg import is_positive_definite
 from calckit import mech
 from calckit.mech import (MODEL_ZOO, MechanicalModel, cart_pole_segway,
                           coriolis_matrix, forward_dynamics, gravity_vector,
-                          gymnast_bar, mass_matrix, mass_matrix_partials,
-                          mass_matrix_rate, pendulum, planar_ballbot, simulate)
+                          gymnast_bar, mass_matrix, mass_matrix_rate,
+                          pendulum, planar_ballbot, simulate)
 
 G = 9.81
 
@@ -29,6 +31,11 @@ def random_state(model, rng):
     q = rng.uniform(-1.2, 1.2, size=model.n_dof)
     qd = rng.uniform(-2.0, 2.0, size=model.n_dof)
     return q, qd
+
+
+def assert_close(got, exact, tol=1e-6):
+    got, exact = np.asarray(got), np.asarray(exact)
+    assert np.all(np.abs(got - exact) <= tol * np.maximum(1.0, np.abs(exact)))
 
 
 # ---------------------------------------------------------------- D matrix
@@ -209,7 +216,7 @@ def test_gymnast_bar_inertia_matches_optimizer_model():
     assert d[0, 0] == pytest.approx(60.0, abs=1e-6)
 
 
-# ------------------------------------------- einsum contractions vs the loops
+# ------------------------------------ Euler-Lagrange terms vs Christoffel loops
 
 def loop_partials(model, q):
     """Reference: one central-difference partial dD/dq_k per coordinate."""
@@ -247,13 +254,46 @@ def zoo_states(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(zoo_states())
-def test_einsum_contractions_equal_loops_bit_for_bit(state):
+def test_euler_lagrange_terms_match_the_christoffel_loops(state):
     model, q, qd = state
     dD = loop_partials(model, q)
-    assert mass_matrix_partials(model, q).tobytes() == np.array(dD).tobytes()
-    assert coriolis_matrix(model, q, qd).tobytes() == loop_coriolis(dD, qd).tobytes()
-    rate = sum(dD[k] * qd[k] for k in range(model.n_dof))
-    assert mass_matrix_rate(model, q, qd).tobytes() == rate.tobytes()
+    c_ref = loop_coriolis(dD, qd)
+    assert_close(coriolis_matrix(model, q, qd), c_ref)
+    assert_close(mass_matrix_rate(model, q, qd), sum(dD[k] * qd[k] for k in range(model.n_dof)))
+    torques = np.linspace(-1.0, 1.0, model.n_inputs)
+    rhs = model.input_map @ torques - c_ref @ qd - gravity_vector(model, q)
+    assert_close(forward_dynamics(model, q, qd, torques),
+                 np.linalg.solve(mass_matrix(model, q), rhs))
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_ZOO))
+def test_euler_lagrange_forward_dynamics_equals_the_textbook_form(name):
+    # D^-1 (B Gamma - Ddot qdot + dL/dq) against D^-1 (B Gamma - C qdot - G)
+    model = MODEL_ZOO[name]()
+    rng = np.random.default_rng(19)
+    for _ in range(25):
+        q, qd = random_state(model, rng)
+        torques = rng.uniform(-2.0, 2.0, size=model.n_inputs)
+        rhs = (model.input_map @ torques - coriolis_matrix(model, q, qd) @ qd
+               - gravity_vector(model, q))
+        assert_close(forward_dynamics(model, q, qd, torques),
+                     np.linalg.solve(mass_matrix(model, q), rhs))
+
+
+@pytest.mark.parametrize("name,evals", [("pendulum", 13), ("segway", 35),
+                                        ("ballbot", 35), ("gymnast_bar", 69)])
+def test_forward_dynamics_costs_6n2_plus_4n_plus_3_energy_evaluations(name, evals):
+    model = MODEL_ZOO[name]()
+    calls = []
+
+    def counted(f):
+        return lambda *a: calls.append(1) or f(*a)
+
+    counted_model = dataclasses.replace(model, kinetic=counted(model.kinetic),
+                                        potential=counted(model.potential))
+    n = model.n_dof
+    forward_dynamics(counted_model, np.full(n, 0.3), np.full(n, -0.7), np.ones(model.n_inputs))
+    assert len(calls) == evals == 6 * n * n + 4 * n + 3
 
 
 # ------------------------------------------- energies straight into diffnum
@@ -267,7 +307,6 @@ def test_unwrapped_energies_equal_the_old_wrappers_bit_for_bit(state):
     assert mass_matrix(model, q).tobytes() == (0.5 * (d + d.T)).tobytes()
     g = gradient(lambda qq: float(model.potential(qq)), q, cfg)
     assert gravity_vector(model, q).tobytes() == g.tobytes()
-    assert mass_matrix_partials(model, q).flags.c_contiguous
 
 
 @pytest.mark.parametrize("kinetic,potential", [
@@ -290,8 +329,7 @@ def symbolic_dynamics(model, sympy):
     n = model.n_dof
     q = list(sympy.symbols(f"q:{n}"))
     v = list(sympy.symbols(f"v:{n}"))
-    trig = type("trig", (), {"sin": staticmethod(sympy.sin), "cos": staticmethod(sympy.cos)})
-    real_np, mech.np = mech.np, trig
+    real_np, mech.np = mech.np, SimpleNamespace(sin=sympy.sin, cos=sympy.cos)
     try:
         K = sympy.sympify(model.kinetic(q, v))
         V = sympy.sympify(model.potential(q))
@@ -305,15 +343,9 @@ def symbolic_dynamics(model, sympy):
     fn = sympy.lambdify([q, v], [D, Ddot_v, dLdq, G], "numpy")
 
     def exact(qq, vv):
-        d, ddot_v, dldq, g = (np.array(a, dtype=float).reshape(s) for a, s in
-                              zip(fn(qq, vv), [(n, n), (n,), (n,), (n,)]))
-        return d, ddot_v, dldq, g
+        shapes = [(n, n), (n,), (n,), (n,)]
+        return [np.array(a, dtype=float).reshape(s) for a, s in zip(fn(qq, vv), shapes)]
     return exact
-
-
-def assert_close(got, exact, tol=1e-6):
-    got, exact = np.asarray(got), np.asarray(exact)
-    assert np.all(np.abs(got - exact) <= tol * np.maximum(1.0, np.abs(exact)))
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_ZOO))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,12 @@ def test_gain_validation():
         FilterGains(2.5, 0.0)
     with pytest.raises(DomainError):
         FilterGains(0.5, -1.0)
+
+
+@pytest.mark.parametrize("l2", [math.nan, math.inf, -math.inf])
+def test_nonfinite_l2_is_rejected(l2):
+    with pytest.raises(DomainError, match="l2"):
+        FilterGains(0.5, l2)
 
 
 def test_synth_rest_profile_is_silent():
