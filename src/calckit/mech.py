@@ -1,15 +1,18 @@
 """Numerical Euler-Lagrange engine.
 
 Given kinetic and potential energy functions K(q, qdot) and V(q), the robot
-equations come from finite differencing alone: D(q) is the diffnum.hessian
-of K in qdot at qdot = 0, Ddot qdot is one central difference of D along
-qdot, and dL/dq is the diffnum.gradient of L = K - V. forward_dynamics solves
+equations come from energy evaluations alone. K is assumed quadratic in
+qdot, K = qdot^T D(q) qdot / 2 (true of every model in the zoo), so D comes
+by polarization with no step size: D_ii = 2 K(q, e_i) and
+D_ij = K(q, e_i + e_j) - K(q, e_i) - K(q, e_j). simulate checks the
+assumption once at q0, K(q0, 2 e_i) = 4 K(q0, e_i), and raises DomainError
+if it fails. Ddot qdot is one central difference of D along qdot, and dL/dq
+is the diffnum.gradient of L = K - V. forward_dynamics solves
 d/dt(D qdot) - dL/dq = B_u Gamma without forming C or G; coriolis_matrix and
-gravity_vector give the textbook D qddot + C qdot + G = B_u Gamma. For
-kinetic energies quadratic in qdot (every model in the zoo) this reproduces
-the symbolic derivation to truncation error. Finite-difference steps are
-fixed at 1e-4; the zoo energies are smooth trig/polynomials at desk scale.
-diffnum checks every energy value for finiteness (DomainError).
+gravity_vector give the textbook D qddot + C qdot + G = B_u Gamma.
+Finite-difference steps are fixed at 1e-4; the zoo energies are smooth
+trig/polynomials at desk scale. Every energy value is checked for
+finiteness (DomainError).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import diffnum
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 from .linalg import lu_solve
 from .odesolve import IvpProblem, rk4_solve
 from .signals import SampledSignal
@@ -62,10 +65,38 @@ def _check_q(model: MechanicalModel, q) -> np.ndarray:
     return q
 
 
+def _mass_matrix(model: MechanicalModel, q: np.ndarray) -> np.ndarray:
+    """D(q) by polarization of the quadratic K, n(n + 1)/2 evaluations, exact
+    to roundoff; q is already checked."""
+    eye = np.eye(model.n_dof)
+    k = [float(model.kinetic(q, e)) for e in eye]
+    d = np.diag(2.0 * np.array(k))
+    for i in range(model.n_dof):
+        for j in range(i + 1, model.n_dof):
+            d[i, j] = d[j, i] = float(model.kinetic(q, eye[i] + eye[j])) - k[i] - k[j]
+    if not np.isfinite(d).all():
+        raise DomainError(f"kinetic energy of {model.name} not finite at q = {q}")
+    return d
+
+
 def mass_matrix(model: MechanicalModel, q) -> np.ndarray:
-    """D(q): second-difference Hessian of K in the velocities at qdot = 0."""
-    q = _check_q(model, q)
-    return diffnum.hessian(lambda v: model.kinetic(q, v), np.zeros(model.n_dof), _ENERGY_FD)
+    """D(q), the Hessian of K in the velocities, by polarization."""
+    return _mass_matrix(model, _check_q(model, q))
+
+
+def _check_quadratic_kinetic(model: MechanicalModel, q: np.ndarray) -> None:
+    """DomainError unless K(q, 2 e_i) = 4 K(q, e_i) to 1e-9 relative for
+    every i: the homogeneity that the polarized D relies on."""
+    eye = np.eye(model.n_dof)
+    k1 = np.array([4.0 * float(model.kinetic(q, e)) for e in eye])
+    k2 = np.array([float(model.kinetic(q, 2.0 * e)) for e in eye])
+    if not np.isfinite((k1, k2)).all():
+        raise DomainError(f"kinetic energy of {model.name} not finite at q = {q}")
+    bad = np.flatnonzero(np.abs(k2 - k1) > 1e-9 * np.maximum(np.abs(k1), np.abs(k2)))
+    if len(bad):
+        raise DomainError(f"kinetic energy of {model.name} is not quadratic in the "
+                          f"velocities: K(q, 2 e_i) != 4 K(q, e_i) at q = {q}, "
+                          f"i = {bad.tolist()}")
 
 
 def gravity_vector(model: MechanicalModel, q) -> np.ndarray:
@@ -76,7 +107,7 @@ def gravity_vector(model: MechanicalModel, q) -> np.ndarray:
 def mass_matrix_rate(model: MechanicalModel, q, qd) -> np.ndarray:
     """dD/dt = sum_k dD/dq_k qdot_k: one central difference of D along qdot."""
     q, qd = _check_q(model, q), _check_q(model, qd)
-    jac = diffnum.jacobian(lambda s: mass_matrix(model, q + s[0] * qd).ravel(), [0.0], _ENERGY_FD)
+    jac = diffnum.jacobian(lambda s: _mass_matrix(model, q + s[0] * qd).ravel(), [0.0], _ENERGY_FD)
     return jac.reshape(model.n_dof, model.n_dof)
 
 
@@ -85,22 +116,24 @@ def coriolis_matrix(model: MechanicalModel, q, qd) -> np.ndarray:
     C_ij = sum_k (dD_ij/dq_k + dD_ik/dq_j - dD_jk/dq_i) qdot_k / 2 regrouped,
     so Ddot - 2C = M^T - M is skew by construction."""
     q, qd = _check_q(model, q), _check_q(model, qd)
-    m = diffnum.jacobian(lambda qq: mass_matrix(model, qq) @ qd, q, _ENERGY_FD)
+    m = diffnum.jacobian(lambda qq: _mass_matrix(model, qq) @ qd, q, _ENERGY_FD)
     return 0.5 * (mass_matrix_rate(model, q, qd) + m - m.T)
 
 
 def forward_dynamics(model: MechanicalModel, q, qd, torques) -> np.ndarray:
     """qddot = D^-1 (B_u Gamma - Ddot qdot + dL/dq), with L = K - V.
 
-    One call costs 6n^2 + 4n + 3 energy evaluations: three Hessians of K at
-    2n^2 + 1 each (D at q and at q -/+ h qdot), plus 2n each of K and V."""
+    One call costs 3n(n + 1)/2 + 4n energy evaluations: three polarized D's
+    at n(n + 1)/2 evaluations of K each (at q and at q -/+ h qdot), plus 2n
+    each of K and V for dL/dq. Polarization assumes K quadratic in qdot;
+    simulate checks that once, at q0."""
     q, qd = _check_q(model, q), _check_q(model, qd)
     torques = np.atleast_1d(np.asarray(torques, dtype=float))
     if len(torques) != model.n_inputs:
         raise DimensionError(f"expected {model.n_inputs} torques, got {len(torques)}")
     dldq = diffnum.gradient(lambda v: model.kinetic(v, qd) - model.potential(v), q, _ENERGY_FD)
     rhs = model.input_map @ torques - mass_matrix_rate(model, q, qd) @ qd + dldq
-    return lu_solve(mass_matrix(model, q), rhs)
+    return lu_solve(_mass_matrix(model, q), rhs)
 
 
 def simulate(model: MechanicalModel, controller, q0, qd0, T: float, dt: float) -> SampledSignal:
@@ -108,9 +141,11 @@ def simulate(model: MechanicalModel, controller, q0, qd0, T: float, dt: float) -
 
     The controller (t, q, qdot) -> torques is sampled at every RK4 stage.
     None means zero input. Non-finite states abort with the blow-up time.
+    K is first checked to be quadratic in qdot at q0 (2n evaluations).
     """
     q0 = _check_q(model, q0)
     qd0 = _check_q(model, qd0)
+    _check_quadratic_kinetic(model, q0)
     n = model.n_dof
     zero = np.zeros(model.n_inputs)
 

@@ -280,20 +280,52 @@ def test_euler_lagrange_forward_dynamics_equals_the_textbook_form(name):
                      np.linalg.solve(mass_matrix(model, q), rhs))
 
 
-@pytest.mark.parametrize("name,evals", [("pendulum", 13), ("segway", 35),
-                                        ("ballbot", 35), ("gymnast_bar", 69)])
-def test_forward_dynamics_costs_6n2_plus_4n_plus_3_energy_evaluations(name, evals):
-    model = MODEL_ZOO[name]()
+def counted_energies(model):
+    """The model with K and V wrapped to append to the returned call list."""
     calls = []
 
     def counted(f):
         return lambda *a: calls.append(1) or f(*a)
 
-    counted_model = dataclasses.replace(model, kinetic=counted(model.kinetic),
-                                        potential=counted(model.potential))
-    n = model.n_dof
-    forward_dynamics(counted_model, np.full(n, 0.3), np.full(n, -0.7), np.ones(model.n_inputs))
-    assert len(calls) == evals == 6 * n * n + 4 * n + 3
+    return dataclasses.replace(model, kinetic=counted(model.kinetic),
+                               potential=counted(model.potential)), calls
+
+
+@pytest.mark.parametrize("name,evals", [("pendulum", 7), ("segway", 17),
+                                        ("ballbot", 17), ("gymnast_bar", 30)])
+def test_forward_dynamics_costs_3n_n_plus_1_over_2_plus_4n_energy_evaluations(name, evals):
+    counted_model, calls = counted_energies(MODEL_ZOO[name]())
+    n = counted_model.n_dof
+    forward_dynamics(counted_model, np.full(n, 0.3), np.full(n, -0.7),
+                     np.ones(counted_model.n_inputs))
+    assert len(calls) == evals == 3 * n * (n + 1) // 2 + 4 * n
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_segway_simulate_costs_four_forward_dynamics_per_step_plus_the_quadratic_check(steps):
+    counted_model, calls = counted_energies(cart_pole_segway())
+    n = counted_model.n_dof
+    sig = simulate(counted_model, lambda t, q, qd: np.array([-q[1]]),
+                   [0.0, 0.05], [0.0, 0.0], steps * 0.01, 0.01)
+    assert len(sig) == steps + 1
+    assert len(calls) == 4 * steps * 17 + 2 * n
+
+
+# ------------------------------------------- K quadratic in the velocities
+
+@pytest.mark.parametrize("name", sorted(MODEL_ZOO))
+def test_zoo_kinetic_energies_pass_the_quadratic_check(name):
+    model = MODEL_ZOO[name]()
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        mech._check_quadratic_kinetic(model, rng.uniform(-3.0, 3.0, size=model.n_dof))
+
+
+def test_simulate_rejects_a_kinetic_energy_not_quadratic_in_the_velocities():
+    model = MechanicalModel(1, {}, lambda q, qd: 0.5 * qd[0] ** 2 + qd[0],
+                            lambda q: 0.0, np.eye(1), name="linear_term")
+    with pytest.raises(DomainError, match="linear_term is not quadratic"):
+        simulate(model, None, [0.0], [0.0], 0.1, 0.01)
 
 
 # ------------------------------------------- energies straight into diffnum
@@ -303,8 +335,10 @@ def test_forward_dynamics_costs_6n2_plus_4n_plus_3_energy_evaluations(name, eval
 def test_unwrapped_energies_equal_the_old_wrappers_bit_for_bit(state):
     model, q, _ = state
     cfg = DiffConfig(h=1e-4, relative=False)
-    d = hessian(lambda v: float(model.kinetic(q, v)), np.zeros(model.n_dof), cfg)
-    assert mass_matrix(model, q).tobytes() == (0.5 * (d + d.T)).tobytes()
+    # D by polarization against the second-difference Hessian it replaced
+    d = mass_matrix(model, q)
+    d_hessian = hessian(lambda v: float(model.kinetic(q, v)), np.zeros(model.n_dof), cfg)
+    assert np.all(np.abs(d - d_hessian) <= 1e-9 * np.maximum(1.0, np.abs(d)))
     g = gradient(lambda qq: float(model.potential(qq)), q, cfg)
     assert gravity_vector(model, q).tobytes() == g.tobytes()
 
@@ -318,6 +352,8 @@ def test_nonfinite_energy_raises_domain_error(kinetic, potential):
     model = MechanicalModel(1, {}, kinetic, potential, np.eye(1))
     with pytest.raises(DomainError, match="not finite"):
         forward_dynamics(model, [0.2], [0.0], [0.0])
+    with pytest.raises(DomainError, match="not finite"):
+        simulate(model, None, [0.2], [0.0], 0.01, 0.01)
 
 
 # ------------------------------------------- symbolic Euler-Lagrange oracle
@@ -359,7 +395,7 @@ def test_robot_equations_match_the_symbolic_euler_lagrange_oracle(name):
         qd = rng.uniform(-3.0, 3.0, size=model.n_dof)
         torques = rng.uniform(-2.0, 2.0, size=model.n_inputs)
         d, ddot_qd, dldq, g = exact(q, qd)
-        assert_close(mass_matrix(model, q), d)
+        assert_close(mass_matrix(model, q), d, tol=1e-12)
         assert_close(gravity_vector(model, q), g)
         # C qdot = Ddot qdot - dK/dq, and dK/dq = dL/dq + G
         assert_close(coriolis_matrix(model, q, qd) @ qd, ddot_qd - dldq - g)
