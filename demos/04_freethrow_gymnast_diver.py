@@ -56,5 +56,5 @@ d = opt.diver_optimize(diver)
 print(f"  launch v0 = ({d.v0[0]:.4f}, {d.v0[1]:.4f}) m/s, momentum L = {d.L:.4f}")
 print(f"  tuck window [{d.t_tuck_start:.3f}, {d.t_tuck_end:.3f}] s of"
       f" {d.entry_time:.3f} s flight")
-print(f"  entry angle residual {d.entry_angle_residual:.2e} rad; tucking lets a"
+print(f"  constraint residual {d.residual:.2e}; tucking lets a"
       f" smaller L satisfy the same rotation")

@@ -111,41 +111,26 @@ def cmd_optimize(args) -> int:
     config = _load_json(args.config)
     _report_header(args, [args.config])
     if args.scenario == "freethrow":
-        params = opt.FreeThrowParams(np.asarray(config["p0"], float),
-                                     np.asarray(config["p_h"], float),
-                                     config.get("g", 9.81))
-        result = opt.freethrow_opt(params, args.mode, tf=args.tf, speed=args.speed,
-                                   max_iters=args.max_iters)
+        result = opt.freethrow_opt(opt.FreeThrowParams(**config), args.mode, tf=args.tf,
+                                   speed=args.speed, max_iters=args.max_iters)
         print(f"v0: {_fmt(result.v[0])} {_fmt(result.v[1])}")
         print(f"tf: {_fmt(result.tf)}")
         print(f"miss_distance: {_fmt(result.miss_distance)}")
         residual = result.miss_distance
     elif args.scenario == "gymnast":
-        model = opt.GymnastModel(config["half_length"], config["m1"], config["m2"],
-                                 np.asarray(config["p0"], float),
-                                 np.asarray(config["p_land"], float),
-                                 config["theta_land"], config.get("g", 9.81))
-        result = opt.gymnast_optimize(model, max_iters=args.max_iters)
+        result = opt.gymnast_optimize(opt.GymnastModel(**config), max_iters=args.max_iters)
         print(f"v0: {_fmt(result.v0[0])} {_fmt(result.v0[1])}")
         print(f"omega: {_fmt(result.omega)}")
         print(f"tf: {_fmt(result.tf)}")
         print(f"objective: {_fmt(result.objective)}")
-        land = model.p0 + result.v0 * result.tf - np.array(
-            [0.0, 0.5 * model.g * result.tf ** 2])
-        residual = float(max(np.max(np.abs(land - model.p_land)),
-                             abs(result.omega * result.tf - model.theta_land)))
-    elif args.scenario == "diver":
-        model = opt.DiverModel(config["i_open"], config["i_tuck"], config["k"],
-                               config["d_min"], config.get("platform_height", 10.0))
-        result = opt.diver_optimize(model, max_iters=args.max_iters)
+        residual = result.residual
+    else:
+        result = opt.diver_optimize(opt.DiverModel(**config), max_iters=args.max_iters)
         print(f"v0: {_fmt(result.v0[0])} {_fmt(result.v0[1])}")
         print(f"L: {_fmt(result.L)}")
         print(f"tuck window: {_fmt(result.t_tuck_start)} {_fmt(result.t_tuck_end)}")
         print(f"entry time: {_fmt(result.entry_time)}")
-        residual = max(abs(result.entry_angle_residual),
-                       abs(result.v0[0] * result.entry_time - model.d_min))
-    else:
-        raise CalcError(f"unknown scenario {args.scenario!r}")
+        residual = result.residual
     converged = result.converged
     print(f"constraint residual: {_fmt(residual)}")
     print(f"converged: {converged}")

@@ -4,9 +4,10 @@ Given kinetic and potential energy functions K(q, qdot) and V(q), the robot
 equations come from energy evaluations alone. K is assumed quadratic in
 qdot, K = qdot^T D(q) qdot / 2 (true of every model in the zoo), so D comes
 by polarization with no step size: D_ii = 2 K(q, e_i) and
-D_ij = K(q, e_i + e_j) - K(q, e_i) - K(q, e_j). simulate checks the
-assumption once at q0, K(q0, 2 e_i) = 4 K(q0, e_i), and raises DomainError
-if it fails. Ddot qdot is one central difference of D along qdot, and dL/dq
+D_ij = K(q, e_i + e_j) - K(q, e_i) - K(q, e_j). A MechanicalModel checks
+its energies once, when it is built: K(0, 2 e_i) = 4 K(0, e_i) and D(0)
+positive definite, else DomainError, so every function below sees a checked
+model. Ddot qdot is one central difference of D along qdot, and dL/dq
 is the diffnum.gradient of L = K - V. forward_dynamics solves
 d/dt(D qdot) - dL/dq = B_u Gamma without forming C or G; coriolis_matrix and
 gravity_vector give the textbook D qddot + C qdot + G = B_u Gamma.
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import diffnum
 from .errors import DimensionError, DomainError
-from .linalg import lu_solve
+from .linalg import is_positive_definite, lu_solve
 from .odesolve import IvpProblem, rk4_solve
 from .signals import SampledSignal
 
@@ -33,7 +34,10 @@ _ENERGY_FD = diffnum.DiffConfig(h=1e-4, relative=False)
 
 @dataclass(frozen=True)
 class MechanicalModel:
-    """Degrees of freedom, parameters, energies, and the actuator input map."""
+    """Degrees of freedom, parameters, energies, and the actuator input map.
+
+    Construction raises DomainError unless K is quadratic in qdot and D is
+    positive definite at q = 0: 2n + n(n + 1)/2 evaluations of K."""
 
     n_dof: int
     params: dict
@@ -49,6 +53,10 @@ class MechanicalModel:
                 f"input map must be {self.n_dof} x n_inputs, got shape {b.shape}"
             )
         object.__setattr__(self, "input_map", b)
+        q0 = np.zeros(self.n_dof)
+        _check_quadratic_kinetic(self, q0)
+        if not is_positive_definite(_mass_matrix(self, q0)):
+            raise DomainError(f"mass matrix of {self.name} is not positive definite at q = {q0}")
 
     @property
     def n_inputs(self) -> int:
@@ -107,8 +115,8 @@ def gravity_vector(model: MechanicalModel, q) -> np.ndarray:
 def mass_matrix_rate(model: MechanicalModel, q, qd) -> np.ndarray:
     """dD/dt = sum_k dD/dq_k qdot_k: one central difference of D along qdot."""
     q, qd = _check_q(model, q), _check_q(model, qd)
-    jac = diffnum.jacobian(lambda s: _mass_matrix(model, q + s[0] * qd).ravel(), [0.0], _ENERGY_FD)
-    return jac.reshape(model.n_dof, model.n_dof)
+    h = _ENERGY_FD.h
+    return (_mass_matrix(model, q + h * qd) - _mass_matrix(model, q - h * qd)) / (2 * h)
 
 
 def coriolis_matrix(model: MechanicalModel, q, qd) -> np.ndarray:
@@ -125,8 +133,8 @@ def forward_dynamics(model: MechanicalModel, q, qd, torques) -> np.ndarray:
 
     One call costs 3n(n + 1)/2 + 4n energy evaluations: three polarized D's
     at n(n + 1)/2 evaluations of K each (at q and at q -/+ h qdot), plus 2n
-    each of K and V for dL/dq. Polarization assumes K quadratic in qdot;
-    simulate checks that once, at q0."""
+    each of K and V for dL/dq. Polarization assumes K quadratic in qdot,
+    which the model checked when it was built."""
     q, qd = _check_q(model, q), _check_q(model, qd)
     torques = np.atleast_1d(np.asarray(torques, dtype=float))
     if len(torques) != model.n_inputs:
@@ -141,11 +149,9 @@ def simulate(model: MechanicalModel, controller, q0, qd0, T: float, dt: float) -
 
     The controller (t, q, qdot) -> torques is sampled at every RK4 stage.
     None means zero input. Non-finite states abort with the blow-up time.
-    K is first checked to be quadratic in qdot at q0 (2n evaluations).
     """
     q0 = _check_q(model, q0)
     qd0 = _check_q(model, qd0)
-    _check_quadratic_kinetic(model, q0)
     n = model.n_dof
     zero = np.zeros(model.n_inputs)
 

@@ -369,10 +369,13 @@ class GymnastModel:
 
 @dataclass(frozen=True)
 class GymnastResult:
+    """residual is max |h| of the landing constraints at the returned launch."""
+
     v0: np.ndarray
     omega: float
     tf: float
     objective: float
+    residual: float
     iterations: int
     converged: bool
 
@@ -411,7 +414,8 @@ def gymnast_optimize(model: GymnastModel, *, max_iters: int = 50_000) -> Gymnast
     prob = ConstrainedProblem(objective, constraints, 4, 3)
     res = constrained_descent(prob, x0, max_iters=max_iters)
     return GymnastResult(res.x[:2].copy(), float(res.x[2]), float(res.x[3]),
-                         float(objective(res.x)), res.iterations, res.converged)
+                         float(objective(res.x)), float(np.max(np.abs(prob.h(res.x)))),
+                         res.iterations, res.converged)
 
 
 # ---------------------------------------------------------------- diver
@@ -453,12 +457,15 @@ def diver_entry_orientation(L: float, t1: float, t2: float, t_entry: float,
 
 @dataclass(frozen=True)
 class DiverResult:
+    """residual is max |h| of the entry-angle and clearance constraints at
+    the returned launch."""
+
     v0: np.ndarray
     L: float
     t_tuck_start: float
     t_tuck_end: float
     entry_time: float
-    entry_angle_residual: float
+    residual: float
     iterations: int
     converged: bool
 
@@ -496,6 +503,5 @@ def diver_optimize(model: DiverModel, *, max_iters: int = 50_000) -> DiverResult
     te = diver_entry_time(v0y, g, model.platform_height)
     t1c = min(max(t1, 0.0), te)
     t2c = min(max(t2, t1c), te)
-    residual = diver_entry_orientation(L, t1c, t2c, te, model.i_open, model.i_tuck) - target
-    return DiverResult(np.array([v0x, v0y]), float(L), float(t1c), float(t2c),
-                       float(te), float(residual), res.iterations, res.converged)
+    return DiverResult(np.array([v0x, v0y]), float(L), float(t1c), float(t2c), float(te),
+                       float(np.max(np.abs(prob.h(res.x)))), res.iterations, res.converged)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import pathlib
 import shutil
@@ -120,8 +121,6 @@ def test_optimize_diver_residual_covers_both_constraints(capsys):
 
 
 def test_optimize_budget_exhaustion_exit_3(tmp_path, capsys):
-    import json
-
     cfg = tmp_path / "gym.json"
     cfg.write_text(json.dumps({"half_length": 0.5, "m1": 5.0, "m2": 5.0,
                                "p0": [0.0, 3.0], "p_land": [1.0, 0.0],
@@ -141,8 +140,6 @@ def test_optimize_empty_budget_exit_2(scenario, capsys):
 
 
 def test_simulate_config_overrides_model_parameters(tmp_path, capsys):
-    import json
-
     cfg = tmp_path / "pend.json"
     cfg.write_text(json.dumps({"length": 2.0, "mass": 0.5}))
     out_csv = tmp_path / "states.csv"
@@ -266,6 +263,41 @@ def test_deeply_nested_json_config_exits_2(argv, tmp_path, capsys):
     code, _, err = run(capsys, *argv, "--config", str(cfg))
     assert code == 2
     assert "JSON nested too deeply" in err
+
+
+@pytest.mark.parametrize("edit", ["unknown", "missing"])
+@pytest.mark.parametrize("scenario", ["freethrow", "gymnast", "diver"])
+def test_optimize_config_with_an_unknown_or_missing_key_exits_2(scenario, edit,
+                                                                tmp_path, capsys):
+    # a typo such as "G" for "g" must not be ignored in favour of the default
+    config = json.loads((DATA / f"{scenario}.json").read_text())
+    if edit == "unknown":
+        config["G"] = 1.6
+    else:
+        del config[next(iter(config))]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "optimize", "--scenario", scenario, "--config", str(cfg))
+    assert code == 2
+    assert ("unexpected keyword argument 'G'" if edit == "unknown" else "missing") in err
+    assert "converged" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "segway", "--q0", "0", "0.1", "--T", "0.1", "--dt", "0.01"],
+    ["control", "pd", "--model", "segway", "--wn", "3", "--zeta", "0.9"],
+], ids=["simulate", "control-pd"])
+def test_negative_mass_segway_exits_2(argv, tmp_path, capsys):
+    cfg = tmp_path / "segway.json"
+    cfg.write_text('{"cart_mass": -3.0}')
+    out_csv = tmp_path / "x.csv"
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(out_csv)]
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert "mass matrix of segway is not positive definite at q = " in err
+    assert "kp:" not in out
+    assert not out_csv.exists()
 
 
 def test_control_pd_segway_stable_poles(capsys):

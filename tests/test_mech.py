@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calckit.diffnum import DiffConfig, gradient, hessian
+from calckit.diffnum import DiffConfig, gradient, hessian, jacobian
 from calckit.errors import DimensionError, DomainError
 from calckit.linalg import is_positive_definite
 from calckit import mech
@@ -281,14 +281,17 @@ def test_euler_lagrange_forward_dynamics_equals_the_textbook_form(name):
 
 
 def counted_energies(model):
-    """The model with K and V wrapped to append to the returned call list."""
+    """The model with K and V wrapped to append to the returned call list;
+    the list starts empty after the construction check."""
     calls = []
 
     def counted(f):
         return lambda *a: calls.append(1) or f(*a)
 
-    return dataclasses.replace(model, kinetic=counted(model.kinetic),
-                               potential=counted(model.potential)), calls
+    counted_model = dataclasses.replace(model, kinetic=counted(model.kinetic),
+                                        potential=counted(model.potential))
+    calls.clear()
+    return counted_model, calls
 
 
 @pytest.mark.parametrize("name,evals", [("pendulum", 7), ("segway", 17),
@@ -302,13 +305,20 @@ def test_forward_dynamics_costs_3n_n_plus_1_over_2_plus_4n_energy_evaluations(na
 
 
 @pytest.mark.parametrize("steps", [1, 5])
-def test_segway_simulate_costs_four_forward_dynamics_per_step_plus_the_quadratic_check(steps):
+def test_segway_simulate_costs_four_forward_dynamics_per_step(steps):
     counted_model, calls = counted_energies(cart_pole_segway())
-    n = counted_model.n_dof
     sig = simulate(counted_model, lambda t, q, qd: np.array([-q[1]]),
                    [0.0, 0.05], [0.0, 0.0], steps * 0.01, 0.01)
     assert len(sig) == steps + 1
-    assert len(calls) == 4 * steps * 17 + 2 * n
+    assert len(calls) == 4 * steps * 17
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_construction_costs_the_quadratic_check_plus_one_mass_matrix(n):
+    calls = []
+    MechanicalModel(n, {}, lambda q, qd: calls.append(1) or 0.5 * qd @ qd,
+                    lambda q: 0.0, np.eye(n))
+    assert len(calls) == 2 * n + n * (n + 1) // 2
 
 
 # ------------------------------------------- K quadratic in the velocities
@@ -321,11 +331,22 @@ def test_zoo_kinetic_energies_pass_the_quadratic_check(name):
         mech._check_quadratic_kinetic(model, rng.uniform(-3.0, 3.0, size=model.n_dof))
 
 
-def test_simulate_rejects_a_kinetic_energy_not_quadratic_in_the_velocities():
-    model = MechanicalModel(1, {}, lambda q, qd: 0.5 * qd[0] ** 2 + qd[0],
-                            lambda q: 0.0, np.eye(1), name="linear_term")
+def test_construction_rejects_a_kinetic_energy_not_quadratic_in_the_velocities():
+    # unchecked, forward_dynamics would return 1/3 instead of 1 here
     with pytest.raises(DomainError, match="linear_term is not quadratic"):
-        simulate(model, None, [0.0], [0.0], 0.1, 0.01)
+        MechanicalModel(1, {}, lambda q, qd: 0.5 * qd[0] ** 2 + qd[0],
+                        lambda q: 0.0, np.eye(1), name="linear_term")
+
+
+@pytest.mark.parametrize("factory,kwargs", [
+    (cart_pole_segway, {"cart_mass": -3.0}),
+    (pendulum, {"mass": -1.0}),
+    (planar_ballbot, {"torso_inertia": -1.0}),
+    (gymnast_bar, {"m1": -30.0, "m2": 0.0}),
+])
+def test_construction_rejects_a_mass_matrix_not_positive_definite(factory, kwargs):
+    with pytest.raises(DomainError, match="is not positive definite at q = "):
+        factory(**kwargs)
 
 
 # ------------------------------------------- energies straight into diffnum
@@ -333,7 +354,7 @@ def test_simulate_rejects_a_kinetic_energy_not_quadratic_in_the_velocities():
 @settings(max_examples=120, deadline=None)
 @given(zoo_states())
 def test_unwrapped_energies_equal_the_old_wrappers_bit_for_bit(state):
-    model, q, _ = state
+    model, q, qd = state
     cfg = DiffConfig(h=1e-4, relative=False)
     # D by polarization against the second-difference Hessian it replaced
     d = mass_matrix(model, q)
@@ -341,6 +362,10 @@ def test_unwrapped_energies_equal_the_old_wrappers_bit_for_bit(state):
     assert np.all(np.abs(d - d_hessian) <= 1e-9 * np.maximum(1.0, np.abs(d)))
     g = gradient(lambda qq: float(model.potential(qq)), q, cfg)
     assert gravity_vector(model, q).tobytes() == g.tobytes()
+    # Ddot as one central difference against the jacobian over a step along qdot
+    n = model.n_dof
+    rate = jacobian(lambda s: mass_matrix(model, q + s[0] * qd).ravel(), [0.0], cfg)
+    assert mass_matrix_rate(model, q, qd).tobytes() == rate.reshape(n, n).tobytes()
 
 
 @pytest.mark.parametrize("kinetic,potential", [
@@ -349,11 +374,13 @@ def test_unwrapped_energies_equal_the_old_wrappers_bit_for_bit(state):
     (lambda q, qd: math.inf, lambda q: 0.0),
 ])
 def test_nonfinite_energy_raises_domain_error(kinetic, potential):
-    model = MechanicalModel(1, {}, kinetic, potential, np.eye(1))
+    # a K not finite at q = 0 fails at construction, a V on first use
     with pytest.raises(DomainError, match="not finite"):
-        forward_dynamics(model, [0.2], [0.0], [0.0])
+        forward_dynamics(MechanicalModel(1, {}, kinetic, potential, np.eye(1)),
+                         [0.2], [0.0], [0.0])
     with pytest.raises(DomainError, match="not finite"):
-        simulate(model, None, [0.2], [0.0], 0.01, 0.01)
+        simulate(MechanicalModel(1, {}, kinetic, potential, np.eye(1)),
+                 None, [0.2], [0.0], 0.01, 0.01)
 
 
 # ------------------------------------------- symbolic Euler-Lagrange oracle

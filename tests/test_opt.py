@@ -466,6 +466,16 @@ def test_gymnast_heavy_bar_closed_form(m1, m2, half, landing):
     _check_gymnast_optimum(GymnastModel(half, m1, m2, [0.0, 3.0], [x, y], theta))
 
 
+@pytest.mark.parametrize("max_iters", [1, 3, 50_000])
+def test_gymnast_residual_is_the_closed_form_landing_residual(max_iters):
+    model = GymnastModel(0.5, 5.0, 5.0, [0.0, 3.0], [1.0, 0.0], theta_land=math.pi)
+    res = gymnast_optimize(model, max_iters=max_iters)
+    land = model.p0 + res.v0 * res.tf - np.array([0.0, 0.5 * model.g * res.tf ** 2])
+    expected = max(np.max(np.abs(land - model.p_land)),
+                   abs(res.omega * res.tf - model.theta_land))
+    assert res.residual == pytest.approx(expected, rel=1e-8, abs=1e-12)
+
+
 # ---------------------------------------------------------------- diver
 
 DIVER = DiverModel(i_open=1.0, i_tuck=0.4, k=1, d_min=1.0)
@@ -481,9 +491,18 @@ def test_diver_model_validation():
 def test_diver_constraints_satisfied():
     res = diver_optimize(DIVER)
     assert res.converged
-    assert abs(res.entry_angle_residual) <= 1e-6
+    assert res.residual <= 1e-6
     x_entry = res.v0[0] * res.entry_time
     assert abs(x_entry - DIVER.d_min) <= 1e-6
+
+
+@pytest.mark.parametrize("max_iters", [1, 3, 50_000])
+def test_diver_residual_is_the_closed_form_entry_and_clearance_residual(max_iters):
+    res = diver_optimize(DIVER, max_iters=max_iters)
+    t1, t2, te = res.t_tuck_start, res.t_tuck_end, res.entry_time
+    angle = res.L * (t1 / DIVER.i_open + (t2 - t1) / DIVER.i_tuck + (te - t2) / DIVER.i_open)
+    expected = max(abs(angle - DIVER.k * math.pi), abs(res.v0[0] * te - DIVER.d_min))
+    assert res.residual == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
 
 def test_diver_zero_tuck_window_is_rigid_case():
