@@ -79,19 +79,17 @@ def cmd_project1(args) -> int:
         gains = odo.FilterGains(args.l1, args.l2)
         result = odo.bias_corrected_odometry(trace, measurements, gains,
                                              zeros, zeros, zeros)
-        bias = result.final_bias
     else:
         result = odo.dead_reckon(trace, zeros, zeros)
-        bias = zeros
     _report_header(args, inputs)
     odo.write_odometry_csv(result, args.out)
     final_p = result.p.y[-1]
     print(f"final position: {' '.join(_fmt(v) for v in final_p)}")
-    print(f"final bias estimate: {' '.join(_fmt(v) for v in bias)}")
+    print(f"final bias estimate: {' '.join(_fmt(v) for v in result.final_bias)}")
     print(f"wrote: {args.out}")
     if args.plot:
-        series = [(f"v{odo.AXIS_NAMES[i]}", result.v.y[:, i]) for i in range(d)]
-        series += [(f"p{odo.AXIS_NAMES[i]}", result.p.y[:, i]) for i in range(d)]
+        series = [*zip(odo.axis_headers("v", d), result.v.y.T),
+                  *zip(odo.axis_headers("p", d), result.p.y.T)]
         svgplot.line_chart(args.plot, "odometry", result.v.t, series)
         print(f"wrote: {args.plot}")
     return 0
@@ -203,10 +201,9 @@ def _design_plant(model_name: str, config_path):
     """Lean-angle SISO plant of a zoo model linearized about upright/rest."""
     model = _build_model(model_name, config_path)
     ss = lti.linearize(model, np.zeros(model.n_dof), np.zeros(model.n_inputs))
-    coord = _LEAN_COORD.get(model_name, model.n_dof - 1)
-    n = model.n_dof
-    reduced = lti.subsystem(ss, [coord, n + coord], outputs=[coord])
-    return ss, lti.ss_to_tf(reduced, 0, 0)
+    coord = _LEAN_COORD.get(model_name, 0)
+    reduced = lti.subsystem(ss, [coord, model.n_dof + coord], outputs=[coord])
+    return ss, lti.ss_to_tf(reduced)
 
 
 def cmd_control(args) -> int:

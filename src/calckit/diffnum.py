@@ -5,8 +5,8 @@ evaluation appears only inside one_sided_limit, which realizes the limit
 from the right/left as an infinite limit in eta through x0 + s/eta, never
 touching x0 itself. Steps are scaled relative to |x| by default to tame
 cancellation at large arguments.
-partial_derivative, gradient and jacobian share one per-coordinate stencil,
-_central; derivative is its scalar twin. hessian's base step is 1e-4.
+derivative, partial_derivative, gradient and jacobian share one
+per-coordinate stencil, _central. hessian's base step is 1e-4.
 """
 
 from __future__ import annotations
@@ -68,13 +68,10 @@ def one_sided_limit(f, x0: float, side: str = "right", tol: float = 1e-9) -> flo
 
 
 def derivative(f, x0: float, cfg: DiffConfig | None = None) -> float:
-    """Central-difference first derivative at x0."""
-    cfg = cfg or DiffConfig()
-    h = cfg.step(x0)
-    lo, hi = f(x0 - h), f(x0 + h)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise DomainError(f"function not finite near x0 = {x0}")
-    return (hi - lo) / (2.0 * h)
+    """Central-difference first derivative at x0: the stencil _central on a
+    one-element vector; f is called on Python floats."""
+    return float(_central(lambda x: f(float(x[0])), np.array([x0], dtype=float), 0,
+                          cfg or DiffConfig()))
 
 
 def _central(G, x0: np.ndarray, i: int, cfg: DiffConfig):

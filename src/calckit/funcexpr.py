@@ -87,6 +87,7 @@ class Call:
 ExprAst = Union[Const, Var, Neg, BinOp, Call]
 
 _OPERATORS = "+-*/^"
+_DIGITS = "0123456789"      # str.isdigit also accepts superscripts and non-ASCII digits
 
 
 def tokenize(src: str) -> list[Token]:
@@ -101,27 +102,27 @@ def tokenize(src: str) -> list[Token]:
             i += 1
             continue
         start = i
-        if c.isdigit():
-            while i < n and src[i].isdigit():
+        if c in _DIGITS:
+            while i < n and src[i] in _DIGITS:
                 i += 1
             if i < n and src[i] == ".":
                 i += 1
-                while i < n and src[i].isdigit():
+                while i < n and src[i] in _DIGITS:
                     i += 1
             if i < n and src[i] in "eE":
                 j = i + 1
                 if j < n and src[j] in "+-":
                     j += 1
-                if j < n and src[j].isdigit():
+                if j < n and src[j] in _DIGITS:
                     i = j
-                    while i < n and src[i].isdigit():
+                    while i < n and src[i] in _DIGITS:
                         i += 1
             lexeme = src[start:i]
             if not math.isfinite(float(lexeme)):
                 raise ParseError(f"number literal {lexeme!r} is not finite", start)
             tokens.append(Token("number", lexeme, start))
         elif c.isalpha() or c == "_":
-            while i < n and (src[i].isalnum() or src[i] == "_"):
+            while i < n and (src[i].isalpha() or src[i] in _DIGITS or src[i] == "_"):
                 i += 1
             tokens.append(Token("identifier", src[start:i], start))
         elif c in _OPERATORS:

@@ -7,7 +7,8 @@ controllers are improper in isolation, so closed loops are always formed
 symbolically (polynomial arithmetic) before any simulation; step responses
 march a controllable-canonical realization with its exact discrete-time map
 (one matrix exponential per step size), never a numerical inverse Laplace
-transform.
+transform. ss_to_tf converts a SISO state-space model only; restrict a
+larger one with subsystem first.
 """
 
 from __future__ import annotations
@@ -170,25 +171,22 @@ def tf_to_ss(tf: TransferFunction) -> StateSpace:
     return StateSpace(a, bcol, c, np.array([[d]]))
 
 
-def ss_to_tf(ss: StateSpace, input: int = 0, output: int = 0) -> TransferFunction:
-    """SISO transfer function of (A, B, C, D) via the Faddeev resolvent.
+def ss_to_tf(ss: StateSpace) -> TransferFunction:
+    """Transfer function of a SISO (A, B, C, D) via the Faddeev resolvent.
 
     den is the characteristic polynomial; num = C N(s) B + D den with N the
     adjugate expansion of (sI - A)^-1. Common factors are reported, never
     cancelled.
     """
-    if not 0 <= input < ss.B.shape[1]:
-        raise DimensionError(f"input index {input} out of range")
-    if not 0 <= output < ss.C.shape[0]:
-        raise DimensionError(f"output index {output} out of range")
+    if ss.D.shape != (1, 1):
+        raise DimensionError(f"ss_to_tf needs one input and one output, got {ss.D.shape[1]} "
+                             f"inputs and {ss.D.shape[0]} outputs; restrict with subsystem first")
     den, resolvent = odesolve.faddeev(ss.A)
     n = ss.n_states
-    b = ss.B[:, input]
-    c = ss.C[output, :]
     num = np.zeros(n + 1)
     for k, mat in enumerate(resolvent):      # mat weights s^(n-1-k)
-        num[n - 1 - k] = c @ mat @ b
-    num = num + ss.D[output, input] * den
+        num[n - 1 - k] = ss.C[0] @ mat @ ss.B[:, 0]
+    num = num + ss.D[0, 0] * den
     return TransferFunction(num, den)
 
 
@@ -242,7 +240,8 @@ def linearize(model: mech.MechanicalModel, q_eq, torques_eq) -> StateSpace:
     x_eq = np.concatenate([q_eq, np.zeros(n)])
     cfg = diffnum.DiffConfig(h=1e-5, relative=False)
     a = diffnum.jacobian(dynamics, x_eq, cfg)
-    b = diffnum.jacobian(forced, torques_eq, cfg)
+    # an unactuated model has no torque to differentiate: B is 2n x 0
+    b = diffnum.jacobian(forced, torques_eq, cfg) if model.n_inputs else np.zeros((2 * n, 0))
     c = np.hstack([np.eye(n), np.zeros((n, n))])
     d = np.zeros((n, model.n_inputs))
     return StateSpace(a, b, c, d)

@@ -1,6 +1,7 @@
 """Numerical Euler-Lagrange engine.
 
-Given kinetic and potential energy functions K(q, qdot) and V(q), the robot
+A model is its kinetic and potential energy functions K(q, qdot) and V(q)
+and its input map B_u, whose rows give the degrees of freedom. The robot
 equations come from energy evaluations alone. K is assumed quadratic in
 qdot, K = qdot^T D(q) qdot / 2 (true of every model in the zoo), so D comes
 by polarization with no step size: D_ii = 2 K(q, e_i) and
@@ -34,13 +35,12 @@ _ENERGY_FD = diffnum.DiffConfig(h=1e-4, relative=False)
 
 @dataclass(frozen=True)
 class MechanicalModel:
-    """Degrees of freedom, parameters, energies, and the actuator input map.
+    """Energies K(q, qdot), V(q) and the actuator input map B_u, whose
+    n_dof x n_inputs shape fixes both sizes.
 
     Construction raises DomainError unless K is quadratic in qdot and D is
     positive definite at q = 0: 2n + n(n + 1)/2 evaluations of K."""
 
-    n_dof: int
-    params: dict
     kinetic: Callable[[np.ndarray, np.ndarray], float]
     potential: Callable[[np.ndarray], float]
     input_map: np.ndarray    # n_dof x n_inputs, torques -> generalized forces
@@ -48,15 +48,17 @@ class MechanicalModel:
 
     def __post_init__(self):
         b = np.asarray(self.input_map, dtype=float)
-        if b.ndim != 2 or b.shape[0] != self.n_dof:
-            raise DimensionError(
-                f"input map must be {self.n_dof} x n_inputs, got shape {b.shape}"
-            )
+        if b.ndim != 2:
+            raise DimensionError(f"input map must be n_dof x n_inputs, got shape {b.shape}")
         object.__setattr__(self, "input_map", b)
         q0 = np.zeros(self.n_dof)
         _check_quadratic_kinetic(self, q0)
         if not is_positive_definite(_mass_matrix(self, q0)):
             raise DomainError(f"mass matrix of {self.name} is not positive definite at q = {q0}")
+
+    @property
+    def n_dof(self) -> int:
+        return self.input_map.shape[0]
 
     @property
     def n_inputs(self) -> int:
@@ -175,8 +177,7 @@ def pendulum(mass: float = 1.0, length: float = 1.0, gravity: float = 9.81) -> M
     def potential(q):
         return mass * gravity * length * (1.0 - np.cos(q[0]))
 
-    return MechanicalModel(1, {"mass": mass, "length": length, "gravity": gravity},
-                           kinetic, potential, np.array([[1.0]]), name="pendulum")
+    return MechanicalModel(kinetic, potential, np.array([[1.0]]), name="pendulum")
 
 
 def cart_pole_segway(cart_mass: float = 1.0, pole_mass: float = 1.0,
@@ -194,11 +195,7 @@ def cart_pole_segway(cart_mass: float = 1.0, pole_mass: float = 1.0,
     def potential(q):
         return pole_mass * gravity * length * np.cos(q[1])
 
-    return MechanicalModel(
-        2,
-        {"cart_mass": cart_mass, "pole_mass": pole_mass, "length": length,
-         "gravity": gravity},
-        kinetic, potential, np.array([[1.0], [0.0]]), name="segway")
+    return MechanicalModel(kinetic, potential, np.array([[1.0], [0.0]]), name="segway")
 
 
 def planar_ballbot(ball_mass: float = 0.6, ball_radius: float = 0.12,
@@ -228,13 +225,7 @@ def planar_ballbot(ball_mass: float = 0.6, ball_radius: float = 0.12,
     def potential(q):
         return torso_mass * gravity * ell * np.cos(q[1])
 
-    return MechanicalModel(
-        2,
-        {"ball_mass": ball_mass, "ball_radius": ball_radius,
-         "ball_inertia": ball_inertia, "torso_mass": torso_mass,
-         "torso_inertia": torso_inertia, "com_offset": com_offset,
-         "gravity": gravity},
-        kinetic, potential, np.array([[1.0], [-1.0]]), name="ballbot")
+    return MechanicalModel(kinetic, potential, np.array([[1.0], [-1.0]]), name="ballbot")
 
 
 def gymnast_bar(m1: float = 30.0, m2: float = 30.0, half_length: float = 0.9,
@@ -253,9 +244,7 @@ def gymnast_bar(m1: float = 30.0, m2: float = 30.0, half_length: float = 0.9,
     def potential(q):
         return total * gravity * q[1]
 
-    return MechanicalModel(3, {"m1": m1, "m2": m2, "half_length": half_length,
-                               "gravity": gravity},
-                           kinetic, potential, np.zeros((3, 0)), name="gymnast_bar")
+    return MechanicalModel(kinetic, potential, np.zeros((3, 0)), name="gymnast_bar")
 
 
 MODEL_ZOO = {

@@ -13,12 +13,12 @@ applied per axis; between events the accelerometer bias estimate b_hat is
 subtracted before integrating. The measurement source, its rate, and the
 two-gain form are design choices of this package, not dictated by the data.
 
-There is one integrator; plain dead reckoning is the corrected one with no
-measurements and zero bias. It integrates one segment per measurement
-event: inside a segment b_hat is constant, so velocity and position are
-each one ``np.cumsum`` that starts from the carried value, which forms
-every sum in the order of a sample-by-sample loop and so gives the same
-bits.
+There is one integrator and one Odometry record; plain dead reckoning is
+the corrected integrator with no measurements and zero bias, and its record
+has no bias history. It integrates one segment per measurement event: inside
+a segment b_hat is constant, so velocity and position are each one
+``np.cumsum`` that starts from the carried value, which forms every sum in
+the order of a sample-by-sample loop and so gives the same bits.
 """
 
 from __future__ import annotations
@@ -71,14 +71,12 @@ class FilterGains:
 class Odometry:
     v: SampledSignal
     p: SampledSignal
+    bias_history: SampledSignal | None = None
 
-
-@dataclass(frozen=True)
-class BiasOdometry:
-    v: SampledSignal
-    p: SampledSignal
-    bias_history: SampledSignal
-    final_bias: np.ndarray
+    @property
+    def final_bias(self) -> np.ndarray:
+        """Last bias estimate; zeros for plain dead reckoning."""
+        return np.zeros(self.v.dim) if self.bias_history is None else self.bias_history.y[-1]
 
 
 def dead_reckon(trace: ImuTrace, v0, p0) -> Odometry:
@@ -100,7 +98,7 @@ def _nearest_samples(t: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def bias_corrected_odometry(trace: ImuTrace, measurements, gains: FilterGains,
-                            v0, p0, b0) -> BiasOdometry:
+                            v0, p0, b0) -> Odometry:
     """Dead reckoning with bias-compensated acceleration and measurement
     corrections at the nearest trace samples.
 
@@ -149,8 +147,8 @@ def bias_corrected_odometry(trace: ImuTrace, measurements, gains: FilterGains,
         q = np.cumsum(np.vstack([p_hat, 0.5 * (w[:-1] + w[1:]) * dt[s:hi]]), axis=0)
         v[s:e], p[s:e], bias[s:e] = w[:e - s], q[:e - s], b_hat
         v_hat, p_hat = w[-1], q[-1]
-    return BiasOdometry(SampledSignal(trace.t, v), SampledSignal(trace.t, p),
-                        SampledSignal(trace.t, bias), bias[-1].copy())
+    return Odometry(SampledSignal(trace.t, v), SampledSignal(trace.t, p),
+                    SampledSignal(trace.t, bias))
 
 
 @dataclass(frozen=True)
@@ -228,7 +226,8 @@ def synth_imu(profile: AccelProfile, bias, noise_std: float, dt: float, T: float
     )
 
 
-def _axis_headers(prefix: str, d: int) -> list[str]:
+def axis_headers(prefix: str, d: int) -> list[str]:
+    """Column names ``<prefix>x[, <prefix>y[, <prefix>z]]`` for d axes."""
     return [prefix + AXIS_NAMES[i] for i in range(d)]
 
 
@@ -240,7 +239,7 @@ def _read_axes_csv(path, prefix: str, what: str) -> SampledSignal:
     d = header.count(",")
     if d not in (1, 2, 3):
         raise DomainError(f"{path}: line 1: {what} must have 1..3 axes")
-    return read_csv(path, expected_headers=_axis_headers(prefix, d))
+    return read_csv(path, expected_headers=axis_headers(prefix, d))
 
 
 def read_imu_csv(path) -> ImuTrace:
@@ -255,22 +254,22 @@ def read_measurements_csv(path) -> list[VelMeasurement]:
 
 
 def write_imu_csv(trace: ImuTrace, path) -> None:
-    write_csv(trace, path, headers=_axis_headers("a", _check_trace(trace)))
+    write_csv(trace, path, headers=axis_headers("a", _check_trace(trace)))
 
 
 def write_measurements_csv(measurements, path) -> None:
     """Measurements CSV requires >= 2 rows, matching the signal contract."""
     ts = np.array([m.t for m in measurements])
     vs = np.array([m.v for m in measurements])
-    write_csv(SampledSignal(ts, vs), path, headers=_axis_headers("v", vs.shape[1]))
+    write_csv(SampledSignal(ts, vs), path, headers=axis_headers("v", vs.shape[1]))
 
 
 def write_odometry_csv(result, path) -> None:
-    """Write ``t,vx,..,px,..[,bx,..]`` for Odometry or BiasOdometry records."""
+    """Write ``t,vx,..,px,..[,bx,..]``, the b columns if there is a bias history."""
     d = result.v.dim
     columns = [result.v.y, result.p.y]
-    headers = _axis_headers("v", d) + _axis_headers("p", d)
-    if isinstance(result, BiasOdometry):
+    headers = axis_headers("v", d) + axis_headers("p", d)
+    if result.bias_history is not None:
         columns.append(result.bias_history.y)
-        headers += _axis_headers("b", d)
+        headers += axis_headers("b", d)
     write_csv(SampledSignal(result.v.t, np.hstack(columns)), path, headers=headers)

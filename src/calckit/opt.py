@@ -16,7 +16,7 @@ same problems by Newton iteration on the stationarity system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -252,6 +252,14 @@ def lagrange_solve(prob: ConstrainedProblem, x0, lam0=None,
 
 # ---------------------------------------------------------------- free throw
 
+def _check_finite(record) -> None:
+    """DomainError naming the scenario record and its first non-finite field."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if not np.isfinite(value).all():
+            raise DomainError(f"{type(record).__name__} {f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class FreeThrowParams:
     """Release point, hoop position, gravity. The hoop must sit downrange."""
@@ -263,6 +271,7 @@ class FreeThrowParams:
     def __post_init__(self):
         object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float))
         object.__setattr__(self, "p_h", np.asarray(self.p_h, dtype=float))
+        _check_finite(self)
         if self.p0.shape != (2,) or self.p_h.shape != (2,):
             raise DimensionError("p0 and p_h must be planar points")
         if not self.p_h[0] > self.p0[0]:
@@ -356,6 +365,7 @@ class GymnastModel:
     def __post_init__(self):
         object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float))
         object.__setattr__(self, "p_land", np.asarray(self.p_land, dtype=float))
+        _check_finite(self)
         if self.half_length <= 0 or self.m1 <= 0 or self.m2 <= 0:
             raise DomainError("bar half length and masses must be positive")
         if self.p0.shape != (2,) or self.p_land.shape != (2,):
@@ -433,10 +443,11 @@ class DiverModel:
     platform_height: float = 10.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not 0 < self.i_tuck < self.i_open:
             raise DomainError("need 0 < I_tuck < I_open")
-        if self.k < 1:
-            raise DomainError("need at least one half rotation")
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise DomainError(f"DiverModel k must be an integer >= 1, got {self.k!r}")
         if self.d_min <= 0 or self.platform_height <= 0:
             raise DomainError("clearance and platform height must be positive")
 

@@ -129,26 +129,27 @@ def darboux_bounds(f, iv: Interval, n: int, m: int) -> tuple[float, float]:
     return lower, upper
 
 
-def trapezoid(f, iv: Interval, n: int) -> float:
-    """Composite trapezoid rule on a uniform grid; exact for affine f."""
+def _nodes(iv: Interval, n: int, what: str) -> tuple[np.ndarray, float]:
+    """The n + 1 nodes of n uniform panels on iv, and the panel width."""
     if n < 1:
         raise DomainError("need n >= 1 panels")
-    check_grid_size(n + 1, "trapezoid rule")
-    xs = np.linspace(iv.a, iv.b, n + 1)
+    check_grid_size(n + 1, what)
+    return np.linspace(iv.a, iv.b, n + 1), iv.width / n
+
+
+def trapezoid(f, iv: Interval, n: int) -> float:
+    """Composite trapezoid rule on a uniform grid; exact for affine f."""
+    xs, h = _nodes(iv, n, "trapezoid rule")
     ys = _sample(f, xs)
-    h = iv.width / n
     return float(h * (0.5 * ys[0] + ys[1:-1].sum() + 0.5 * ys[-1]))
 
 
 def simpson(f, iv: Interval, n: int) -> float:
     """Composite Simpson rule (n even); exact through cubic polynomials."""
-    if n < 1:
-        raise DomainError("need n >= 1 panels")
-    if n % 2:
+    if n >= 1 and n % 2:
         raise DomainError("Simpson's rule needs an even panel count")
-    check_grid_size(n + 1, "Simpson's rule")
-    xs = np.linspace(iv.a, iv.b, n + 1)
-    return float(_simpson_sum(_sample(f, xs), iv.width / n))
+    xs, h = _nodes(iv, n, "Simpson's rule")
+    return float(_simpson_sum(_sample(f, xs), h))
 
 
 def _simpson_sum(ys: np.ndarray, h: float):
@@ -235,12 +236,7 @@ def lamina_properties(lam: Lamina, n: int) -> LaminaProperties:
     folds the through-thickness integration of point masses into a single
     1-D integral.
     """
-    if n < 1:
-        raise DomainError("need n >= 1 panels")
-    n += n % 2
-    check_grid_size(n + 1, "lamina integrals")
-    iv = lam.interval
-    xs = np.linspace(iv.a, iv.b, n + 1)
+    xs, h = _nodes(lam.interval, n + n % 2, "lamina integrals")
     fs = _sample(lam.f, xs)
     gs = _sample(lam.g, xs)
     if np.any(fs < gs):
@@ -248,7 +244,7 @@ def lamina_properties(lam: Lamina, n: int) -> LaminaProperties:
     gap = fs - gs
     moments = np.column_stack([gap, xs * gap, 0.5 * (fs ** 2 - gs ** 2),
                                xs ** 2 * gap + (fs ** 3 - gs ** 3) / 3.0])
-    mass, mx, my, iz = map(float, lam.rho * lam.h * _simpson_sum(moments, iv.width / n))
+    mass, mx, my, iz = map(float, lam.rho * lam.h * _simpson_sum(moments, h))
     if mass <= 0:
         raise DomainError("lamina has zero area on the integration grid")
     return LaminaProperties(mass, mx / mass, my / mass, iz)
@@ -256,15 +252,11 @@ def lamina_properties(lam: Lamina, n: int) -> LaminaProperties:
 
 def volume_of_revolution(f, iv: Interval, n: int) -> float:
     """Disk-method volume of f rotated about the x-axis (Simpson on f^2)."""
-    if n < 1:
-        raise DomainError("need n >= 1 panels")
-    n += n % 2
-    check_grid_size(n + 1, "volume of revolution")
-    xs = np.linspace(iv.a, iv.b, n + 1)
+    xs, h = _nodes(iv, n + n % 2, "volume of revolution")
     ys = _sample(f, xs)
     if np.any(ys < 0):
         raise DomainError("profile must be nonnegative for the disk method")
-    return float(math.pi * _simpson_sum(ys ** 2, iv.width / n))
+    return float(math.pi * _simpson_sum(ys ** 2, h))
 
 
 def antiderivative_numeric(f, a: float) -> Callable[[float], float]:

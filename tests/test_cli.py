@@ -283,6 +283,53 @@ def test_optimize_config_with_an_unknown_or_missing_key_exits_2(scenario, edit,
     assert "converged" not in out
 
 
+@pytest.mark.parametrize("k", [1.5, True], ids=["half", "bool"])
+def test_optimize_diver_with_a_non_integer_k_exits_2(k, tmp_path, capsys):
+    # k = 1.5 asks for a horizontal entry; true would pass for k = 1
+    config = json.loads((DATA / "diver.json").read_text())
+    config["k"] = k
+    cfg = tmp_path / "diver.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "optimize", "--scenario", "diver", "--config", str(cfg))
+    assert code == 2
+    assert "DiverModel k must be an integer >= 1" in err
+    assert "converged" not in out
+
+
+@pytest.mark.parametrize("scenario,field,record", [
+    ("freethrow", "g", "FreeThrowParams"),
+    ("gymnast", "theta_land", "GymnastModel"),
+    ("gymnast", "p_land", "GymnastModel"),
+    ("diver", "d_min", "DiverModel"),
+    ("diver", "platform_height", "DiverModel"),
+])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_optimize_nonfinite_scenario_field_exits_2(scenario, field, record, value,
+                                                    tmp_path, capsys):
+    config = json.loads((DATA / f"{scenario}.json").read_text())
+    config[field] = [0.5, float(value)] if field == "p_land" else float(value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "optimize", "--scenario", scenario,
+                             "--config", str(cfg))
+    assert code == 2
+    assert f"{record} {field} must be finite" in err
+    assert "converged" not in out
+
+
+def test_control_linearize_of_an_unactuated_model_exits_2_for_want_of_an_input(
+        tmp_path, capsys):
+    cfg = tmp_path / "bar.json"
+    cfg.write_text('{"gravity": 0}')
+    code, out, err = run(capsys, "control", "linearize", "--model", "gymnast_bar",
+                         "--config", str(cfg))
+    assert code == 2
+    assert "ss_to_tf needs one input and one output, got 0 inputs" in err
+    assert "A:" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--model", "segway", "--q0", "0", "0.1", "--T", "0.1", "--dt", "0.01"],
     ["control", "pd", "--model", "segway", "--wn", "3", "--zeta", "0.9"],

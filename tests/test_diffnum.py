@@ -253,6 +253,28 @@ def test_jacobian_equals_old_column_loop_bit_for_bit(x0, cfg, k):
     assert got.tobytes() == want.tobytes()
 
 
+def old_derivative(f, x0, cfg):
+    """Reference: the scalar stencil derivative kept before it ran on _central."""
+    h = cfg.step(x0)
+    lo, hi = f(x0 - h), f(x0 + h)
+    return (hi - lo) / (2.0 * h)
+
+
+SCALAR_FUNCTIONS = [math.sin, math.exp, lambda x: x ** 3 - 2.0 * x,
+                    lambda x: math.log1p(x * x), math.atan]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(-50.0, 50.0), configs, st.sampled_from(range(len(SCALAR_FUNCTIONS))))
+def test_derivative_equals_old_scalar_formula_bit_for_bit(x0, cfg, k):
+    f = SCALAR_FUNCTIONS[k]
+    seen = []
+    got = derivative(lambda x: seen.append(type(x)) or f(x), x0, cfg)
+    want = old_derivative(f, x0, cfg)
+    assert type(got) is float and seen == [float, float]
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(points, configs, st.sampled_from(range(len(SCALAR_MAPS))))
 def test_hessian_equals_old_symmetrized_loop_bit_for_bit(x0, cfg, k):

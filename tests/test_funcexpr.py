@@ -27,6 +27,17 @@ def test_tokenize_illegal_character_position():
     assert err.value.position == 2
 
 
+@pytest.mark.parametrize("text,position", [
+    ("2\u00b3", 1),            # superscript three after a number
+    ("\u0661+x", 0),           # Arabic-Indic digit one
+    ("x\u00b2", 1),            # superscript two inside a name
+])
+def test_tokenizer_reads_ascii_digits_only(text, position):
+    with pytest.raises(ParseError, match="unrecognized character") as err:
+        parse_text(text)
+    assert err.value.position == position
+
+
 def test_tokenize_positions_strictly_increase():
     toks = tokenize("1 + sin(x)*2^3")
     positions = [t.position for t in toks]

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from calckit import odesolve
-from calckit.errors import ConvergenceError, DomainError
+from calckit.errors import ConvergenceError, DimensionError, DomainError
 from calckit.lti import (PdGains, StateSpace, TransferFunction, dc_gain,
                          linearize, pd_pole_placement, pd_tf, poles,
                          precompensator, response_metrics, ss_to_tf,
                          step_response, subsystem, tf_to_ss, unity_feedback,
                          zeros)
-from calckit.mech import cart_pole_segway, pendulum
+from calckit.mech import cart_pole_segway, gymnast_bar, pendulum
 from calckit.poly import poly_add, poly_eval, poly_mul, roots_dk
 from calckit.signals import SampledSignal
 
@@ -261,6 +261,14 @@ def test_poles_match_eigenvalues_random_systems():
             assert abs(p - e) <= 1e-6
 
 
+@pytest.mark.parametrize("inputs,outputs", [(2, 1), (1, 2)])
+def test_ss_to_tf_refuses_a_system_that_is_not_siso(inputs, outputs):
+    ss = StateSpace(np.eye(2), np.ones((2, inputs)), np.ones((outputs, 2)),
+                    np.zeros((outputs, inputs)))
+    with pytest.raises(DimensionError, match="restrict with subsystem first"):
+        ss_to_tf(ss)
+
+
 # ---------------------------------------------------------------- linearize
 
 def test_linearize_pendulum_hanging():
@@ -280,6 +288,12 @@ def test_linearize_pendulum_inverted_poles():
 def test_linearize_cart_pole_upright_unstable():
     ss = linearize(cart_pole_segway(), [0.0, 0.0], [0.0])
     assert max(v.real for v in odesolve.eigenvalues(ss.A)) > 0.0
+
+
+def test_linearize_of_an_unactuated_model_has_an_empty_input_matrix():
+    ss = linearize(gymnast_bar(gravity=0.0), np.zeros(3), np.zeros(0))
+    assert ss.A.shape == (6, 6) and ss.B.shape == (6, 0) and ss.D.shape == (3, 0)
+    assert np.array_equal(ss.A[:3, 3:], np.eye(3)) and not ss.A[3:].any()
 
 
 def test_linearize_rejects_non_equilibrium():

@@ -21,7 +21,6 @@ G = 9.81
 
 def point_mass(m=2.0):
     return MechanicalModel(
-        2, {"m": m},
         lambda q, qd: 0.5 * m * (qd[0] ** 2 + qd[1] ** 2),
         lambda q: 0.0,
         np.eye(2), name="point_mass")
@@ -188,7 +187,7 @@ def test_small_angle_period():
     crossings = [sig.t[k - 1] + th[k - 1] / (th[k - 1] - th[k]) * (sig.t[k] - sig.t[k - 1])
                  for k in range(1, len(th)) if th[k - 1] > 0.0 >= th[k]]
     period = crossings[1] - crossings[0]
-    expected = 2.0 * math.pi * math.sqrt(model.params["length"] / G)
+    expected = 2.0 * math.pi * math.sqrt(1.0 / G)
     assert abs(period - expected) / expected <= 0.005
 
 
@@ -316,9 +315,24 @@ def test_segway_simulate_costs_four_forward_dynamics_per_step(steps):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_construction_costs_the_quadratic_check_plus_one_mass_matrix(n):
     calls = []
-    MechanicalModel(n, {}, lambda q, qd: calls.append(1) or 0.5 * qd @ qd,
+    MechanicalModel(lambda q, qd: calls.append(1) or 0.5 * qd @ qd,
                     lambda q: 0.0, np.eye(n))
     assert len(calls) == 2 * n + n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("name,n", [("pendulum", 1), ("segway", 2), ("ballbot", 2),
+                                    ("gymnast_bar", 3)])
+def test_degrees_of_freedom_are_the_rows_of_the_input_map(name, n):
+    model = MODEL_ZOO[name]()
+    assert model.n_dof == model.input_map.shape[0] == n
+    assert [f.name for f in dataclasses.fields(model)] == ["kinetic", "potential",
+                                                            "input_map", "name"]
+
+
+@pytest.mark.parametrize("input_map", [np.ones(2), np.ones((1, 1, 1))])
+def test_an_input_map_that_is_not_2d_raises_dimension_error(input_map):
+    with pytest.raises(DimensionError, match="input map must be n_dof x n_inputs"):
+        MechanicalModel(lambda q, qd: 0.5 * qd @ qd, lambda q: 0.0, input_map)
 
 
 # ------------------------------------------- K quadratic in the velocities
@@ -334,7 +348,7 @@ def test_zoo_kinetic_energies_pass_the_quadratic_check(name):
 def test_construction_rejects_a_kinetic_energy_not_quadratic_in_the_velocities():
     # unchecked, forward_dynamics would return 1/3 instead of 1 here
     with pytest.raises(DomainError, match="linear_term is not quadratic"):
-        MechanicalModel(1, {}, lambda q, qd: 0.5 * qd[0] ** 2 + qd[0],
+        MechanicalModel(lambda q, qd: 0.5 * qd[0] ** 2 + qd[0],
                         lambda q: 0.0, np.eye(1), name="linear_term")
 
 
@@ -376,10 +390,10 @@ def test_unwrapped_energies_equal_the_old_wrappers_bit_for_bit(state):
 def test_nonfinite_energy_raises_domain_error(kinetic, potential):
     # a K not finite at q = 0 fails at construction, a V on first use
     with pytest.raises(DomainError, match="not finite"):
-        forward_dynamics(MechanicalModel(1, {}, kinetic, potential, np.eye(1)),
+        forward_dynamics(MechanicalModel(kinetic, potential, np.eye(1)),
                          [0.2], [0.0], [0.0])
     with pytest.raises(DomainError, match="not finite"):
-        simulate(MechanicalModel(1, {}, kinetic, potential, np.eye(1)),
+        simulate(MechanicalModel(kinetic, potential, np.eye(1)),
                  None, [0.2], [0.0], 0.01, 0.01)
 
 

@@ -223,6 +223,18 @@ def loop_odometry(trace, measurements, gains, v0, p0, b0):
     return v, p, bias
 
 
+def test_final_bias_is_the_last_row_of_the_history_and_zero_without_one():
+    trace = synth_imu(AccelProfile.constant(0.5), [0.1, 0.2], 0.0, 0.01, 1.0).trace
+    plain = dead_reckon(trace, [0.0, 0.0], [0.0, 0.0])
+    assert plain.bias_history is None
+    assert np.array_equal(plain.final_bias, np.zeros(2))
+    meas = constant_measurements(0.25, [0.3, 0.6, 0.9], d=2)
+    out = bias_corrected_odometry(trace, meas, FilterGains(0.5, 0.5), [0.0] * 2, [0.0] * 2,
+                                  [0.0] * 2)
+    assert out.final_bias.tobytes() == out.bias_history.y[-1].tobytes()
+    assert np.all(out.final_bias != 0.0)
+
+
 def assert_matches_loop(trace, meas, gains, v0, p0, b0):
     out = bias_corrected_odometry(trace, meas, gains, v0, p0, b0)
     v, p, bias = loop_odometry(trace, meas, gains, v0, p0, b0)
