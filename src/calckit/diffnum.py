@@ -101,13 +101,16 @@ def gradient(F, x0, cfg: DiffConfig | None = None) -> np.ndarray:
 
 
 def jacobian(G, x0, cfg: DiffConfig | None = None) -> np.ndarray:
-    """m x n Jacobian of a vector map, one central difference per column."""
+    """m x n Jacobian of a vector map, one central difference per column; an
+    empty x0 gives m x 0, with m from one evaluation of G at x0."""
     cfg = cfg or DiffConfig()
     x0 = np.asarray(x0, dtype=float)
 
     def vec(x):
         return np.atleast_1d(np.asarray(G(x), dtype=float))
 
+    if not len(x0):
+        return np.zeros((len(vec(x0)), 0))
     return np.column_stack([_central(vec, x0, i, cfg) for i in range(len(x0))])
 
 

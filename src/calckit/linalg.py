@@ -1,13 +1,18 @@
 """Small dense real matrix/vector kernel.
 
 Vectors are 1-D float arrays, matrices 2-D row-major float arrays; everything
-is validated at the operation boundary, never assumed. The solver is an LU
-factorization with partial (row) pivoting written out explicitly so the pivot
-threshold is under our control: a pivot is declared singular when its
-magnitude drops below ``1e-12 * ||A||_inf``. Intended scale is n <= ~16.
+is validated at the operation boundary, never assumed. Two factorizations
+are written out explicitly so the pivot threshold is under our control: LU
+with partial (row) pivoting for general matrices (solve and determinant), and
+Cholesky for symmetric positive definite ones (solve and the SPD test). A
+pivot is declared singular when it is at most ``1e-12 * ||A||_inf``: in
+magnitude for LU, in value for Cholesky.
+Intended scale is n <= ~16.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,7 +26,7 @@ def as_vec(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise DimensionError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DomainError("vector entries must be finite")
     return v.copy()
 
@@ -31,7 +36,7 @@ def as_mat(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DomainError("matrix entries must be finite")
     return m.copy()
 
@@ -104,18 +109,60 @@ def determinant(a) -> float:
     return -det if swaps % 2 else det
 
 
-def is_positive_definite(a) -> bool:
-    """Cholesky-style pivot positivity check for a symmetric matrix."""
-    m = as_mat(a)
+def _cholesky_rows(m: np.ndarray) -> list[list[float]]:
+    """Rows of the lower Cholesky factor of a validated matrix, as Python
+    floats (row i holds L[i, :i + 1]); only the lower triangle is read."""
     n = m.shape[0]
     if n != m.shape[1]:
-        raise DimensionError("positive-definiteness check needs a square matrix")
-    chol = np.zeros_like(m)
-    for i in range(n):
-        s = m[i, i] - chol[i, :i] @ chol[i, :i]
-        if s <= 0.0:
-            return False
-        chol[i, i] = np.sqrt(s)
-        for j in range(i + 1, n):
-            chol[j, i] = (m[j, i] - chol[j, :i] @ chol[i, :i]) / chol[i, i]
+        raise DimensionError(f"Cholesky needs a square matrix, got {m.shape}")
+    a_rows = m.tolist()
+    threshold = PIVOT_RTOL * max((sum(map(abs, a)) for a in a_rows), default=0.0)
+    rows: list[list[float]] = []
+    for i, a in enumerate(a_rows):
+        li = []
+        for j, lj in enumerate(rows):
+            li.append((a[j] - sum(x * y for x, y in zip(li, lj))) / lj[j])
+        s = a[i] - sum(x * x for x in li)
+        if s <= threshold:
+            raise SingularityError(
+                f"pivot {s:.3e} not above threshold {threshold:.3e} at column {i}")
+        li.append(math.sqrt(s))
+        rows.append(li)
+    return rows
+
+
+def cholesky(a) -> np.ndarray:
+    """Lower factor L with A = L L^T of a symmetric positive definite matrix.
+
+    Only the lower triangle of A is read. SingularityError at the first pivot
+    L_ii^2 <= 1e-12 * ||A||_inf, so an indefinite or numerically singular
+    matrix is refused."""
+    rows = _cholesky_rows(as_mat(a))
+    low = np.zeros((len(rows), len(rows)))
+    for i, li in enumerate(rows):
+        low[i, :i + 1] = li
+    return low
+
+
+def cholesky_solve(a, b) -> np.ndarray:
+    """Solve ``A x = b`` for symmetric positive definite A: Cholesky, then
+    forward (L y = b) and back (L^T x = y) substitution."""
+    rows = _cholesky_rows(as_mat(a))
+    y = as_vec(b).tolist()
+    n = len(rows)
+    if len(y) != n:
+        raise DimensionError(f"rhs length {len(y)} does not match matrix size {n}")
+    for i, li in enumerate(rows):
+        y[i] = (y[i] - sum(x * v for x, v in zip(li, y[:i]))) / li[i]
+    for i in range(n - 1, -1, -1):
+        y[i] = (y[i] - sum(rows[k][i] * y[k] for k in range(i + 1, n))) / rows[i][i]
+    return np.array(y)
+
+
+def is_positive_definite(a) -> bool:
+    """True when the Cholesky factor of the symmetric matrix exists."""
+    try:
+        cholesky(a)
+    except SingularityError:
+        return False
     return True

@@ -240,8 +240,7 @@ def linearize(model: mech.MechanicalModel, q_eq, torques_eq) -> StateSpace:
     x_eq = np.concatenate([q_eq, np.zeros(n)])
     cfg = diffnum.DiffConfig(h=1e-5, relative=False)
     a = diffnum.jacobian(dynamics, x_eq, cfg)
-    # an unactuated model has no torque to differentiate: B is 2n x 0
-    b = diffnum.jacobian(forced, torques_eq, cfg) if model.n_inputs else np.zeros((2 * n, 0))
+    b = diffnum.jacobian(forced, torques_eq, cfg)
     c = np.hstack([np.eye(n), np.zeros((n, n))])
     d = np.zeros((n, model.n_inputs))
     return StateSpace(a, b, c, d)

@@ -10,7 +10,8 @@ its energies once, when it is built: K(0, 2 e_i) = 4 K(0, e_i) and D(0)
 positive definite, else DomainError, so every function below sees a checked
 model. Ddot qdot is one central difference of D along qdot, and dL/dq
 is the diffnum.gradient of L = K - V. forward_dynamics solves
-d/dt(D qdot) - dL/dq = B_u Gamma without forming C or G; coriolis_matrix and
+d/dt(D qdot) - dL/dq = B_u Gamma by Cholesky on D, without forming C or G,
+and raises DomainError where D is not positive definite; coriolis_matrix and
 gravity_vector give the textbook D qddot + C qdot + G = B_u Gamma.
 Finite-difference steps are fixed at 1e-4; the zoo energies are smooth
 trig/polynomials at desk scale. Every energy value is checked for
@@ -25,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import diffnum
-from .errors import DimensionError, DomainError
-from .linalg import is_positive_definite, lu_solve
+from .errors import DimensionError, DomainError, SingularityError
+from .linalg import cholesky_solve, is_positive_definite
 from .odesolve import IvpProblem, rk4_solve
 from .signals import SampledSignal
 
@@ -54,7 +55,7 @@ class MechanicalModel:
         q0 = np.zeros(self.n_dof)
         _check_quadratic_kinetic(self, q0)
         if not is_positive_definite(_mass_matrix(self, q0)):
-            raise DomainError(f"mass matrix of {self.name} is not positive definite at q = {q0}")
+            raise _not_positive_definite(self, q0)
 
     @property
     def n_dof(self) -> int:
@@ -68,6 +69,10 @@ class MechanicalModel:
         return float(self.kinetic(q, qd)) + float(self.potential(q))
 
 
+def _not_positive_definite(model: MechanicalModel, q: np.ndarray) -> DomainError:
+    return DomainError(f"mass matrix of {model.name} is not positive definite at q = {q}")
+
+
 def _check_q(model: MechanicalModel, q) -> np.ndarray:
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if len(q) != model.n_dof:
@@ -78,11 +83,13 @@ def _check_q(model: MechanicalModel, q) -> np.ndarray:
 def _mass_matrix(model: MechanicalModel, q: np.ndarray) -> np.ndarray:
     """D(q) by polarization of the quadratic K, n(n + 1)/2 evaluations, exact
     to roundoff; q is already checked."""
-    eye = np.eye(model.n_dof)
+    n = model.n_dof
+    eye = np.eye(n)
     k = [float(model.kinetic(q, e)) for e in eye]
-    d = np.diag(2.0 * np.array(k))
-    for i in range(model.n_dof):
-        for j in range(i + 1, model.n_dof):
+    d = np.empty((n, n))
+    for i in range(n):
+        d[i, i] = 2.0 * k[i]
+        for j in range(i + 1, n):
             d[i, j] = d[j, i] = float(model.kinetic(q, eye[i] + eye[j])) - k[i] - k[j]
     if not np.isfinite(d).all():
         raise DomainError(f"kinetic energy of {model.name} not finite at q = {q}")
@@ -114,11 +121,15 @@ def gravity_vector(model: MechanicalModel, q) -> np.ndarray:
     return diffnum.gradient(model.potential, _check_q(model, q), _ENERGY_FD)
 
 
-def mass_matrix_rate(model: MechanicalModel, q, qd) -> np.ndarray:
-    """dD/dt = sum_k dD/dq_k qdot_k: one central difference of D along qdot."""
-    q, qd = _check_q(model, q), _check_q(model, qd)
+def _mass_matrix_rate(model: MechanicalModel, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
+    """Ddot: one central difference of D along qdot; q and qd are already checked."""
     h = _ENERGY_FD.h
     return (_mass_matrix(model, q + h * qd) - _mass_matrix(model, q - h * qd)) / (2 * h)
+
+
+def mass_matrix_rate(model: MechanicalModel, q, qd) -> np.ndarray:
+    """dD/dt = sum_k dD/dq_k qdot_k: one central difference of D along qdot."""
+    return _mass_matrix_rate(model, _check_q(model, q), _check_q(model, qd))
 
 
 def coriolis_matrix(model: MechanicalModel, q, qd) -> np.ndarray:
@@ -127,7 +138,7 @@ def coriolis_matrix(model: MechanicalModel, q, qd) -> np.ndarray:
     so Ddot - 2C = M^T - M is skew by construction."""
     q, qd = _check_q(model, q), _check_q(model, qd)
     m = diffnum.jacobian(lambda qq: _mass_matrix(model, qq) @ qd, q, _ENERGY_FD)
-    return 0.5 * (mass_matrix_rate(model, q, qd) + m - m.T)
+    return 0.5 * (_mass_matrix_rate(model, q, qd) + m - m.T)
 
 
 def forward_dynamics(model: MechanicalModel, q, qd, torques) -> np.ndarray:
@@ -136,14 +147,19 @@ def forward_dynamics(model: MechanicalModel, q, qd, torques) -> np.ndarray:
     One call costs 3n(n + 1)/2 + 4n energy evaluations: three polarized D's
     at n(n + 1)/2 evaluations of K each (at q and at q -/+ h qdot), plus 2n
     each of K and V for dL/dq. Polarization assumes K quadratic in qdot,
-    which the model checked when it was built."""
+    which the model checked when it was built. D is solved by Cholesky; a D
+    that is not positive definite at q (a model checked only at q = 0) raises
+    DomainError "mass matrix of <name> is not positive definite at q = ..."."""
     q, qd = _check_q(model, q), _check_q(model, qd)
     torques = np.atleast_1d(np.asarray(torques, dtype=float))
     if len(torques) != model.n_inputs:
         raise DimensionError(f"expected {model.n_inputs} torques, got {len(torques)}")
     dldq = diffnum.gradient(lambda v: model.kinetic(v, qd) - model.potential(v), q, _ENERGY_FD)
-    rhs = model.input_map @ torques - mass_matrix_rate(model, q, qd) @ qd + dldq
-    return lu_solve(_mass_matrix(model, q), rhs)
+    rhs = model.input_map @ torques - _mass_matrix_rate(model, q, qd) @ qd + dldq
+    try:
+        return cholesky_solve(_mass_matrix(model, q), rhs)
+    except SingularityError:
+        raise _not_positive_definite(model, q) from None
 
 
 def simulate(model: MechanicalModel, controller, q0, qd0, T: float, dt: float) -> SampledSignal:

@@ -7,7 +7,8 @@ The golden-file test replays the exact same commands and compares bytes, so
 regenerate only when an intentional behavior change invalidates the goldens.
 ``--check`` rebuilds everything in a temporary directory, compares it byte
 for byte with the committed files, lists each file that differs and exits 1
-if any does; it writes nothing here.
+if any does; it writes nothing here. A differing CSV with the same header
+and shape also gets its largest absolute and relative numeric difference.
 """
 
 import filecmp
@@ -44,10 +45,32 @@ def check():
         built = sorted(p.relative_to(tmp).as_posix() for p in tmp.rglob("*") if p.is_file())
         differ = [name for name in built if not (HERE / name).is_file()
                   or not filecmp.cmp(HERE / name, tmp / name, shallow=False)]
-    for name in differ:
-        print(f"differs: {name}")
+        for name in differ:
+            print(f"differs: {name}{csv_difference(HERE / name, tmp / name)}")
     print(f"{len(built) - len(differ)} of {len(built)} files match")
     return 1 if differ else 0
+
+
+def csv_difference(old: pathlib.Path, new: pathlib.Path) -> str:
+    """' (max abs diff A, max rel diff R)' when both files are numeric CSVs
+    with one equal header line and the same shape, else ''."""
+    if old.suffix != ".csv" or not old.is_file():
+        return ""
+    tables = []
+    for path in (old, new):
+        try:
+            header, *lines = path.read_text(encoding="utf-8").splitlines()
+            tables.append((header, np.array([[float(v) for v in line.split(",")]
+                                             for line in lines if line])))
+        except ValueError:
+            return ""
+    (h_old, a), (h_new, b) = tables
+    if h_old != h_new or a.shape != b.shape or not a.size:
+        return ""
+    diff = np.abs(a - b)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+    return f" (max abs diff {diff.max():.3g}, max rel diff {rel.max():.3g})"
 
 
 def build(dest: pathlib.Path):

@@ -491,3 +491,33 @@ def test_regenerate_check_lists_a_changed_golden(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "differs: golden/project1_out.csv" in out
     assert "12 of 13 files match" in out
+
+
+def test_regenerate_check_prints_the_largest_csv_difference(tmp_path, capsys, monkeypatch):
+    regenerate = load_regenerate()
+    copy = tmp_path / "data"
+    shutil.copytree(DATA, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    golden = copy / "golden" / "simulate_segway.csv"
+    text = golden.read_text(encoding="utf-8")
+    assert "\n0.0,0.0,0.05,0.0,0.0\n" in text
+    golden.write_text(text.replace("\n0.0,0.0,0.05,", "\n0.0,0.0,0.0500001,", 1),
+                      encoding="utf-8")
+    monkeypatch.setattr(regenerate, "HERE", copy)
+    assert regenerate.main(["--check"]) == 1
+    out = capsys.readouterr().out
+    assert ("differs: golden/simulate_segway.csv (max abs diff 1e-07, max rel diff 2e-06)\n"
+            in out)
+    assert "12 of 13 files match" in out
+
+
+def test_regenerate_csv_difference_needs_equal_headers_and_shapes(tmp_path):
+    regenerate = load_regenerate()
+    files = {"a.csv": "t,x\n0,1\n1,2\n", "b.csv": "t,x\n0,1\n1,2.5\n",
+             "header.csv": "t,y\n0,1\n1,2\n", "short.csv": "t,x\n0,1\n",
+             "text.csv": "t,x\n0,one\n1,2\n", "empty.csv": ""}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    diff = regenerate.csv_difference
+    assert diff(tmp_path / "a.csv", tmp_path / "b.csv") == " (max abs diff 0.5, max rel diff 0.2)"
+    for other in ("header.csv", "short.csv", "text.csv", "empty.csv"):
+        assert diff(tmp_path / "a.csv", tmp_path / other) == ""

@@ -128,6 +128,13 @@ def test_jacobian_hand_case():
     assert J == pytest.approx(np.array([[3.0, 2.0], [1.0, 1.0]]), abs=1e-7)
 
 
+def test_jacobian_of_an_empty_vector_is_m_by_0():
+    calls = []
+    J = jacobian(lambda x: calls.append(1) or np.ones(2), [])
+    assert J.shape == (2, 0)
+    assert len(calls) == 1
+
+
 def test_jacobian_of_random_affine_maps():
     rng = np.random.default_rng(23)
     for _ in range(10):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from calckit.diffnum import DiffConfig, gradient, hessian, jacobian
 from calckit.errors import DimensionError, DomainError
-from calckit.linalg import is_positive_definite
+from calckit.linalg import is_positive_definite, lu_solve
 from calckit import mech
 from calckit.mech import (MODEL_ZOO, MechanicalModel, cart_pole_segway,
                           coriolis_matrix, forward_dynamics, gravity_vector,
@@ -125,7 +125,6 @@ def test_point_mass_newton():
 
 def test_zero_velocity_accel_decomposition():
     # at qdot = 0 the dynamics reduce to -D^-1 G exactly
-    from calckit.linalg import lu_solve
     rng = np.random.default_rng(8)
     for name, factory in MODEL_ZOO.items():
         model = factory()
@@ -361,6 +360,40 @@ def test_construction_rejects_a_kinetic_energy_not_quadratic_in_the_velocities()
 def test_construction_rejects_a_mass_matrix_not_positive_definite(factory, kwargs):
     with pytest.raises(DomainError, match="is not positive definite at q = "):
         factory(**kwargs)
+
+
+def test_forward_dynamics_refuses_a_mass_matrix_indefinite_away_from_zero():
+    # D(q) = cos(q0) is positive at q = 0, so the model is built, and negative
+    # at q = 2; LU solved it and returned a finite qddot = 1 / cos(2) < 0,
+    # accelerating against the applied force
+    model = MechanicalModel(lambda q, qd: 0.5 * np.cos(q[0]) * qd[0] ** 2,
+                            lambda q: 0.0, np.array([[1.0]]), name="cosine_mass")
+    assert forward_dynamics(model, [0.0], [0.0], [1.0]) == pytest.approx([1.0])
+    with pytest.raises(DomainError,
+                       match=r"mass matrix of cosine_mass is not positive definite at q = \[2\.\]"):
+        forward_dynamics(model, [2.0], [0.0], [1.0])
+    with pytest.raises(DomainError, match="not positive definite"):
+        simulate(model, lambda t, q, qd: np.ones(1), [1.5], [0.0], 1.0, 0.01)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_ZOO))
+def test_cholesky_forward_dynamics_equals_the_lu_solve_to_roundoff(name):
+    # the old forward_dynamics solved the same rhs with the pivoting LU; both
+    # solvers are backward stable, so they differ by at most c n eps cond(D)
+    # ||qddot||_inf; at these states c stayed below 0.36, and 4 is allowed
+    model = MODEL_ZOO[name]()
+    n = model.n_dof
+    cfg = DiffConfig(h=1e-4, relative=False)
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        q, qd = rng.uniform(-3.0, 3.0, size=(2, n))
+        torques = rng.uniform(-2.0, 2.0, size=model.n_inputs)
+        dldq = gradient(lambda v: model.kinetic(v, qd) - model.potential(v), q, cfg)
+        rhs = model.input_map @ torques - mass_matrix_rate(model, q, qd) @ qd + dldq
+        d = mass_matrix(model, q)
+        qdd = forward_dynamics(model, q, qd, torques)
+        bound = 4.0 * n * np.finfo(float).eps * np.linalg.cond(d) * np.max(np.abs(qdd))
+        assert np.max(np.abs(qdd - lu_solve(d, rhs))) <= bound
 
 
 # ------------------------------------------- energies straight into diffnum
