@@ -162,7 +162,7 @@ def cholesky_solve(a, b) -> np.ndarray:
 def is_positive_definite(a) -> bool:
     """True when the Cholesky factor of the symmetric matrix exists."""
     try:
-        cholesky(a)
+        _cholesky_rows(as_mat(a))
     except SingularityError:
         return False
     return True

@@ -216,9 +216,10 @@ def subsystem(ss: StateSpace, states, outputs=None) -> StateSpace:
 def linearize(model: mech.MechanicalModel, q_eq, torques_eq) -> StateSpace:
     """Linear state-variable model about an equilibrium (q_eq, 0, Gamma_eq).
 
-    States are x = (q, qdot); C selects the configuration, D = 0. The point
-    must actually be an equilibrium: the acceleration residual there is
-    checked against 1e-6.
+    States are x = (q, qdot); [A, B] is one central-difference Jacobian of
+    (q, qdot, Gamma) -> (qdot, qddot). C selects the configuration, D = 0.
+    The point must actually be an equilibrium: the acceleration residual
+    there is checked against 1e-6.
     """
     q_eq = np.atleast_1d(np.asarray(q_eq, dtype=float))
     torques_eq = np.atleast_1d(np.asarray(torques_eq, dtype=float))
@@ -229,21 +230,15 @@ def linearize(model: mech.MechanicalModel, q_eq, torques_eq) -> StateSpace:
         raise DomainError(
             f"(q_eq, 0) is not an equilibrium: ||qddot||_inf = {residual:.3e}")
 
-    def dynamics(x):
-        q, qd = x[:n], x[n:]
-        return np.concatenate([qd, mech.forward_dynamics(model, q, qd, torques_eq)])
+    def rates(z):
+        q, qd, u = z[:n], z[n:2 * n], z[2 * n:]
+        return np.concatenate([qd, mech.forward_dynamics(model, q, qd, u)])
 
-    def forced(u):
-        return np.concatenate([np.zeros(n),
-                               mech.forward_dynamics(model, q_eq, np.zeros(n), u)])
-
-    x_eq = np.concatenate([q_eq, np.zeros(n)])
-    cfg = diffnum.DiffConfig(h=1e-5, relative=False)
-    a = diffnum.jacobian(dynamics, x_eq, cfg)
-    b = diffnum.jacobian(forced, torques_eq, cfg)
+    z_eq = np.concatenate([q_eq, np.zeros(n), torques_eq])
+    jac = diffnum.jacobian(rates, z_eq, diffnum.DiffConfig(h=1e-5, relative=False))
     c = np.hstack([np.eye(n), np.zeros((n, n))])
     d = np.zeros((n, model.n_inputs))
-    return StateSpace(a, b, c, d)
+    return StateSpace(jac[:, :2 * n], jac[:, 2 * n:], c, d)
 
 
 def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
@@ -297,8 +292,6 @@ def _crossing_time(t: np.ndarray, y: np.ndarray, level: float) -> float:
         y0, y1 = y[k - 1], y[k]
         if (y0 - level) * (y1 - level) <= 0 and y0 != y1:
             return float(t[k - 1] + (level - y0) / (y1 - y0) * (t[k] - t[k - 1]))
-        if y1 == level:
-            return float(t[k])
     raise DomainError(f"response never reaches level {level}")
 
 

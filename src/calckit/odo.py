@@ -155,14 +155,14 @@ def bias_corrected_odometry(trace: ImuTrace, measurements, gains: FilterGains,
 class AccelProfile:
     """Ground-truth acceleration profile for the synthetic trace generator."""
 
-    kind: str                 # rest | constant | sinusoid
+    kind: str                 # constant | sinusoid
     alpha: float = 0.0        # constant acceleration level
     amplitude: float = 0.0    # sinusoid amplitude
     omega: float = 0.0        # sinusoid angular rate
 
     @classmethod
     def rest(cls) -> "AccelProfile":
-        return cls("rest")
+        return cls.constant(0.0)
 
     @classmethod
     def constant(cls, alpha: float) -> "AccelProfile":
@@ -176,9 +176,6 @@ class AccelProfile:
 
     def truth(self, t: np.ndarray):
         """Analytic (a, v, p) starting from rest at the origin."""
-        if self.kind == "rest":
-            zero = np.zeros_like(t)
-            return zero, zero.copy(), zero.copy()
         if self.kind == "constant":
             a = np.full_like(t, self.alpha)
             return a, self.alpha * t, 0.5 * self.alpha * t ** 2

@@ -7,8 +7,9 @@ step on the constraints, then line-searches (Armijo) along a
 Levenberg-damped Newton (SQP) step on the KKT system, falling back to the
 projected negative gradient where that step fails. Without constraints
 (m = 0) the restoration is empty and the step is damped Newton. The descent
-stops at 1e-8 on the projected gradient and on the constraint violation;
-the iteration budget max_iters is its only setting. Multipliers use the
+stops at 1e-8 on the projected gradient and on the constraint violation,
+each relative to the size of the problem (1 + |f|, 1 + ||x||_inf); the
+iteration budget max_iters is its only setting. Multipliers use the
 convention grad f + J^T lambda = 0. The Lagrange solver cross-checks the
 same problems by Newton iteration on the stationarity system.
 """
@@ -23,12 +24,12 @@ import numpy as np
 
 from . import diffnum
 from .errors import ConvergenceError, DimensionError, DomainError, SingularityError
-from .linalg import lu_solve
+from .linalg import cholesky_solve, lu_solve
 
 _FD = diffnum.DiffConfig()
 _ARMIJO_BETA = 0.5      # armijo halving factor
 _ARMIJO_C = 1e-4        # armijo sufficient-decrease constant
-_STOP_TOL = 1e-8        # descent stops below this on ||d||_inf (||g||_inf) and ||h||_inf
+_STOP_TOL = 1e-8        # tau of the scaled stop test of constrained_descent
 
 
 # ---------------------------------------------------------------- roots
@@ -97,8 +98,8 @@ def newton_root(F, x0, tol: float = 1e-10, max_iters: int = 50) -> np.ndarray:
 
 # ---------------------------------------------------------------- descent
 
-def _line_step(f, x, d, g_dot_d) -> np.ndarray:
-    fx = f(x)
+def _line_step(f, x, fx, d, g_dot_d) -> np.ndarray:
+    """Armijo backtracking from x, where f is fx, along d of slope g_dot_d."""
     t = 1.0
     while t > 1e-16:
         trial = x + t * d
@@ -138,9 +139,9 @@ class ConstrainedResult:
 
 
 def _multiplier_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    gram = jac @ jac.T
+    """Solve (J J^T) y = rhs; J J^T is SPD when J has full row rank."""
     try:
-        return lu_solve(gram, rhs)
+        return cholesky_solve(jac @ jac.T, rhs)
     except SingularityError:
         raise SingularityError(
             "constraint Jacobian is rank deficient (J J^T singular)"
@@ -170,7 +171,11 @@ def constrained_descent(prob: ConstrainedProblem, x0, *,
     Each iteration restores feasibility, then forms the gradient g, the
     constraint Jacobian J, the multipliers lambda = -(J J^T)^-1 J g and the
     projected gradient d = -(g + J^T lambda). It stops when
-    ||d||_inf < 1e-8 and ||h||_inf < 1e-8, and reports lambda at that point.
+    ||d||_inf < tau (1 + |f(x)|) and ||h||_inf < tau (1 + ||x||_inf), with
+    tau = 1e-8, and reports lambda at that point. Scaled so, the test sits
+    above the rounding noise of the difference gradient, where Armijo can
+    resolve no further decrease (Gill, Murray & Wright, Practical
+    Optimization, 1981, sec. 8.2.3).
 
     Otherwise it line-searches (Armijo) along the damped KKT Newton
     direction p of [[H + mu I, J^T], [J, 0]] [p; nu] = [-g; 0], H the
@@ -186,10 +191,10 @@ def constrained_descent(prob: ConstrainedProblem, x0, *,
 
     Evaluations per iteration, n = prob.n, in this order: for the
     restoration and d, 4n + 2 of h (h at x, its Jacobian, h after the
-    restoration, the Jacobian there) and 2n of f; one Lagrangian Hessian,
-    1 + 2n + 2n(n - 1) of f and of h; 1 + at most 54 of f for the line
-    search. The converging iteration stops before the Hessian and the line
-    search.
+    restoration, the Jacobian there) and 1 + 2n of f (f at x, its
+    gradient); one Lagrangian Hessian, 1 + 2n + 2n(n - 1) of f and of h; at
+    most 54 of f for the line search, which reuses f at x. The converging
+    iteration stops before the Hessian and the line search.
     """
     if max_iters < 1:
         raise DomainError(f"descent iteration budget must be at least 1, got {max_iters}")
@@ -203,19 +208,21 @@ def constrained_descent(prob: ConstrainedProblem, x0, *,
         x = x - jac.T @ _multiplier_solve(jac, hx)      # minimum-norm Newton step
         violation = float(np.max(np.abs(prob.h(x)), initial=0.0))
 
+        fx = f(x)
         g = diffnum.gradient(f, x, _FD)
-        if not np.all(np.isfinite(g)):
-            raise DomainError("gradient is not finite at an iterate")
+        if not (np.isfinite(fx) and np.all(np.isfinite(g))):
+            raise DomainError("objective or gradient is not finite at an iterate")
         jac = diffnum.jacobian(prob.h, x, _FD)
         lam = -_multiplier_solve(jac, jac @ g)
         d = -(g + jac.T @ lam)                          # null-space projection
-        if np.max(np.abs(d)) < _STOP_TOL and violation < _STOP_TOL:
+        if (np.max(np.abs(d)) < _STOP_TOL * (1.0 + abs(fx))
+                and violation < _STOP_TOL * (1.0 + np.max(np.abs(x)))):
             return ConstrainedResult(x, lam, k, True)
         p = _kkt_direction(prob, x, g, jac, lam, float(np.max(np.abs(d))))
         if p is None:
-            x = _line_step(f, x, d, float(-(d @ d)))
+            x = _line_step(f, x, fx, d, float(-(d @ d)))
         else:
-            x = _line_step(f, x, p, float(g @ p))
+            x = _line_step(f, x, fx, p, float(g @ p))
     jac = diffnum.jacobian(prob.h, x, _FD)
     lam = -_multiplier_solve(jac, jac @ diffnum.gradient(f, x, _FD))
     return ConstrainedResult(x, lam, max_iters, False)
@@ -285,12 +292,11 @@ class FreeThrowParams:
 
 
 def freethrow_linear(params: FreeThrowParams, tf: float) -> np.ndarray:
-    """Initial velocity hitting the hoop at exactly t = tf (2x2 linear solve)."""
-    if tf <= 0:
-        raise DomainError("time of flight must be positive")
-    a = np.array([[tf, 0.0], [0.0, tf]])
-    b = params.p_h - params.p0 + np.array([0.0, 0.5 * params.g * tf * tf])
-    return lu_solve(a, b)
+    """Initial velocity hitting the hoop at exactly t = tf:
+    v = (p_h - p0 + (0, g tf^2 / 2)) / tf."""
+    if not 0 < tf < math.inf:
+        raise DomainError(f"time of flight must be positive and finite, got {tf}")
+    return (params.p_h - params.p0 + np.array([0.0, 0.5 * params.g * tf * tf])) / tf
 
 
 @dataclass(frozen=True)

@@ -87,11 +87,10 @@ def roots_dk(p, tol: float = 1e-12, max_iters: int = 500) -> list[complex]:
     for _ in range(max_iters):
         values = np.array([_horner(coeffs, zi) for zi in z])
         noise = rounding * np.array([_horner(magnitudes, abs(zi)).real for zi in z])
-        updates = np.zeros(deg, dtype=complex)
-        for i in range(deg):
-            diff = z[i] - np.delete(z, i)
-            diff[diff == 0] = 1e-30
-            updates[i] = values[i] / (lead * np.prod(diff))
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        diff[diff == 0] = 1e-30
+        updates = values / (lead * np.prod(diff, axis=1))
         z = z - updates
         if np.max(np.abs(updates)) < tol or np.all(np.abs(values) <= noise):
             return sorted(map(complex, z), key=lambda r: (r.real, r.imag))

@@ -123,35 +123,25 @@ def _parse_block(path, lines, first_lineno: int, width: int) -> np.ndarray:
     DomainError with its number: a wrong field count, a field ``float``
     rejects, or a field that is not finite.
     """
-    rows, linenos = [], []
-    bad_width = None
+    rows = [line.split(",") for line in lines if line.strip()]
+    try:
+        block = np.array(rows, dtype=float).reshape(len(rows), width)
+        if np.isfinite(block).all():
+            return block
+    except ValueError:
+        pass
     for lineno, line in enumerate(lines, start=first_lineno):
         if not line.strip():
             continue
         fields = line.split(",")
         if len(fields) != width:
-            bad_width = (lineno, len(fields))
-            break
-        rows.append(fields)
-        linenos.append(lineno)
-    try:
-        block = np.array(rows, dtype=float).reshape(len(rows), width)
-        ok = np.isfinite(block).all()
-    except ValueError:
-        ok = False
-    if not ok:
-        # find the first offending row of the block, in line order
-        for fields, lineno in zip(rows, linenos):
-            try:
-                values = np.array(fields, dtype=float)
-            except ValueError:
-                raise DomainError(f"{path}: line {lineno}: non-numeric field") from None
-            if not np.isfinite(values).all():
-                raise DomainError(f"{path}: line {lineno}: non-finite field")
-    if bad_width is not None:
-        lineno, got = bad_width
-        raise DomainError(f"{path}: line {lineno}: expected {width} fields, got {got}")
-    return block
+            raise DomainError(f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
+        try:
+            values = np.array(fields, dtype=float)
+        except ValueError:
+            raise DomainError(f"{path}: line {lineno}: non-numeric field") from None
+        if not np.isfinite(values).all():
+            raise DomainError(f"{path}: line {lineno}: non-finite field")
 
 
 def read_csv(path, expected_headers=None) -> SampledSignal:

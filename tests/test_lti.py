@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from calckit import odesolve
+from calckit import diffnum, mech, odesolve
 from calckit.errors import ConvergenceError, DimensionError, DomainError
 from calckit.lti import (PdGains, StateSpace, TransferFunction, dc_gain,
                          linearize, pd_pole_placement, pd_tf, poles,
                          precompensator, response_metrics, ss_to_tf,
                          step_response, subsystem, tf_to_ss, unity_feedback,
                          zeros)
-from calckit.mech import cart_pole_segway, gymnast_bar, pendulum
-from calckit.poly import poly_add, poly_eval, poly_mul, roots_dk
+from calckit.mech import cart_pole_segway, gymnast_bar, pendulum, planar_ballbot
+from calckit.poly import _horner, poly_add, poly_eval, poly_mul, roots_dk, trim
 from calckit.signals import SampledSignal
 
 G = 9.81
@@ -82,6 +82,45 @@ def test_roots_of_degree_12_stable_spectra_within_80_iterations():
         got = np.array(roots_dk(np.poly(want).real[::-1], max_iters=80))
         gaps = np.abs(got[:, None] - want[None, :])
         assert np.max(gaps.min(axis=0)) <= 1e-6 and np.max(gaps.min(axis=1)) <= 1e-6
+
+
+def _roots_dk_delete_loop(p, tol=1e-12, max_iters=500):
+    """Reference: roots_dk with each Weierstrass denominator formed by its
+    own np.delete loop, as before the pairwise-difference matrix."""
+    p = trim(p)
+    deg, lead = len(p) - 1, p[-1]
+    ratios = np.abs(p[-2::-1] / lead)
+    ratios[-1] /= 2.0
+    radius = 2.0 * float(np.max(ratios ** (1.0 / np.arange(1, deg + 1))))
+    z = radius * np.exp(1j * (2.0 * np.pi * np.arange(deg) / deg + 0.4))
+    coeffs, magnitudes = p.astype(complex), np.abs(p)
+    rounding = 2.0 * deg * np.finfo(float).eps
+    for _ in range(max_iters):
+        values = np.array([_horner(coeffs, zi) for zi in z])
+        noise = rounding * np.array([_horner(magnitudes, abs(zi)).real for zi in z])
+        updates = np.zeros(deg, dtype=complex)
+        for i in range(deg):
+            diff = z[i] - np.delete(z, i)
+            diff[diff == 0] = 1e-30
+            updates[i] = values[i] / (lead * np.prod(diff))
+        z = z - updates
+        if np.max(np.abs(updates)) < tol or np.all(np.abs(values) <= noise):
+            return sorted(map(complex, z), key=lambda r: (r.real, r.imag))
+    raise ConvergenceError("no convergence")
+
+
+def test_roots_dk_equals_the_delete_loop_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for deg in range(1, 13):
+        for _ in range(25):
+            coeffs = rng.standard_normal(deg + 1) * 10.0 ** rng.integers(-3, 4, deg + 1)
+            try:
+                want = _roots_dk_delete_loop(coeffs)
+            except ConvergenceError:
+                with pytest.raises(ConvergenceError):
+                    roots_dk(coeffs)
+                continue
+            assert roots_dk(coeffs) == want
 
 
 def test_roots_budget_exhaustion():
@@ -296,6 +335,38 @@ def test_linearize_of_an_unactuated_model_has_an_empty_input_matrix():
     assert np.array_equal(ss.A[:3, 3:], np.eye(3)) and not ss.A[3:].any()
 
 
+def _linearize_two_jacobians(model, q_eq, torques_eq):
+    """Reference: A and B as two Jacobians of two closures, as before the
+    one Jacobian of (q, qdot, Gamma) -> (qdot, qddot)."""
+    q_eq, torques_eq = np.asarray(q_eq, dtype=float), np.asarray(torques_eq, dtype=float)
+    n = model.n_dof
+
+    def dynamics(x):
+        q, qd = x[:n], x[n:]
+        return np.concatenate([qd, mech.forward_dynamics(model, q, qd, torques_eq)])
+
+    def forced(u):
+        return np.concatenate([np.zeros(n),
+                               mech.forward_dynamics(model, q_eq, np.zeros(n), u)])
+
+    cfg = diffnum.DiffConfig(h=1e-5, relative=False)
+    return (diffnum.jacobian(dynamics, np.concatenate([q_eq, np.zeros(n)]), cfg),
+            diffnum.jacobian(forced, torques_eq, cfg))
+
+
+@pytest.mark.parametrize("model, q_eq, torques_eq", [
+    (pendulum(), [math.pi], [0.0]),
+    (cart_pole_segway(), [0.0, 0.0], [0.0]),
+    (planar_ballbot(), [0.0, 0.0], [0.0]),
+    (gymnast_bar(gravity=0.0), [0.0, 0.0, 0.0], []),
+], ids=["pendulum", "segway", "ballbot", "gymnast_bar"])
+def test_linearize_equals_two_jacobians_bit_for_bit(model, q_eq, torques_eq):
+    ss = linearize(model, q_eq, torques_eq)
+    a, b = _linearize_two_jacobians(model, q_eq, torques_eq)
+    assert ss.A.tobytes() == a.tobytes()
+    assert ss.B.shape == b.shape and ss.B.tobytes() == b.tobytes()
+
+
 def test_linearize_rejects_non_equilibrium():
     with pytest.raises(DomainError):
         linearize(pendulum(), [0.3], [0.0])
@@ -475,6 +546,15 @@ def test_static_gain_metrics_are_instantaneous():
     # a first sample exactly on the level counts as reached, even if the next stays there
     on_level = SampledSignal(np.linspace(0.0, 1.0, 11), np.full(11, 0.9))
     assert response_metrics(on_level, final_hint=1.0).rise_time == 0.0
+
+
+def test_later_samples_on_a_level_reach_it_at_their_own_time():
+    # y hits 0.1 at t = 0.2 and 0.9 at t = 0.5, each held one more sample
+    t = np.linspace(0.0, 1.0, 11)
+    y = np.array([0.0, 0.05, 0.1, 0.1, 0.5, 0.9, 0.9, 1.0, 1.0, 1.0, 1.0])
+    for sign in (1.0, -1.0):
+        m = response_metrics(SampledSignal(t, sign * y), final_hint=sign)
+        assert m.rise_time == pytest.approx(0.3, abs=1e-12)
 
 
 def test_direct_term_metrics_match_closed_form():

@@ -118,6 +118,18 @@ def test_synth_rest_profile_is_silent():
     assert np.all(synth.truth_p.y == 0.0)
 
 
+def test_synth_rest_equals_the_zero_truth_bit_for_bit():
+    # reference: the "rest" branch of AccelProfile.truth before rest() became
+    # constant(0.0), zeros for a, v and p
+    bias, noise_std, dt, seed = np.array([0.1, -0.2, 0.3]), 0.2, 0.01, 5
+    synth = synth_imu(AccelProfile.rest(), bias, noise_std, dt, 3.0, seed)
+    zero = np.zeros(301)
+    noise = np.random.default_rng(seed).standard_normal((301, 3)) * noise_std
+    assert synth.trace.t.tobytes() == (dt * np.arange(301)).tobytes()
+    assert synth.trace.y.tobytes() == (zero[:, None] + bias[None, :] + noise).tobytes()
+    assert synth.truth_v.y.tobytes() == synth.truth_p.y.tobytes() == np.zeros((301, 3)).tobytes()
+
+
 def test_synth_constant_accel_truth():
     synth = synth_imu(AccelProfile.constant(2.0), [0.0], 0.0, 0.01, 3.0, seed=1)
     assert np.array_equal(synth.truth_v.y[:, 0], 2.0 * synth.trace.t)

@@ -99,6 +99,34 @@ def test_read_csv_reports_line_past_first_block(tmp_path, bad_line, message):
         read_csv(path)
 
 
+@pytest.mark.parametrize("blanks", [0, 2])
+@pytest.mark.parametrize("bad_line, message", [
+    ("1,2", "expected 3 fields, got 2"),
+    ("1,x,2", "non-numeric field"),
+    ("1,2,nan", "non-finite field"),
+])
+def test_read_csv_reports_first_line_of_a_block(tmp_path, blanks, bad_line, message):
+    # data line READ_BLOCK_LINES - 1 is the first line of the second block;
+    # blank lines put there push the bad line down and are counted
+    first = READ_BLOCK_LINES - 1
+    lines = data_lines(READ_BLOCK_LINES + 100)
+    lines[first:first + blanks] = [""] * blanks
+    lines[first + blanks] = bad_line
+    write_lines(tmp_path / "bad.csv", lines)
+    lineno = first + blanks + 2
+    assert lineno == READ_BLOCK_LINES + 1 + blanks
+    with pytest.raises(DomainError, match=f"line {lineno}: {message}"):
+        read_csv(tmp_path / "bad.csv")
+
+
+def test_read_csv_block_of_short_rows_reports_its_first_line(tmp_path):
+    # every row one field short: np.array accepts the block, the reshape fails
+    path = tmp_path / "short.csv"
+    write_lines(path, ["", "0,1"] + [f"{k},{k}" for k in range(1, 50)])
+    with pytest.raises(DomainError, match="line 3: expected 3 fields, got 2"):
+        read_csv(path)
+
+
 def test_read_csv_line_numbers_count_crlf_and_blank_lines(tmp_path):
     path, lineno = bad_file(tmp_path, READ_BLOCK_LINES - 1, "1,2,inf", newline="\r\n")
     with pytest.raises(DomainError, match=f"line {lineno}: non-finite field"):
