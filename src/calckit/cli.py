@@ -33,10 +33,11 @@ def _digest(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:12]
 
 
-def _report_header(args, inputs=()):
+def _report_header(args, *inputs):
+    """Echo the command and seed, then digest each input path given (not None)."""
     print(f"command: {' '.join(args._echo)}")
     print(f"seed: {args.seed}")
-    for path in inputs:
+    for path in filter(None, inputs):
         print(f"input: {path} sha256:{_digest(path)}")
 
 
@@ -72,16 +73,14 @@ def cmd_project1(args) -> int:
     trace = odo.read_imu_csv(args.imu)
     d = trace.dim
     zeros = np.zeros(d)
-    inputs = [args.imu]
     if args.meas:
-        inputs.append(args.meas)
         measurements = odo.read_measurements_csv(args.meas)
         gains = odo.FilterGains(args.l1, args.l2)
         result = odo.bias_corrected_odometry(trace, measurements, gains,
                                              zeros, zeros, zeros)
     else:
         result = odo.dead_reckon(trace, zeros, zeros)
-    _report_header(args, inputs)
+    _report_header(args, args.imu, args.meas)
     odo.write_odometry_csv(result, args.out)
     final_p = result.p.y[-1]
     print(f"final position: {' '.join(_fmt(v) for v in final_p)}")
@@ -107,7 +106,7 @@ def _load_json(path) -> dict:
 
 def cmd_optimize(args) -> int:
     config = _load_json(args.config)
-    _report_header(args, [args.config])
+    _report_header(args, args.config)
     if args.scenario == "freethrow":
         result = opt.freethrow_opt(opt.FreeThrowParams(**config), args.mode, tf=args.tf,
                                    speed=args.speed, max_iters=args.max_iters)
@@ -155,8 +154,7 @@ def cmd_simulate(args) -> int:
     n = model.n_dof
     q0 = np.asarray(args.q0, float)
     qd0 = np.asarray(args.qd0, float) if args.qd0 else np.zeros(n)
-    inputs = [args.config] if args.config else []
-    _report_header(args, inputs)
+    _report_header(args, args.config)
     coord = _LEAN_COORD.get(args.model, 0)
     controller = None
     if args.controller == "pd":
@@ -206,45 +204,49 @@ def _design_plant(model_name: str, config_path):
     return ss, lti.ss_to_tf(reduced)
 
 
-def cmd_control(args) -> int:
-    _report_header(args, [args.config] if getattr(args, "config", None) else [])
-    if args.control_cmd == "linearize":
-        ss, tf = _design_plant(args.model, args.config)
-        for name, mat in (("A", ss.A), ("B", ss.B)):
-            print(f"{name}:")
-            for row in mat:
-                print("  " + " ".join(_fmt(v) for v in row))
-        print(f"lean transfer function: {tf}")
-        return 0
-    if args.control_cmd == "step":
-        tf = lti.TransferFunction(np.asarray(args.num, float), np.asarray(args.den, float))
-        sig = lti.step_response(tf, args.T, args.dt)
-        try:
-            hint = lti.dc_gain(tf)
-        except CalcError:
-            hint = None     # pole at the origin: fall back to tail averaging
-        metrics = lti.response_metrics(sig, final_hint=hint)
-        if args.out:
-            write_csv(sig, args.out, headers=["y"])
-            print(f"wrote: {args.out}")
-        _print_metrics(metrics)
-        return 0
-    if args.control_cmd == "pd":
-        _, plant = _design_plant(args.model, args.config)
-        gains = lti.pd_pole_placement(plant, args.wn, args.zeta)
-        closed = lti.unity_feedback(plant, lti.pd_tf(gains))
-        pre = lti.precompensator(closed)
-        closed = lti.unity_feedback(plant, lti.pd_tf(gains), precomp=pre)
-        print(f"plant: {plant}")
-        print(f"kp: {_fmt(gains.kp)}")
-        print(f"kd: {_fmt(gains.kd)}")
-        print(f"precompensator: {_fmt(pre)}")
-        print("closed-loop poles:")
-        _print_pole_table(lti.poles(closed))
-        sig = lti.step_response(closed, args.T, args.dt)
-        _print_metrics(lti.response_metrics(sig, final_hint=lti.dc_gain(closed)))
-        return 0
-    raise CalcError(f"unknown control subcommand {args.control_cmd!r}")
+def cmd_linearize(args) -> int:
+    _report_header(args, args.config)
+    ss, tf = _design_plant(args.model, args.config)
+    for name, mat in (("A", ss.A), ("B", ss.B)):
+        print(f"{name}:")
+        for row in mat:
+            print("  " + " ".join(_fmt(v) for v in row))
+    print(f"lean transfer function: {tf}")
+    return 0
+
+
+def cmd_step(args) -> int:
+    _report_header(args)
+    tf = lti.TransferFunction(np.asarray(args.num, float), np.asarray(args.den, float))
+    sig = lti.step_response(tf, args.T, args.dt)
+    try:
+        hint = lti.dc_gain(tf)
+    except CalcError:
+        hint = None     # pole at the origin: fall back to tail averaging
+    metrics = lti.response_metrics(sig, final_hint=hint)
+    if args.out:
+        write_csv(sig, args.out, headers=["y"])
+        print(f"wrote: {args.out}")
+    _print_metrics(metrics)
+    return 0
+
+
+def cmd_pd(args) -> int:
+    _report_header(args, args.config)
+    _, plant = _design_plant(args.model, args.config)
+    gains = lti.pd_pole_placement(plant, args.wn, args.zeta)
+    closed = lti.unity_feedback(plant, lti.pd_tf(gains))
+    pre = lti.precompensator(closed)
+    closed = lti.unity_feedback(plant, lti.pd_tf(gains), precomp=pre)
+    print(f"plant: {plant}")
+    print(f"kp: {_fmt(gains.kp)}")
+    print(f"kd: {_fmt(gains.kd)}")
+    print(f"precompensator: {_fmt(pre)}")
+    print("closed-loop poles:")
+    _print_pole_table(lti.poles(closed))
+    sig = lti.step_response(closed, args.T, args.dt)
+    _print_metrics(lti.response_metrics(sig, final_hint=lti.dc_gain(closed)))
+    return 0
 
 
 # ---------------------------------------------------------------- parser
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = csub.add_parser("linearize", help="A, B and lean transfer function")
     c.add_argument("--model", required=True, choices=sorted(mech.MODEL_ZOO))
     c.add_argument("--config")
-    c.set_defaults(fn=cmd_control)
+    c.set_defaults(fn=cmd_linearize)
 
     c = csub.add_parser("step", help="step response and transient metrics")
     c.add_argument("--num", type=float, nargs="+", required=True,
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--T", type=float, default=10.0)
     c.add_argument("--dt", type=float, default=1e-3)
     c.add_argument("--out")
-    c.set_defaults(fn=cmd_control)
+    c.set_defaults(fn=cmd_step)
 
     c = csub.add_parser("pd", help="pole placement on a zoo model")
     c.add_argument("--model", required=True, choices=sorted(mech.MODEL_ZOO))
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--zeta", type=float, required=True)
     c.add_argument("--T", type=float, default=10.0)
     c.add_argument("--dt", type=float, default=1e-3)
-    c.set_defaults(fn=cmd_control)
+    c.set_defaults(fn=cmd_pd)
 
     return parser
 

@@ -9,11 +9,16 @@ Grammar (EBNF)::
     atom   := number | ident | ident '(' expr ')' | '(' expr ')'
 
 ``^`` is right-associative and binds tighter than unary minus, so ``-x^2``
-means ``-(x^2)``. The call registry is fixed: sin, cos, tan, atan, exp, ln,
-sqrt, abs, sinh, cosh, tanh; there are no user-defined functions. Evaluation
-follows IEEE double semantics: 1/0 and ln(-1) come back as inf/nan rather
-than raising, so integrators and root finders can observe them. Only
-structural problems (unbound variable, unknown function name) raise.
+means ``-(x^2)``. One table, ``_BINARY``, gives each binary operator its
+precedence and ufunc; the tokenizer, the precedence-climbing ``parse``, the
+evaluator and ``pretty`` all read it. Numbers use ASCII digits only, and any
+character outside the grammar (a comma included) is a ParseError.
+
+The call registry is fixed: sin, cos, tan, atan, exp, ln, sqrt, abs, sinh,
+cosh, tanh; there are no user-defined functions. Evaluation follows IEEE
+double semantics: 1/0 and ln(-1) come back as inf/nan rather than raising,
+so integrators and root finders can observe them. Only structural problems
+(unbound variable, unknown function name) raise.
 
 Variables may be bound to numpy arrays: one tree walk then evaluates the
 expression at every point with numpy ufuncs, and each element equals the
@@ -25,6 +30,7 @@ ASTs are immutable after parse and safe to evaluate concurrently.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -51,7 +57,7 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 @dataclass(frozen=True)
 class Token:
-    kind: str    # number | identifier | operator | lparen | rparen | comma
+    kind: str    # number | identifier | operator | lparen | rparen
     lexeme: str
     position: int
 
@@ -86,8 +92,21 @@ class Call:
 
 ExprAst = Union[Const, Var, Neg, BinOp, Call]
 
-_OPERATORS = "+-*/^"
-_DIGITS = "0123456789"      # str.isdigit also accepts superscripts and non-ASCII digits
+_NEG_PREC = 3        # unary minus: binds tighter than * and /, looser than ^
+_ATOM_PREC = 9
+# The binary operators: precedence and ufunc. All are left-associative but
+# "^", whose right operand is parsed at its own precedence.
+_BINARY = {
+    "+": (1, np.add),
+    "-": (1, np.subtract),
+    "*": (2, np.multiply),
+    "/": (2, np.divide),
+    "^": (4, np.power),
+}
+_SINGLE = {**dict.fromkeys(_BINARY, "operator"), "(": "lparen", ")": "rparen"}
+# ASCII digits only: str.isdigit also accepts superscripts and non-ASCII digits
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
+_DIGITS = "0123456789"
 
 
 def tokenize(src: str) -> list[Token]:
@@ -98,45 +117,22 @@ def tokenize(src: str) -> list[Token]:
     i, n = 0, len(src)
     while i < n:
         c = src[i]
+        start = i
         if c in " \t\r\n":
             i += 1
-            continue
-        start = i
-        if c in _DIGITS:
-            while i < n and src[i] in _DIGITS:
-                i += 1
-            if i < n and src[i] == ".":
-                i += 1
-                while i < n and src[i] in _DIGITS:
-                    i += 1
-            if i < n and src[i] in "eE":
-                j = i + 1
-                if j < n and src[j] in "+-":
-                    j += 1
-                if j < n and src[j] in _DIGITS:
-                    i = j
-                    while i < n and src[i] in _DIGITS:
-                        i += 1
-            lexeme = src[start:i]
+        elif c in _SINGLE:
+            tokens.append(Token(_SINGLE[c], c, start))
+            i += 1
+        elif number := _NUMBER.match(src, i):
+            lexeme = number.group()
             if not math.isfinite(float(lexeme)):
                 raise ParseError(f"number literal {lexeme!r} is not finite", start)
             tokens.append(Token("number", lexeme, start))
+            i = number.end()
         elif c.isalpha() or c == "_":
             while i < n and (src[i].isalpha() or src[i] in _DIGITS or src[i] == "_"):
                 i += 1
             tokens.append(Token("identifier", src[start:i], start))
-        elif c in _OPERATORS:
-            tokens.append(Token("operator", c, start))
-            i += 1
-        elif c == "(":
-            tokens.append(Token("lparen", c, start))
-            i += 1
-        elif c == ")":
-            tokens.append(Token("rparen", c, start))
-            i += 1
-        elif c == ",":
-            tokens.append(Token("comma", c, start))
-            i += 1
         else:
             raise ParseError(f"unrecognized character {c!r}", start)
     if not tokens:
@@ -144,91 +140,67 @@ def tokenize(src: str) -> list[Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+def parse(tokens: list[Token]) -> ExprAst:
+    """Build an AST from a token sequence by precedence climbing over
+    _BINARY, rejecting trailing garbage and nesting deeper than the
+    interpreter's recursion limit."""
+    if not tokens:
+        raise ParseError("empty token sequence", 0)
+    last = tokens[-1]       # an "end" sentinel sits at the position just past it
+    toks = [*tokens, Token("end", "", last.position + len(last.lexeme))]
+    pos = 0
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def expect(kind: str, what: str) -> None:
+        nonlocal pos
+        if toks[pos].kind != kind:
+            raise ParseError(f"expected {what}", toks[pos].position)
+        pos += 1
 
-    def advance(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            end = self.tokens[-1].position + len(self.tokens[-1].lexeme)
-            raise ParseError("unexpected end of expression", end)
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            pos = tok.position if tok else self.tokens[-1].position + len(self.tokens[-1].lexeme)
-            raise ParseError(f"expected {what}", pos)
-        return self.advance()
-
-    def expr(self) -> ExprAst:
-        node = self.term()
-        while (tok := self.peek()) and tok.kind == "operator" and tok.lexeme in "+-":
-            self.advance()
-            node = BinOp(tok.lexeme, node, self.term())
-        return node
-
-    def term(self) -> ExprAst:
-        node = self.factor()
-        while (tok := self.peek()) and tok.kind == "operator" and tok.lexeme in "*/":
-            self.advance()
-            node = BinOp(tok.lexeme, node, self.factor())
-        return node
-
-    def factor(self) -> ExprAst:
-        tok = self.peek()
-        if tok and tok.kind == "operator" and tok.lexeme == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> ExprAst:
-        base = self.atom()
-        tok = self.peek()
-        if tok and tok.kind == "operator" and tok.lexeme == "^":
-            self.advance()
-            return BinOp("^", base, self.factor())
-        return base
-
-    def atom(self) -> ExprAst:
-        tok = self.advance()
+    def atom() -> ExprAst:
+        nonlocal pos
+        tok = toks[pos]
+        pos += 1
         if tok.kind == "number":
             return Const(float(tok.lexeme))
         if tok.kind == "identifier":
-            nxt = self.peek()
-            if nxt and nxt.kind == "lparen":
-                self.advance()
-                arg = self.expr()
-                self.expect("rparen", "')' closing the call argument")
-                return Call(tok.lexeme, arg)
-            return Var(tok.lexeme)
+            if toks[pos].kind != "lparen":
+                return Var(tok.lexeme)
+            pos += 1
+            arg = climb(1)
+            expect("rparen", "')' closing the call argument")
+            return Call(tok.lexeme, arg)
         if tok.kind == "lparen":
-            inner = self.expr()
-            self.expect("rparen", "')'")
+            inner = climb(1)
+            expect("rparen", "')'")
             return inner
+        if tok.kind == "end":
+            raise ParseError("unexpected end of expression", tok.position)
         raise ParseError(f"unexpected {tok.lexeme!r}", tok.position)
 
+    def climb(min_prec: int) -> ExprAst:
+        """A negation or an atom, extended by each following binary
+        operator of precedence >= min_prec and its right operand."""
+        nonlocal pos
+        if toks[pos].kind == "operator" and toks[pos].lexeme == "-":
+            pos += 1
+            node = Neg(climb(_NEG_PREC))
+        else:
+            node = atom()
+        while (tok := toks[pos]).kind == "operator":
+            prec = _BINARY[tok.lexeme][0]
+            if prec < min_prec:
+                break
+            pos += 1
+            node = BinOp(tok.lexeme, node, climb(prec if tok.lexeme == "^" else prec + 1))
+        return node
 
-def parse(tokens: list[Token]) -> ExprAst:
-    """Build an AST from a token sequence, rejecting trailing garbage and
-    nesting deeper than the interpreter's recursion limit."""
-    if not tokens:
-        raise ParseError("empty token sequence", 0)
-    parser = _Parser(tokens)
     try:
-        ast = parser.expr()
+        ast = climb(1)
     except RecursionError:
-        tok = parser.peek() or tokens[-1]
+        tok = tokens[min(pos, len(tokens) - 1)]
         raise ParseError("expression nested too deeply", tok.position) from None
-    leftover = parser.peek()
-    if leftover is not None:
-        raise ParseError(f"unexpected {leftover.lexeme!r} after expression", leftover.position)
+    if toks[pos].kind != "end":
+        raise ParseError(f"unexpected {toks[pos].lexeme!r} after expression", toks[pos].position)
     return ast
 
 
@@ -276,30 +248,17 @@ def _eval(ast: ExprAst, env: Mapping, shape: tuple[int, ...]):
         if fn is None:
             raise EvalError(f"unknown function {ast.name!r}")
         return fn(_eval(ast.arg, env, shape))
-    lhs = _eval(ast.lhs, env, shape)
-    rhs = _eval(ast.rhs, env, shape)
-    if ast.op == "+":
-        return lhs + rhs
-    if ast.op == "-":
-        return lhs - rhs
-    if ast.op == "*":
-        return lhs * rhs
-    if ast.op == "/":
-        return np.divide(lhs, rhs)
-    return np.power(lhs, rhs)
+    return _BINARY[ast.op][1](_eval(ast.lhs, env, shape), _eval(ast.rhs, env, shape))
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_NEG_PREC = 3
-_ATOM_PREC = 9
-
-
-def _prec(node: ExprAst) -> int:
+def _group(text: str, node: ExprAst, min_prec: int) -> str:
+    """text, the rendering of node, parenthesized when node binds looser
+    than min_prec."""
     if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _NEG_PREC
-    return _ATOM_PREC
+        prec = _BINARY[node.op][0]
+    else:
+        prec = _NEG_PREC if isinstance(node, Neg) else _ATOM_PREC
+    return f"({text})" if prec < min_prec else text
 
 
 def pretty(ast: ExprAst) -> str:
@@ -315,21 +274,10 @@ def pretty(ast: ExprAst) -> str:
     if isinstance(ast, Call):
         return f"{ast.name}({pretty(ast.arg)})"
     if isinstance(ast, Neg):
-        inner = pretty(ast.operand)
-        if _prec(ast.operand) < _NEG_PREC:   # +,-,*,/ must be grouped under -
-            inner = f"({inner})"
-        return "-" + inner
-    p = _PREC[ast.op]
-    lhs = pretty(ast.lhs)
-    rhs = pretty(ast.rhs)
-    if ast.op == "^":
-        if _prec(ast.lhs) < _ATOM_PREC:       # base must be an atom
-            lhs = f"({lhs})"
-        if _prec(ast.rhs) < _NEG_PREC:        # exponent is a factor
-            rhs = f"({rhs})"
-    else:
-        if _prec(ast.lhs) < p:
-            lhs = f"({lhs})"
-        if _prec(ast.rhs) <= p:               # left associativity
-            rhs = f"({rhs})"
-    return f"{lhs}{ast.op}{rhs}"
+        return "-" + _group(pretty(ast.operand), ast.operand, _NEG_PREC)
+    prec = _BINARY[ast.op][0]
+    # the base of ^ is an atom and its exponent may be a negation; the right
+    # operand of a left-associative operator binds tighter than the operator
+    lhs_min, rhs_min = (prec + 1, _NEG_PREC) if ast.op == "^" else (prec, prec + 1)
+    lhs = _group(pretty(ast.lhs), ast.lhs, lhs_min)
+    return f"{lhs}{ast.op}{_group(pretty(ast.rhs), ast.rhs, rhs_min)}"

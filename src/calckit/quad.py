@@ -39,6 +39,8 @@ class Interval:
             raise DomainError("interval endpoints must be finite")
         if not self.a < self.b:
             raise DomainError(f"need a < b, got [{self.a}, {self.b}]")
+        if not math.isfinite(self.b - self.a):
+            raise DomainError(f"interval width b - a overflows on [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:

@@ -58,6 +58,14 @@ def test_integrate_domain_error_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("method", ["simpson", "trapezoid", "riemann-left", "darboux"])
+def test_integrate_interval_of_overflowing_width_exit_2(method, capsys):
+    code, out, err = run(capsys, "integrate", "--expr", "1", "--a=-1e308", "--b", "1e308",
+                         "--method", method)
+    assert code == 2
+    assert "interval width" in err
+
+
 # ---------------------------------------------------------------- projects
 
 def test_project1_writes_reingestable_csv(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calckit.errors import EvalError, ParseError
-from calckit.funcexpr import (FUNCTIONS, BinOp, Call, Const, Neg, Var, evaluate,
+from calckit.funcexpr import (FUNCTIONS, BinOp, Call, Const, Neg, Token, Var, evaluate,
                               parse, parse_text, pretty, tokenize)
 
 
@@ -134,6 +134,14 @@ def test_nesting_past_the_recursion_limit_raises_calckit_errors():
     assert evaluate(parse_text(nested), {"x": np.array([0.5, 2.0])}).tolist() == [0.75, -3.0]
 
 
+def test_deep_chains_parse_and_print_one_frame_per_level():
+    # a ^ chain and a unary-minus chain each take one parser frame per level,
+    # parentheses two; pretty takes one for each
+    for text in ["^".join(["x"] * 800), "-" * 800 + "x", "(" * 400 + "x" + ")" * 400]:
+        printed = pretty(parse_text(text))
+        assert pretty(parse_text(printed)) == printed
+
+
 def test_builtins_match_reference_library():
     names = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
              "atan": math.atan, "exp": math.exp, "ln": math.log,
@@ -248,3 +256,230 @@ def test_parse_never_panics(text):
         parse_text(text)
     except ParseError as err:
         assert 0 <= err.position <= len(text) + 1
+
+
+# ------------------------------------------------ table-driven vs reference
+
+# The tokenizer, recursive-descent parser and evaluator operator chain that
+# held the five binary operators before they moved into one table. The
+# table-driven module must give the same tokens, ASTs, errors and values.
+
+def _ref_tokenize(src):
+    if not src:
+        raise ParseError("empty expression", 0)
+    digits = "0123456789"
+    tokens = []
+    i, n = 0, len(src)
+    while i < n:
+        c = src[i]
+        if c in " \t\r\n":
+            i += 1
+            continue
+        start = i
+        if c in digits:
+            while i < n and src[i] in digits:
+                i += 1
+            if i < n and src[i] == ".":
+                i += 1
+                while i < n and src[i] in digits:
+                    i += 1
+            if i < n and src[i] in "eE":
+                j = i + 1
+                if j < n and src[j] in "+-":
+                    j += 1
+                if j < n and src[j] in digits:
+                    i = j
+                    while i < n and src[i] in digits:
+                        i += 1
+            lexeme = src[start:i]
+            if not math.isfinite(float(lexeme)):
+                raise ParseError(f"number literal {lexeme!r} is not finite", start)
+            tokens.append(Token("number", lexeme, start))
+        elif c.isalpha() or c == "_":
+            while i < n and (src[i].isalpha() or src[i] in digits or src[i] == "_"):
+                i += 1
+            tokens.append(Token("identifier", src[start:i], start))
+        elif c in "+-*/^":
+            tokens.append(Token("operator", c, start))
+            i += 1
+        elif c == "(":
+            tokens.append(Token("lparen", c, start))
+            i += 1
+        elif c == ")":
+            tokens.append(Token("rparen", c, start))
+            i += 1
+        elif c == ",":
+            tokens.append(Token("comma", c, start))
+            i += 1
+        else:
+            raise ParseError(f"unrecognized character {c!r}", start)
+    if not tokens:
+        raise ParseError("expression contains only whitespace", 0)
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def advance(self):
+        tok = self.peek()
+        if tok is None:
+            end = self.tokens[-1].position + len(self.tokens[-1].lexeme)
+            raise ParseError("unexpected end of expression", end)
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.peek()
+        if tok is None or tok.kind != kind:
+            pos = tok.position if tok else self.tokens[-1].position + len(self.tokens[-1].lexeme)
+            raise ParseError(f"expected {what}", pos)
+        return self.advance()
+
+    def expr(self):
+        node = self.term()
+        while (tok := self.peek()) and tok.kind == "operator" and tok.lexeme in "+-":
+            self.advance()
+            node = BinOp(tok.lexeme, node, self.term())
+        return node
+
+    def term(self):
+        node = self.factor()
+        while (tok := self.peek()) and tok.kind == "operator" and tok.lexeme in "*/":
+            self.advance()
+            node = BinOp(tok.lexeme, node, self.factor())
+        return node
+
+    def factor(self):
+        tok = self.peek()
+        if tok and tok.kind == "operator" and tok.lexeme == "-":
+            self.advance()
+            return Neg(self.factor())
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        tok = self.peek()
+        if tok and tok.kind == "operator" and tok.lexeme == "^":
+            self.advance()
+            return BinOp("^", base, self.factor())
+        return base
+
+    def atom(self):
+        tok = self.advance()
+        if tok.kind == "number":
+            return Const(float(tok.lexeme))
+        if tok.kind == "identifier":
+            nxt = self.peek()
+            if nxt and nxt.kind == "lparen":
+                self.advance()
+                arg = self.expr()
+                self.expect("rparen", "')' closing the call argument")
+                return Call(tok.lexeme, arg)
+            return Var(tok.lexeme)
+        if tok.kind == "lparen":
+            inner = self.expr()
+            self.expect("rparen", "')'")
+            return inner
+        raise ParseError(f"unexpected {tok.lexeme!r}", tok.position)
+
+
+def _ref_parse_text(src):
+    tokens = _ref_tokenize(src)
+    parser = _RefParser(tokens)
+    ast = parser.expr()
+    leftover = parser.peek()
+    if leftover is not None:
+        raise ParseError(f"unexpected {leftover.lexeme!r} after expression", leftover.position)
+    return ast
+
+
+def _ref_eval(ast, env, shape):
+    if isinstance(ast, Const):
+        return np.float64(ast.value)
+    if isinstance(ast, Var):
+        return np.array(np.broadcast_to(env[ast.name], shape), dtype=float)
+    if isinstance(ast, Neg):
+        return -_ref_eval(ast.operand, env, shape)
+    if isinstance(ast, Call):
+        return FUNCTIONS[ast.name](_ref_eval(ast.arg, env, shape))
+    lhs = _ref_eval(ast.lhs, env, shape)
+    rhs = _ref_eval(ast.rhs, env, shape)
+    if ast.op == "+":
+        return lhs + rhs
+    if ast.op == "-":
+        return lhs - rhs
+    if ast.op == "*":
+        return lhs * rhs
+    if ast.op == "/":
+        return np.divide(lhs, rhs)
+    return np.power(lhs, rhs)
+
+
+def _ref_evaluate(ast, bindings):
+    env = {"pi": math.pi, "e": math.e, **bindings}
+    shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+    grid = shape or (1,)
+    with np.errstate(all="ignore"):
+        value = np.broadcast_to(_ref_eval(ast, env, grid), grid)
+    return np.array(value) if shape else float(value[0])
+
+
+def _outcome(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except ParseError as err:
+        return (str(err), err.position)
+
+
+# Lexeme pieces: digits, decimals and exponents (complete, dangling and
+# overflowing), names, non-ASCII digits and letters, the operators,
+# parentheses, whitespace and stray characters. No comma: the reference
+# tokenizer gave it a token kind of its own.
+_PIECES = ["0", "7", "42", "3.", "0.25", "1e3", "2E-4", "5e+2", "6e", "8e+", "1.5e",
+           "1e999", "x", "y", "pi", "e", "E", "sin", "ln", "foo", "_a1", "x2",
+           "\u0661", "\u00b2", "\u00e9", "+", "-", "*", "/", "^", "(", ")", " ", "\t",
+           "\n", ".", "@", "[", "--", "^-", "sqrt("]
+_CHARS = list("0123456789.eE+-*/^() x_a\u0663")
+
+
+def test_tokenizer_and_parser_match_reference_on_random_text():
+    rng = np.random.default_rng(2024)
+    messages = set()
+    for k in range(20_000):
+        alphabet = _CHARS if k % 5 == 0 else _PIECES    # every fifth: single characters
+        text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 14))))
+        want = _outcome(_ref_parse_text, text)
+        assert _outcome(parse_text, text) == want, text
+        messages.add(want[0].split(" ")[0] if isinstance(want, tuple) else "ast")
+    # the strings reach an AST and each error family
+    assert messages == {"ast", "empty", "expression", "unrecognized", "number",
+                        "unexpected", "expected"}
+
+
+def test_evaluate_matches_reference_operator_chain_bit_for_bit():
+    rng = np.random.default_rng(99)
+    xs = np.array(_SPECIAL_POINTS)
+    arrays = {"x": xs, "y": xs[::-1], "z": np.roll(xs, 3), "t": np.roll(xs, 8)}
+    for _ in range(2_000):
+        tree = _random_ast(rng, int(rng.integers(1, 6)))
+        got, want = evaluate(tree, arrays), _ref_evaluate(tree, arrays)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        i = int(rng.integers(len(xs)))
+        point = {name: float(v[i]) for name, v in arrays.items()}
+        got, want = evaluate(tree, point), _ref_evaluate(tree, point)
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_comma_is_an_unrecognized_character():
+    with pytest.raises(ParseError, match="unrecognized character ','") as err:
+        parse_text("sin(x, 2)")
+    assert err.value.position == 5

@@ -22,6 +22,8 @@ def test_interval_invariants():
         Interval(1.0, 1.0)
     with pytest.raises(DomainError):
         Interval(0.0, math.inf)
+    with pytest.raises(DomainError, match="width"):
+        Interval(-1e308, 1e308)         # finite endpoints, b - a overflows
 
 
 def test_riemann_left_identity_function():
