@@ -56,14 +56,11 @@ def cmd_integrate(args) -> int:
         lower, upper = quad.darboux_bounds(f, iv, args.n, args.subsamples)
         print(f"lower: {_fmt(lower)}")
         print(f"upper: {_fmt(upper)}")
-    elif args.method in ("riemann-left", "riemann-right", "midpoint"):
-        scheme = {"riemann-left": "left", "riemann-right": "right",
-                  "midpoint": "midpoint"}[args.method]
-        print(f"value: {_fmt(quad.riemann_sum(f, iv, args.n, scheme))}")
-    elif args.method == "trapezoid":
-        print(f"value: {_fmt(quad.trapezoid(f, iv, args.n))}")
+    elif args.method in ("trapezoid", "simpson"):
+        print(f"value: {_fmt(getattr(quad, args.method)(f, iv, args.n))}")
     else:
-        print(f"value: {_fmt(quad.simpson(f, iv, args.n))}")
+        scheme = args.method.removeprefix("riemann-")
+        print(f"value: {_fmt(quad.riemann_sum(f, iv, args.n, scheme))}")
     return 0
 
 
@@ -164,8 +161,7 @@ def cmd_simulate(args) -> int:
             return np.array([pre * ref - kp * q[coord] - kd * qd[coord]])
 
     states = mech.simulate(model, controller, q0, qd0, args.T, args.dt)
-    headers = [f"q{i}" for i in range(n)] + [f"qd{i}" for i in range(n)]
-    write_csv(states, args.out, headers=headers)
+    write_csv(states, args.out, [f"q{i}" for i in range(n)] + [f"qd{i}" for i in range(n)])
     print(f"wrote: {args.out}")
     if args.controller == "pd":
         err = abs(states.y[-1, coord] - args.ref)
@@ -235,9 +231,9 @@ def cmd_pd(args) -> int:
     _report_header(args, args.config)
     _, plant = _design_plant(args.model, args.config)
     gains = lti.pd_pole_placement(plant, args.wn, args.zeta)
-    closed = lti.unity_feedback(plant, lti.pd_tf(gains))
-    pre = lti.precompensator(closed)
-    closed = lti.unity_feedback(plant, lti.pd_tf(gains), precomp=pre)
+    loop = lti.unity_feedback(plant, lti.pd_tf(gains))
+    pre = lti.precompensator(loop)
+    closed = lti.TransferFunction(pre * loop.num, loop.den)
     print(f"plant: {plant}")
     print(f"kp: {_fmt(gains.kp)}")
     print(f"kd: {_fmt(gains.kd)}")

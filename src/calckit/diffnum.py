@@ -115,7 +115,8 @@ def jacobian(G, x0, cfg: DiffConfig | None = None) -> np.ndarray:
 
 
 def hessian(F, x0, cfg: DiffConfig | None = None) -> np.ndarray:
-    """Second-difference Hessian; H[i, j] and H[j, i] are one value."""
+    """Second-difference Hessian; H[i, j] and H[j, i] are one value. Of cfg it
+    reads only ``relative``: the base step is fixed at 1e-4, whatever cfg.h."""
     cfg = cfg or DiffConfig()
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)

@@ -463,12 +463,17 @@ def diver_entry_time(v0y: float, g: float = 9.81, height: float = 10.0) -> float
     return (v0y + math.sqrt(v0y * v0y + 2.0 * g * height)) / g
 
 
+def _tuck_window(t1: float, t2: float, t_entry: float) -> tuple[float, float]:
+    """The tuck window [t1, t2] clamped into [0, t_entry], with t1 <= t2."""
+    t1 = min(max(t1, 0.0), t_entry)
+    return t1, min(max(t2, t1), t_entry)
+
+
 def diver_entry_orientation(L: float, t1: float, t2: float, t_entry: float,
                             i_open: float, i_tuck: float) -> float:
     """Orientation at entry for a tuck window [t1, t2] (clamped into
     [0, t_entry]) under conserved angular momentum L."""
-    t1 = min(max(t1, 0.0), t_entry)
-    t2 = min(max(t2, t1), t_entry)
+    t1, t2 = _tuck_window(t1, t2, t_entry)
     return L * (t1 / i_open + (t2 - t1) / i_tuck + (t_entry - t2) / i_open)
 
 
@@ -511,14 +516,13 @@ def diver_optimize(model: DiverModel, *, max_iters: int = 50_000) -> DiverResult
     v0y0 = 1.0
     te0 = diver_entry_time(v0y0, g, model.platform_height)
     t10, t20 = 0.1 * te0, 0.9 * te0
-    tau0 = t10 / model.i_open + (t20 - t10) / model.i_tuck + (te0 - t20) / model.i_open
+    tau0 = diver_entry_orientation(1.0, t10, t20, te0, model.i_open, model.i_tuck)
     x0 = np.array([model.d_min / te0, v0y0, target / tau0, t10, t20])
     prob = ConstrainedProblem(objective, constraints, 5, 2)
     res = constrained_descent(prob, x0, max_iters=max_iters)
 
     v0x, v0y, L, t1, t2 = res.x
     te = diver_entry_time(v0y, g, model.platform_height)
-    t1c = min(max(t1, 0.0), te)
-    t2c = min(max(t2, t1c), te)
+    t1c, t2c = _tuck_window(t1, t2, te)
     return DiverResult(np.array([v0x, v0y]), float(L), float(t1c), float(t2c), float(te),
                        float(np.max(np.abs(prob.h(res.x)))), res.iterations, res.converged)

@@ -72,6 +72,8 @@ def roots_dk(p, tol: float = 1e-12, max_iters: int = 500) -> list[complex]:
     and lose accuracy in proportion to their multiplicity; call with a
     looser tol there.
     """
+    if max_iters < 1:
+        raise DomainError(f"root iteration budget must be at least 1, got {max_iters}")
     p = trim(p)
     deg = len(p) - 1
     if deg < 1:

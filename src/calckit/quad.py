@@ -71,6 +71,7 @@ class Lamina:
 
 _BLOCK_POINTS = 1 << 16       # darboux_bounds samples at most this many points at once
 _TAIL_PANELS = 256            # Simpson panels per doubling segment in improper_type1
+_RIEMANN_OFFSETS = {"left": 0.0, "right": 1.0, "midpoint": 0.5}   # node k: a + h (k + offset)
 
 
 def _sample(f, xs: np.ndarray) -> np.ndarray:
@@ -94,15 +95,10 @@ def riemann_sum(f, iv: Interval, n: int, scheme: str = "left") -> float:
     if n < 1:
         raise DomainError("need n >= 1 panels")
     check_grid_size(n, "riemann sum")
-    h = iv.width / n
-    if scheme == "left":
-        xs = iv.a + h * np.arange(n)
-    elif scheme == "right":
-        xs = iv.a + h * np.arange(1, n + 1)
-    elif scheme == "midpoint":
-        xs = iv.a + h * (np.arange(n) + 0.5)
-    else:
+    if scheme not in _RIEMANN_OFFSETS:
         raise DomainError(f"unknown scheme {scheme!r}")
+    h = iv.width / n
+    xs = iv.a + h * (np.arange(n) + _RIEMANN_OFFSETS[scheme])
     return float(h * _sample(f, xs).sum())
 
 

@@ -2,14 +2,15 @@
 
 A SampledSignal is the package-wide carrier for anything sampled over time:
 IMU traces, integrated odometry, ODE solutions, and step responses. The CSV
-contract is shared repo-wide: header ``t,y0[,y1,...]`` (or caller-supplied
-channel names), one row per sample, decimal point ``.``, UTF-8, no thousands
-separators, every field finite.
+contract is shared repo-wide: header ``t,`` then the caller's channel names,
+one row per sample, decimal point ``.``, UTF-8, no thousands separators,
+every field finite.
 
-``read_csv`` parses a file once, streamed in blocks of READ_BLOCK_LINES
-lines, each converted by one ``np.array`` call; memory stays bounded by the
-block, not the file. ``write_csv`` formats WRITE_BLOCK_ROWS rows per format
-string. Both keep the bytes and line numbers of a one-field-at-a-time loop.
+``read_csv`` parses a file once in blocks of READ_BLOCK_LINES lines, each
+converted by one ``np.array`` call, so memory is bounded by the block. One
+blocked formatter, ``_write_rows``, writes the rows of ``write_csv`` and the
+points of ``svgplot.line_chart``, WRITE_BLOCK_ROWS per format string. Both
+keep the bytes and line numbers of a one-field-at-a-time loop.
 Every uniform grid the package builds (ODE time grids, fixed-panel
 quadrature) is refused by ``check_grid_size`` above MAX_GRID_POINTS points.
 """
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 
 READ_BLOCK_LINES = 8192     # lines converted per np.array call in read_csv
-WRITE_BLOCK_ROWS = 4096     # rows formatted per string in write_csv
+WRITE_BLOCK_ROWS = 4096     # rows formatted per string in _write_rows
 MAX_GRID_POINTS = 10_000_000  # 80 MB per float64 array of grid values
 
 
@@ -81,20 +82,23 @@ class SampledSignal:
         return self.y[:, i]
 
 
-def write_csv(sig: SampledSignal, path, headers=None) -> None:
-    """Write ``t,y0[,y1,...]`` rows. Floats use repr for exact round-trips;
-    one ``%r`` format string formats WRITE_BLOCK_ROWS rows at a time."""
-    if headers is None:
-        headers = [f"y{i}" for i in range(sig.dim)]
+def _write_rows(fh, columns, field: str, sep: str) -> None:
+    """Write equal-length arrays side by side: fields formatted by the %-format
+    `field` joined by ',', rows joined by `sep`, WRITE_BLOCK_ROWS rows per string."""
+    for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+        block = np.column_stack([c[start:start + WRITE_BLOCK_ROWS] for c in columns])
+        rows = sep.join([",".join([field] * block.shape[1])] * len(block))
+        fh.write(sep * (start > 0) + rows % tuple(block.ravel().tolist()))
+
+
+def write_csv(sig: SampledSignal, path, headers) -> None:
+    """Write ``t,<headers>`` and one row per sample; repr round-trips every float."""
     if len(headers) != sig.dim:
         raise DimensionError("one header per channel required")
-    row = ",".join(["%r"] * (1 + sig.dim)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(headers) + "\n")
-        for start in range(0, len(sig), WRITE_BLOCK_ROWS):
-            stop = start + WRITE_BLOCK_ROWS
-            block = np.column_stack([sig.t[start:stop], sig.y[start:stop]])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        _write_rows(fh, [sig.t, sig.y], "%r", "\n")
+        fh.write("\n")
 
 
 def _line_blocks(fh):

@@ -3,18 +3,19 @@
 No plotting dependency: a fixed-size polyline chart with axes, tick labels,
 and a legend, with all coordinates formatted through %.6g so output bytes
 are stable for golden-file comparisons. Point coordinates are computed on
-whole arrays; polylines are formatted and written POINT_BLOCK points at a
-time, so memory stays bounded.
+whole arrays; polylines go through the CSV writer's blocked formatter,
+``signals._write_rows``, WRITE_BLOCK_ROWS points per format string.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .signals import _write_rows
+
 WIDTH, HEIGHT = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 40, 45
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-POINT_BLOCK = 4096      # polyline points formatted per format string
 
 
 def _fmt(x: float) -> str:
@@ -65,11 +66,7 @@ def line_chart(path, title: str, t, series) -> None:
             color = PALETTE[idx % len(PALETTE)]
             py = MARGIN_T + (ymax - y) / (ymax - ymin) * plot_h
             fh.write('<polyline points="')
-            for start in range(0, len(t), POINT_BLOCK):
-                xy = np.column_stack([px[start:start + POINT_BLOCK],
-                                      py[start:start + POINT_BLOCK]])
-                fh.write(" " * (start > 0) + " ".join(["%.6g,%.6g"] * len(xy))
-                         % tuple(xy.ravel().tolist()))
+            _write_rows(fh, [px, py], "%.6g", " ")
             fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
             ly = MARGIN_T + 16 * idx + 12
             lx = WIDTH - MARGIN_R - 110

@@ -22,7 +22,8 @@ from contextlib import redirect_stdout
 
 import numpy as np
 
-HERE = pathlib.Path(__file__).parent
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parents[1] / "src"))     # this checkout's calckit, installed or not
 
 
 def main(argv=None):

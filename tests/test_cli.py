@@ -1,14 +1,19 @@
 import importlib.util
 import json
 import math
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from calckit.cli import _print_pole_table, main
+from calckit import cli, funcexpr, lti, quad
+from calckit.cli import _fmt, _print_pole_table, main
+from calckit.errors import CalcError
 from calckit.signals import read_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -56,6 +61,33 @@ def test_integrate_domain_error_exit_2(capsys):
                        "--method", "riemann-left")
     assert code == 2
     assert "error" in err
+
+
+# the direct quad call each non-Darboux method stood for before it was
+# derived from the method name
+DIRECT_RULES = {
+    "riemann-left": lambda f, iv, n: quad.riemann_sum(f, iv, n, "left"),
+    "riemann-right": lambda f, iv, n: quad.riemann_sum(f, iv, n, "right"),
+    "midpoint": lambda f, iv, n: quad.riemann_sum(f, iv, n, "midpoint"),
+    "trapezoid": quad.trapezoid,
+    "simpson": quad.simpson,
+}
+
+
+@pytest.mark.parametrize("method", sorted(DIRECT_RULES))
+def test_integrate_prints_the_value_of_the_direct_quad_call(method, capsys):
+    rng = np.random.default_rng(sorted(DIRECT_RULES).index(method))
+    expr = "sin(3*x)*exp(-x/4) + x^2"
+    f = lambda x: funcexpr.evaluate(funcexpr.parse_text(expr), {"x": x})
+    for _ in range(10):
+        a = float(rng.uniform(-5.0, 5.0))
+        b = a + float(rng.uniform(0.1, 10.0))
+        n = 2 * int(rng.integers(1, 500))
+        code, out, _ = run(capsys, "integrate", "--expr", expr, "--a", repr(a),
+                           "--b", repr(b), "--n", str(n), "--method", method)
+        assert code == 0
+        value = DIRECT_RULES[method](f, quad.Interval(a, b), n)
+        assert out.splitlines()[-1] == f"value: {_fmt(value)}"
 
 
 @pytest.mark.parametrize("method", ["simpson", "trapezoid", "riemann-left", "darboux"])
@@ -373,6 +405,57 @@ def test_control_pd_segway_stable_poles(capsys):
     assert reals and all(r < 0.0 for r in reals)
 
 
+class _LoopSeen(CalcError):
+    """Stops `control pd` once its closed loop reaches lti.poles."""
+
+
+def closed_loop_of_control_pd(capsys, *argv):
+    """The closed loop `control pd` forms, caught where it asks for its poles."""
+    seen = []
+
+    def poles(tf):
+        seen.append(tf)
+        raise _LoopSeen("closed loop seen")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lti, "poles", poles)
+        assert run(capsys, "control", "pd", *argv)[0] == 2
+    return seen[0]
+
+
+def assert_loop_built_twice(closed, plant, gains):
+    """The old form: build the loop, read its precompensator, build it again."""
+    pre = lti.precompensator(lti.unity_feedback(plant, lti.pd_tf(gains)))
+    want = lti.unity_feedback(plant, lti.pd_tf(gains), precomp=pre)
+    assert closed.num.tobytes() == want.num.tobytes()
+    assert closed.den.tobytes() == want.den.tobytes()
+
+
+@pytest.mark.parametrize("model, wn, zeta", [
+    ("pendulum", 4.0, 0.7), ("segway", 3.0, 0.9), ("ballbot", 5.5, 0.6),
+])
+def test_control_pd_scales_the_loop_it_formed_once(model, wn, zeta, capsys):
+    closed = closed_loop_of_control_pd(capsys, "--model", model,
+                                       "--wn", str(wn), "--zeta", str(zeta))
+    _, plant = cli._design_plant(model, None)
+    assert_loop_built_twice(closed, plant, lti.pd_pole_placement(plant, wn, zeta))
+
+
+def test_control_pd_scaled_loop_on_seeded_plants_and_gains(monkeypatch, capsys):
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        den = rng.standard_normal(int(rng.integers(3, 6))) * 10.0 ** rng.uniform(-3, 3)
+        num = rng.standard_normal(int(rng.integers(1, len(den) - 1)))
+        plant = lti.TransferFunction(num, den)
+        gains = lti.PdGains(*(rng.standard_normal(2) * 10.0 ** rng.uniform(-2, 2, 2)))
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_design_plant", lambda name, config: (None, plant))
+            m.setattr(lti, "pd_pole_placement", lambda tf, wn, zeta: gains)
+            closed = closed_loop_of_control_pd(capsys, "--model", "pendulum",
+                                               "--wn", "1", "--zeta", "1")
+        assert_loop_built_twice(closed, plant, gains)
+
+
 def test_pole_table_lists_the_negative_imaginary_part_of_a_pair_first(capsys):
     # the real parts differ in the last bit, as computed conjugates can
     upper, lower = complex(-1.5, 2.5), complex(np.nextafter(-1.5, 0.0), -2.5)
@@ -486,6 +569,15 @@ def test_regenerate_check_rebuilds_every_file_byte_for_byte(capsys):
     assert regenerate.main(["--check"]) == 0
     assert "13 of 13 files match" in capsys.readouterr().out
     assert {p: p.read_bytes() for p in DATA.rglob("*") if p.is_file()} == committed
+
+
+def test_regenerate_check_runs_from_a_clean_checkout(tmp_path):
+    # no PYTHONPATH and no installed calckit needed: the script finds src/
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(DATA / "regenerate.py"), "--check"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "13 of 13 files match" in proc.stdout
 
 
 def test_regenerate_check_lists_a_changed_golden(tmp_path, capsys, monkeypatch):

@@ -161,6 +161,16 @@ def test_hessian_exactly_symmetric():
     assert np.array_equal(H, H.T)
 
 
+@pytest.mark.parametrize("relative", [True, False])
+def test_hessian_reads_only_relative_from_its_config(relative):
+    # the base step is fixed at 1e-4, so cfg.h changes nothing
+    F = lambda v: math.exp(v[0]) * math.sin(v[1]) + v[0] * v[1] ** 2
+    x0 = [3.0, -0.7]
+    want = hessian(F, x0, DiffConfig(relative=relative)).tobytes()
+    for h in (1e-2, 1e-7):
+        assert hessian(F, x0, DiffConfig(h=h, relative=relative)).tobytes() == want
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         DiffConfig(h=0.0)

@@ -128,6 +128,12 @@ def test_roots_budget_exhaustion():
         roots_dk([1.0, 3.0, 3.0, 1.0], tol=1e-15, max_iters=20)
 
 
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_roots_refuse_an_empty_budget(max_iters):
+    with pytest.raises(DomainError, match=f"at least 1, got {max_iters}"):
+        roots_dk([1.0, 0.0, 1.0], max_iters=max_iters)
+
+
 # ---------------------------------------------------------------- transfer fn
 
 def test_tf_trims_leading_zero_padding():

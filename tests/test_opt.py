@@ -567,6 +567,42 @@ def test_diver_zero_tuck_window_is_rigid_case():
         assert theta == pytest.approx(2.0 * te / 1.0, abs=1e-12)
 
 
+def test_diver_orientation_per_unit_momentum_equals_the_restated_sum():
+    # diver_optimize's starting tau0 is this call; inside [0, t_entry] the
+    # clamp is the identity, so it must equal the sum it replaced
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        te = float(rng.uniform(0.1, 5.0))
+        t1, t2 = sorted(map(float, rng.uniform(0.0, te, 2)))
+        i_tuck, i_open = sorted(map(float, rng.uniform(0.05, 3.0, 2)))
+        old = t1 / i_open + (t2 - t1) / i_tuck + (te - t2) / i_open
+        assert diver_entry_orientation(1.0, t1, t2, te, i_open, i_tuck) == old
+
+
+def test_diver_start_and_reported_window_equal_their_old_forms(monkeypatch):
+    rng = np.random.default_rng(37)
+    starts = []
+
+    def fake_descent(prob, x0, max_iters):
+        starts.append(x0)
+        return opt.ConstrainedResult(x, np.zeros(2), 1, True)
+
+    monkeypatch.setattr(opt, "constrained_descent", fake_descent)
+    for _ in range(200):
+        model = DiverModel(i_open=float(rng.uniform(0.5, 2.0)),
+                           i_tuck=float(rng.uniform(0.1, 0.45)),
+                           k=int(rng.integers(1, 5)), d_min=float(rng.uniform(0.5, 2.0)))
+        x = np.array([1.0, float(rng.uniform(-2.0, 6.0)), 3.0, *rng.uniform(-1.0, 4.0, 2)])
+        res = diver_optimize(model)
+        te0 = diver_entry_time(1.0)
+        t10, t20 = 0.1 * te0, 0.9 * te0
+        tau0 = t10 / model.i_open + (t20 - t10) / model.i_tuck + (te0 - t20) / model.i_open
+        assert starts[-1][2] == model.k * math.pi / tau0
+        te = diver_entry_time(x[1])
+        t1c = min(max(x[3], 0.0), te)
+        assert (res.t_tuck_start, res.t_tuck_end) == (t1c, min(max(x[4], t1c), te))
+
+
 def test_diver_near_rigid_matches_closed_form_momentum():
     # with I_tuck -> I_open the rotation constraint collapses to
     # L = k pi I_open / t_entry regardless of the tuck window

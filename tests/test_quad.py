@@ -48,6 +48,40 @@ def test_riemann_rejects_nonfinite_evaluations():
         riemann_sum(lambda x: 1.0 / x, UNIT, 4, "left")
 
 
+def test_riemann_rejects_an_unknown_scheme():
+    with pytest.raises(DomainError, match="unknown scheme 'trapezoid'"):
+        riemann_sum(lambda x: x, UNIT, 4, "trapezoid")
+
+
+def ladder_riemann_nodes(iv, n, scheme):
+    """Reference: the per-scheme node ladder that riemann_sum replaced."""
+    h = iv.width / n
+    if scheme == "left":
+        return iv.a + h * np.arange(n)
+    if scheme == "right":
+        return iv.a + h * np.arange(1, n + 1)
+    return iv.a + h * (np.arange(n) + 0.5)
+
+
+@pytest.mark.parametrize("scheme", ["left", "right", "midpoint"])
+def test_riemann_nodes_equal_the_per_scheme_ladder_bit_for_bit(scheme):
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        a = float(rng.uniform(-1e3, 1e3) * 10.0 ** rng.integers(-6, 4))
+        iv = Interval(a, a + float(10.0 ** rng.uniform(-8, 6)))
+        n = int(rng.integers(1, 3000))
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return np.sin(x)
+
+        value = riemann_sum(f, iv, n, scheme)
+        old = ladder_riemann_nodes(iv, n, scheme)
+        assert seen[0].tobytes() == old.tobytes()
+        assert value == float(iv.width / n * np.sin(old).sum())
+
+
 SQUARE = Lamina(lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x, UNIT, 1.0, 1.0)
 
 

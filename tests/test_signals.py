@@ -27,7 +27,8 @@ def random_signal(n, d, seed):
     return SampledSignal(t, y)
 
 
-@pytest.mark.parametrize("n, block", [(2, 4096), (4096, 4096), (4097, 4096), (3, 1)])
+@pytest.mark.parametrize("n, block", [(2, 4096), (4096, 4096), (4097, 4096), (3, 1),
+                                      (50, 49), (50, 51)])
 def test_write_csv_bytes_equal_row_loop(tmp_path, monkeypatch, n, block):
     monkeypatch.setattr(signals, "WRITE_BLOCK_ROWS", block)
     sig = random_signal(n, 3, seed=n)
@@ -37,6 +38,11 @@ def test_write_csv_bytes_equal_row_loop(tmp_path, monkeypatch, n, block):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     back = read_csv(tmp_path / "new.csv", expected_headers=headers)
     assert np.array_equal(back.t, sig.t) and np.array_equal(back.y, sig.y)
+
+
+def test_write_csv_requires_headers(tmp_path):
+    with pytest.raises(TypeError, match="headers"):
+        write_csv(random_signal(3, 2, seed=0), tmp_path / "out.csv")
 
 
 # ---------------------------------------------------------------- read_csv

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from calckit import svgplot
+from calckit import signals, svgplot
 
 
 def loop_points(t, y, ymin, ymax):
@@ -24,10 +24,12 @@ def loop_points(t, y, ymin, ymax):
 
 @pytest.mark.parametrize("seed, n, flat, block", [
     (0, 2, False, 4096), (1, 1000, False, 7), (2, 50, True, 4096), (3, 4097, False, 4096),
+    (4, 50, False, 1), (5, 50, False, 49), (6, 50, False, 50), (7, 50, False, 51),
 ])
 def test_line_chart_points_equal_per_point_formatter(tmp_path, monkeypatch, seed, n, flat,
                                                      block):
-    monkeypatch.setattr(svgplot, "POINT_BLOCK", block)
+    # polylines go through the CSV writer's blocked formatter and its block size
+    monkeypatch.setattr(signals, "WRITE_BLOCK_ROWS", block)
     rng = np.random.default_rng(seed)
     t = np.cumsum(rng.uniform(1e-3, 2.0, n)) - 5.0
     series = [("a", rng.standard_normal(n) * 1e3), ("b", rng.standard_normal(n) * 1e-6),
