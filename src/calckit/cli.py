@@ -12,6 +12,7 @@ one nondeterministic line and goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -247,7 +248,14 @@ def cmd_pd(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built at its first use.
+
+    Each subcommand's handler is bound as the module attribute stands then,
+    so a wrapper installed after import and before the first command is the
+    one every command calls. Nothing in the parser changes while parsing.
+    """
     parser = argparse.ArgumentParser(prog="calckit",
                                      description="numerical calculus and control toolkit")
     parser.add_argument("--seed", type=int, default=0,

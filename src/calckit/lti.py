@@ -7,8 +7,10 @@ controllers are improper in isolation, so closed loops are always formed
 symbolically (polynomial arithmetic) before any simulation; step responses
 march a controllable-canonical realization with its exact discrete-time map
 (one matrix exponential per step size), never a numerical inverse Laplace
-transform. ss_to_tf converts a SISO state-space model only; restrict a
-larger one with subsystem first.
+transform. The march is the linear recurrence x_{k+1} = Phi x_k + Gamma,
+blocked so that one matrix product fills _BLOCK states at a time (Kogge &
+Stone, IEEE Trans. Computers C-22(8), 1973). ss_to_tf converts a SISO
+state-space model only; restrict a larger one with subsystem first.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
 ]
 
 _COUPLING_TOL = 1e-9    # subsystem: largest A/C entry still counted as decoupled
+_BLOCK = 64             # step_response: states filled by one matrix product
 
 
 @dataclass(frozen=True)
@@ -247,8 +250,11 @@ def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
     Under a constant input the state obeys x_{k+1} = Phi x_k + Gamma exactly,
     where exp([[A, B], [0, 0]] h) = [[Phi, Gamma], [0, 1]] (Van Loan, IEEE TAC
     23(3), 1978). One matrix exponential serves every full step of length dt;
-    a shortened final step gets its own. An output beyond 1e9 in magnitude
-    raises DomainError with the time it happened (unstable).
+    a shortened final step gets its own. The full steps are marched in blocks
+    (Kogge & Stone, IEEE Trans. Computers C-22(8), 1973): with Phi^j and
+    S_j = sum_{i<j} Phi^i Gamma for j = 1.._BLOCK, x_{k+j} = Phi^j x_k + S_j,
+    so one product fills a block from its last state. An output beyond 1e9
+    in magnitude raises DomainError with the time it happened (unstable).
     """
     if T <= 0:
         raise DomainError("horizon must be positive")
@@ -256,22 +262,43 @@ def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
     ts = odesolve._time_grid(0.0, T, dt)
     if ss.n_states == 0:
         return SampledSignal(ts, np.full_like(ts, float(ss.D[0, 0])))
-    xs = np.zeros((len(ts), ss.n_states))
+    n = ss.n_states
+    xs = np.zeros((len(ts), n))
     phi, gamma = _step_map(ss, dt)
-    x = xs[0]
+    last = ts[-1] - ts[-2]
+    short = abs(last - dt) > 1e-9 * dt
+    n_full = len(ts) - 2 if short else len(ts) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, len(ts) - 1):
-            x = xs[k] = phi @ x + gamma
-        last = ts[-1] - ts[-2]
-        if abs(last - dt) > 1e-9 * dt:
+        powers, sums = _block_maps(phi, gamma)
+        for k in range(0, n_full, _BLOCK):
+            r = min(_BLOCK, n_full - k)
+            xs[k + 1:k + 1 + r] = (powers[:r * n] @ xs[k]).reshape(r, n) + sums[:r]
+        if short:
             phi, gamma = _step_map(ss, last)
-        xs[-1] = phi @ x + gamma
+            xs[-1] = phi @ xs[-2] + gamma
         y = xs @ ss.C[0] + ss.D[0, 0]
     blown = ~(np.abs(y) <= 1e9)          # also catches overflow to inf/nan
     if np.any(blown):
         t_blow = float(ts[int(np.argmax(blown))])
         raise DomainError(f"step response exceeds 1e9 at t = {t_blow} (unstable)")
     return SampledSignal(ts, y)
+
+
+def _block_maps(phi: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phi^1..Phi^b stacked as a (b n x n) matrix, and the rows S_1..S_b,
+    for b = _BLOCK.
+
+    Both follow the per-step recurrence: Phi^{j+1} = Phi Phi^j and
+    S_{j+1} = Phi S_j + Gamma.
+    """
+    n = len(gamma)
+    powers = np.empty((_BLOCK, n, n))
+    sums = np.empty((_BLOCK, n))
+    powers[0], sums[0] = phi, gamma
+    for j in range(1, _BLOCK):
+        powers[j] = phi @ powers[j - 1]
+        sums[j] = phi @ sums[j - 1] + gamma
+    return powers.reshape(_BLOCK * n, n), sums
 
 
 def _step_map(ss: StateSpace, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -288,11 +315,13 @@ def _crossing_time(t: np.ndarray, y: np.ndarray, level: float) -> float:
     """First time y reaches the level: t[0], or linearly interpolated."""
     if (y[0] >= level) if level > 0 else (y[0] <= level):
         return float(t[0])
-    for k in range(1, len(y)):
-        y0, y1 = y[k - 1], y[k]
-        if (y0 - level) * (y1 - level) <= 0 and y0 != y1:
-            return float(t[k - 1] + (level - y0) / (y1 - y0) * (t[k] - t[k - 1]))
-    raise DomainError(f"response never reaches level {level}")
+    off = y - level
+    hits = np.nonzero((off[:-1] * off[1:] <= 0) & (y[:-1] != y[1:]))[0]
+    if not len(hits):
+        raise DomainError(f"response never reaches level {level}")
+    k = int(hits[0]) + 1
+    y0, y1 = y[k - 1], y[k]
+    return float(t[k - 1] + (level - y0) / (y1 - y0) * (t[k] - t[k - 1]))
 
 
 def response_metrics(sig: SampledSignal, final_hint: float | None = None) -> StepMetrics:

@@ -495,6 +495,23 @@ def test_flag_fuzz_never_raises(capsys):
         capsys.readouterr()
 
 
+def test_one_parser_serves_every_command_of_a_process(capsys, monkeypatch):
+    # each command in one process prints what it prints alone in a fresh one
+    monkeypatch.setenv("COLUMNS", "80")         # --help wraps to the same width
+    calls = [["integrate", "--expr", "x^2", "--a", "0", "--b", "1", "--n", "10"],
+             ["integrate", "--expr", "x^2", "--method", "bogus"],
+             ["control", "pd", "--model", "pendulum", "--wn", "4", "--zeta", "0.7"],
+             ["--help"]]
+    together = [run(capsys, *argv)[:2] for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    alone = [subprocess.run([sys.executable, "-m", "calckit.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+             for argv in calls]
+    assert [code for code, _ in together] == [0, 2, 0, 0]
+    assert together == [(proc.returncode, proc.stdout) for proc in alone]
+
+
 # ---------------------------------------------------------------- goldens
 
 def test_golden_project1(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from calckit import diffnum, mech, odesolve
+from calckit import diffnum, lti, mech, odesolve
 from calckit.errors import ConvergenceError, DimensionError, DomainError
 from calckit.lti import (PdGains, StateSpace, TransferFunction, dc_gain,
                          linearize, pd_pole_placement, pd_tf, poles,
@@ -572,3 +572,166 @@ def test_direct_term_metrics_match_closed_form():
     assert m.rise_time == pytest.approx(math.log(5.0), abs=1e-6)
     assert math.log(25.0) - dt <= m.settling_time <= math.log(25.0)
     assert m.overshoot == 0.0 and m.steady_state == 2.0
+
+
+# ------------------------------------------------ blocked march vs per-step
+
+def _per_step_step_response(tf, T, dt):
+    """The per-step march x_{k+1} = Phi x_k + Gamma, one product per step."""
+    ss = tf_to_ss(tf)
+    ts = odesolve._time_grid(0.0, T, dt)
+    if ss.n_states == 0:
+        return SampledSignal(ts, np.full_like(ts, float(ss.D[0, 0])))
+    xs = np.zeros((len(ts), ss.n_states))
+    phi, gamma = lti._step_map(ss, dt)
+    x = xs[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(ts) - 1):
+            x = xs[k] = phi @ x + gamma
+        last = ts[-1] - ts[-2]
+        if abs(last - dt) > 1e-9 * dt:
+            phi, gamma = lti._step_map(ss, last)
+        xs[-1] = phi @ x + gamma
+        y = xs @ ss.C[0] + ss.D[0, 0]
+    blown = ~(np.abs(y) <= 1e9)
+    if np.any(blown):
+        t_blow = float(ts[int(np.argmax(blown))])
+        raise DomainError(f"step response exceeds 1e9 at t = {t_blow} (unstable)")
+    return SampledSignal(ts, y)
+
+
+def _seeded_tf(rng, n, sign=-1.0):
+    """Real poles and conjugate pairs with real parts of the given sign."""
+    roots = []
+    while len(roots) < n:
+        if n - len(roots) >= 2 and rng.random() < 0.5:
+            sigma, omega = rng.uniform(0.2, 3.0), rng.uniform(0.2, 5.0)
+            roots += [complex(sign * sigma, omega), complex(sign * sigma, -omega)]
+        else:
+            roots.append(sign * rng.uniform(0.2, 4.0))
+    den = np.real(np.poly(roots))[::-1]
+    num = rng.uniform(-1.0, 1.0, int(rng.integers(1, n + 2)))     # proper, maybe a D term
+    return TransferFunction(num, den)
+
+
+def _assert_close_to_per_step(tf, T, dt, samples=None):
+    got = step_response(tf, T, dt)
+    want = _per_step_step_response(tf, T, dt)
+    assert np.array_equal(got.t, want.t)
+    if samples is not None:
+        assert len(got.t) == samples
+    scale = np.max(np.abs(want.y))
+    assert np.max(np.abs(got.y - want.y)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("samples", [2, 3, lti._BLOCK, lti._BLOCK + 1, lti._BLOCK + 2, 10_001])
+def test_blocked_march_matches_the_per_step_march(n, samples):
+    rng = np.random.default_rng(100 * n + samples)
+    dt = 2.0 ** -9                         # a binary step: T = (samples - 1) dt is exact
+    for _ in range(3):
+        _assert_close_to_per_step(_seeded_tf(rng, n), (samples - 1) * dt, dt, samples)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_blocked_march_with_a_shortened_final_step(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(5):
+        T, dt = rng.uniform(1.0, 12.0), float(rng.choice([1e-3, 2e-3, 1e-2]))
+        grid = odesolve._time_grid(0.0, T, dt)
+        assert abs((grid[-1] - grid[-2]) - dt) > 1e-9 * dt
+        _assert_close_to_per_step(_seeded_tf(rng, n), T, dt)
+    # a horizon shorter than one step is the shortened step alone
+    _assert_close_to_per_step(_seeded_tf(rng, n), 4e-4, 1e-3, 2)
+
+
+def _blow_up_message(fn, tf, T, dt):
+    with pytest.raises(DomainError, match="exceeds 1e9") as err:
+        fn(tf, T, dt)
+    return str(err.value)
+
+
+def test_blocked_march_raises_at_the_same_time_on_unstable_systems():
+    rng = np.random.default_rng(77)
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            tf = _seeded_tf(rng, n, sign=1.0)         # e^(0.2 t) passes 1e9 before t = 110
+            assert (_blow_up_message(step_response, tf, 120.0, 1e-2)
+                    == _blow_up_message(_per_step_step_response, tf, 120.0, 1e-2))
+
+
+def test_fast_unstable_poles_raise_at_the_per_step_time():
+    # up to 20 e-folds a step: Phi^64 overflows, and the output passes 1e9
+    # within the first block
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        roots = rng.uniform(1.0, 2e3, n) * rng.choice([1.0, -1.0], n)
+        roots[0] = abs(roots[0])
+        tf = TransferFunction(rng.uniform(0.5, 2.0, n), np.real(np.poly(roots))[::-1])
+        dt = 10.0 ** rng.uniform(-4, -2)
+        assert (_blow_up_message(step_response, tf, 1.0, dt)
+                == _blow_up_message(_per_step_step_response, tf, 1.0, dt))
+
+
+@pytest.mark.parametrize("gain", [2.0, -0.5, 0.0])
+def test_static_gain_path_is_the_per_step_one(gain):
+    for T, dt in ((1.0, 0.3), (10.0, 1e-3)):
+        got = step_response(TransferFunction([gain], [1.0]), T, dt)
+        want = _per_step_step_response(TransferFunction([gain], [1.0]), T, dt)
+        assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
+
+
+def test_segway_overshoot_blocked_against_per_step():
+    # control pd --model segway --wn 3 --zeta 0.9: peak - final cancels, so
+    # the overshoot carries the march's roundoff (about 3e-14 here)
+    from calckit import cli
+
+    _, plant = cli._design_plant("segway", None)
+    loop = unity_feedback(plant, pd_tf(pd_pole_placement(plant, 3.0, 0.9)))
+    closed = TransferFunction(precompensator(loop) * loop.num, loop.den)
+    metrics = [response_metrics(fn(closed, 10.0, 1e-3), final_hint=dc_gain(closed))
+               for fn in (step_response, _per_step_step_response)]
+    assert metrics[0].overshoot == pytest.approx(0.002190031621, abs=1e-12)
+    assert abs(metrics[0].overshoot - metrics[1].overshoot) <= 1e-12
+
+
+# ---------------------------------------------------- crossing-time search
+
+def _crossing_time_loop(t, y, level):
+    """The per-sample search the vectorized one replaced."""
+    if (y[0] >= level) if level > 0 else (y[0] <= level):
+        return float(t[0])
+    for k in range(1, len(y)):
+        y0, y1 = y[k - 1], y[k]
+        if (y0 - level) * (y1 - level) <= 0 and y0 != y1:
+            return float(t[k - 1] + (level - y0) / (y1 - y0) * (t[k] - t[k - 1]))
+    raise DomainError(f"response never reaches level {level}")
+
+
+def _outcome(fn, t, y, level):
+    try:
+        return fn(t, y, level)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_crossing_time_equals_the_sample_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    records = []
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            sig = step_response(_seeded_tf(rng, n), rng.uniform(2.0, 12.0), 1e-2)
+            records += [(sig.t, sig.y[:, 0], frac * sig.y[-1, 0])
+                        for frac in (0.1, 0.5, 0.9, 1.0, 1.5)]
+    t = np.linspace(0.0, 1.0, 11)
+    starts_at_level = np.array([0.5, 0.5, 0.7, 0.2, 0.9, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    records += [(t, sign * starts_at_level, sign * level)
+                for sign in (1.0, -1.0) for level in (0.5, 0.9, 1.0)]
+    never = np.linspace(0.0, 0.8, 11)
+    records += [(t, never, 0.9), (t, -never, -0.9)]
+    outcomes = [(_outcome(lti._crossing_time, *rec), _outcome(_crossing_time_loop, *rec))
+                for rec in records]
+    assert all(got == want for got, want in outcomes)
+    assert sum(isinstance(want, str) for _, want in outcomes) >= 2
+    assert outcomes[-1][0] == "response never reaches level -0.9"
