@@ -1,7 +1,7 @@
 """Robot equations straight from energies, no symbolic algebra.
 
 Write K(q, qdot) and V(q), and the mass matrix, Coriolis matrix, and
-gravity vector fall out of finite differencing. The demo checks the
+gravity vector fall out of complex-step differentiation. The demo checks the
 classic structural properties and simulates the planar ballbot; the
 simulation solves the Euler-Lagrange equation without forming C.
 """

@@ -109,13 +109,17 @@ def determinant(a) -> float:
     return -det if swaps % 2 else det
 
 
-def _cholesky_rows(m: np.ndarray) -> list[list[float]]:
-    """Rows of the lower Cholesky factor of a validated matrix, as Python
-    floats (row i holds L[i, :i + 1]); only the lower triangle is read."""
-    n = m.shape[0]
-    if n != m.shape[1]:
+def _square_rows(a) -> list[list[float]]:
+    """A validated square matrix as rows of Python floats."""
+    m = as_mat(a)
+    if m.shape[0] != m.shape[1]:
         raise DimensionError(f"Cholesky needs a square matrix, got {m.shape}")
-    a_rows = m.tolist()
+    return m.tolist()
+
+
+def _cholesky_rows(a_rows: list[list[float]]) -> list[list[float]]:
+    """Rows of the lower Cholesky factor of a square matrix of finite Python
+    floats (row i holds L[i, :i + 1]); only the lower triangle is read."""
     threshold = PIVOT_RTOL * max((sum(map(abs, a)) for a in a_rows), default=0.0)
     rows: list[list[float]] = []
     for i, a in enumerate(a_rows):
@@ -131,13 +135,27 @@ def _cholesky_rows(m: np.ndarray) -> list[list[float]]:
     return rows
 
 
+def _cholesky_solve_rows(a_rows: list[list[float]], b: list[float]) -> list[float]:
+    """Solve ``A x = b`` for A and b already validated (square, finite, of
+    matching size) and given as Python floats: Cholesky, then forward
+    (L y = b) and back (L^T x = y) substitution."""
+    rows = _cholesky_rows(a_rows)
+    y = list(b)
+    n = len(rows)
+    for i, li in enumerate(rows):
+        y[i] = (y[i] - sum(x * v for x, v in zip(li, y[:i]))) / li[i]
+    for i in range(n - 1, -1, -1):
+        y[i] = (y[i] - sum(rows[k][i] * y[k] for k in range(i + 1, n))) / rows[i][i]
+    return y
+
+
 def cholesky(a) -> np.ndarray:
     """Lower factor L with A = L L^T of a symmetric positive definite matrix.
 
     Only the lower triangle of A is read. SingularityError at the first pivot
     L_ii^2 <= 1e-12 * ||A||_inf, so an indefinite or numerically singular
     matrix is refused."""
-    rows = _cholesky_rows(as_mat(a))
+    rows = _cholesky_rows(_square_rows(a))
     low = np.zeros((len(rows), len(rows)))
     for i, li in enumerate(rows):
         low[i, :i + 1] = li
@@ -147,22 +165,17 @@ def cholesky(a) -> np.ndarray:
 def cholesky_solve(a, b) -> np.ndarray:
     """Solve ``A x = b`` for symmetric positive definite A: Cholesky, then
     forward (L y = b) and back (L^T x = y) substitution."""
-    rows = _cholesky_rows(as_mat(a))
-    y = as_vec(b).tolist()
-    n = len(rows)
-    if len(y) != n:
-        raise DimensionError(f"rhs length {len(y)} does not match matrix size {n}")
-    for i, li in enumerate(rows):
-        y[i] = (y[i] - sum(x * v for x, v in zip(li, y[:i]))) / li[i]
-    for i in range(n - 1, -1, -1):
-        y[i] = (y[i] - sum(rows[k][i] * y[k] for k in range(i + 1, n))) / rows[i][i]
-    return np.array(y)
+    a_rows = _square_rows(a)
+    y = as_vec(b)
+    if len(y) != len(a_rows):
+        raise DimensionError(f"rhs length {len(y)} does not match matrix size {len(a_rows)}")
+    return np.array(_cholesky_solve_rows(a_rows, y.tolist()))
 
 
 def is_positive_definite(a) -> bool:
     """True when the Cholesky factor of the symmetric matrix exists."""
     try:
-        _cholesky_rows(as_mat(a))
+        _cholesky_rows(_square_rows(a))
     except SingularityError:
         return False
     return True

@@ -5,33 +5,43 @@ and its input map B_u, whose rows give the degrees of freedom. The robot
 equations come from energy evaluations alone. K is assumed quadratic in
 qdot, K = qdot^T D(q) qdot / 2 (true of every model in the zoo), so D comes
 by polarization with no step size: D_ii = 2 K(q, e_i) and
-D_ij = K(q, e_i + e_j) - K(q, e_i) - K(q, e_j). A MechanicalModel checks
-its energies once, when it is built: K(0, 2 e_i) = 4 K(0, e_i) and D(0)
-positive definite, else DomainError, so every function below sees a checked
-model. Ddot qdot is one central difference of D along qdot, and dL/dq
-is the diffnum.gradient of L = K - V. forward_dynamics solves
-d/dt(D qdot) - dL/dq = B_u Gamma by Cholesky on D, without forming C or G,
-and raises DomainError where D is not positive definite; coriolis_matrix and
-gravity_vector give the textbook D qddot + C qdot + G = B_u Gamma.
-Finite-difference steps are fixed at 1e-4; the zoo energies are smooth
-trig/polynomials at desk scale. Every energy value is checked for
-finiteness (DomainError).
+D_ij = K(q, e_i + e_j) - K(q, e_i) - K(q, e_j). Every derivative is a
+complex step (Squire & Trapp, SIAM Review 40(1), 1998; Martins, Sturdza &
+Alonso, ACM TOMS 29(3), 2003): for f analytic in q, Im f(q + i h v) / h is
+the derivative of f along v with no difference to cancel, exact to roundoff
+at h = 1e-30. K polarized at q + i h qdot gives D (real part) and h Ddot
+(imaginary part), and dL/dq_k = Im (K - V)(q + i h e_k) / h, so
+forward_dynamics solves d/dt(D qdot) - dL/dq = B_u Gamma by Cholesky on D at
+n(n + 1)/2 + 2n energy evaluations, without forming C or G; coriolis_matrix
+and gravity_vector give the textbook D qddot + C qdot + G = B_u Gamma.
+
+A MechanicalModel checks its energies once, when it is built, so every
+function below sees a checked model: K(0, 2 e_i) = 4 K(0, e_i), D(0)
+positive definite, and at a fixed probe the complex-step gradients of K and
+V equal to a central difference, which refuses an energy built on np.abs,
+float() or math functions. Each check raises DomainError naming the model.
+Every energy value, real and imaginary part, is checked for finiteness
+(DomainError).
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import diffnum
 from .errors import DimensionError, DomainError, SingularityError
-from .linalg import cholesky_solve, is_positive_definite
+from .linalg import _cholesky_solve_rows, is_positive_definite
 from .odesolve import IvpProblem, rk4_solve
 from .signals import SampledSignal
 
-_ENERGY_FD = diffnum.DiffConfig(h=1e-4, relative=False)
+_H = 1e-30              # complex step: the O(h^2) error is far below roundoff
+_PROBE_FD_H = 1e-5      # central-difference step of the construction probe
+_PROBE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -39,8 +49,9 @@ class MechanicalModel:
     """Energies K(q, qdot), V(q) and the actuator input map B_u, whose
     n_dof x n_inputs shape fixes both sizes.
 
-    Construction raises DomainError unless K is quadratic in qdot and D is
-    positive definite at q = 0: 2n + n(n + 1)/2 evaluations of K."""
+    Construction raises DomainError unless K is quadratic in qdot, D is
+    positive definite at q = 0 and K and V are analytic in q at a fixed
+    probe: 2n + n(n + 1)/2 + 3n evaluations of K and 3n of V."""
 
     kinetic: Callable[[np.ndarray, np.ndarray], float]
     potential: Callable[[np.ndarray], float]
@@ -56,6 +67,7 @@ class MechanicalModel:
         _check_quadratic_kinetic(self, q0)
         if not is_positive_definite(_mass_matrix(self, q0)):
             raise _not_positive_definite(self, q0)
+        _check_analytic(self)
 
     @property
     def n_dof(self) -> int:
@@ -73,6 +85,10 @@ def _not_positive_definite(model: MechanicalModel, q: np.ndarray) -> DomainError
     return DomainError(f"mass matrix of {model.name} is not positive definite at q = {q}")
 
 
+def _not_finite(what: str, model: MechanicalModel, q: np.ndarray) -> DomainError:
+    return DomainError(f"{what} of {model.name} not finite at q = {q}")
+
+
 def _check_q(model: MechanicalModel, q) -> np.ndarray:
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if len(q) != model.n_dof:
@@ -80,20 +96,38 @@ def _check_q(model: MechanicalModel, q) -> np.ndarray:
     return q
 
 
-def _mass_matrix(model: MechanicalModel, q: np.ndarray) -> np.ndarray:
-    """D(q) by polarization of the quadratic K, n(n + 1)/2 evaluations, exact
-    to roundoff; q is already checked."""
-    n = model.n_dof
+def _polarized(model: MechanicalModel, z: np.ndarray) -> list[list[complex]]:
+    """K(z, .) polarized into rows of Python complex numbers, n(n + 1)/2
+    evaluations. For real z = q this is D(q); for z = q + i h v the real
+    part is D(q) and the imaginary part h times the derivative of D along v."""
+    n = len(z)
     eye = np.eye(n)
-    k = [float(model.kinetic(q, e)) for e in eye]
-    d = np.empty((n, n))
+    k = [complex(model.kinetic(z, e)) for e in eye]
+    rows = [[0j] * n for _ in range(n)]
     for i in range(n):
-        d[i, i] = 2.0 * k[i]
+        rows[i][i] = 2.0 * k[i]
         for j in range(i + 1, n):
-            d[i, j] = d[j, i] = float(model.kinetic(q, eye[i] + eye[j])) - k[i] - k[j]
-    if not np.isfinite(d).all():
-        raise DomainError(f"kinetic energy of {model.name} not finite at q = {q}")
-    return d
+            rows[i][j] = rows[j][i] = complex(model.kinetic(z, eye[i] + eye[j])) - k[i] - k[j]
+    if not all(cmath.isfinite(x) for row in rows for x in row):
+        raise _not_finite("kinetic energy", model, z.real)
+    return rows
+
+
+def _along_axes(model: MechanicalModel, f, q: np.ndarray, what: str) -> list[complex]:
+    """f(q + i h e_k) for k = 1..n, n evaluations: the real parts are f(q)
+    and the imaginary parts h df/dq_k. DomainError unless every value is
+    finite in both parts."""
+    values = [complex(f(z)) for z in q + 1j * _H * np.eye(len(q))]
+    if not all(map(cmath.isfinite, values)):
+        raise _not_finite(what, model, q)
+    return values
+
+
+def _mass_matrix(model: MechanicalModel, q: np.ndarray) -> np.ndarray:
+    """D(q) by polarization of the quadratic K, exact to roundoff; q is
+    already checked."""
+    n = len(q)
+    return np.array([[x.real for x in row] for row in _polarized(model, q)]).reshape(n, n)
 
 
 def mass_matrix(model: MechanicalModel, q) -> np.ndarray:
@@ -108,7 +142,7 @@ def _check_quadratic_kinetic(model: MechanicalModel, q: np.ndarray) -> None:
     k1 = np.array([4.0 * float(model.kinetic(q, e)) for e in eye])
     k2 = np.array([float(model.kinetic(q, 2.0 * e)) for e in eye])
     if not np.isfinite((k1, k2)).all():
-        raise DomainError(f"kinetic energy of {model.name} not finite at q = {q}")
+        raise _not_finite("kinetic energy", model, q)
     bad = np.flatnonzero(np.abs(k2 - k1) > 1e-9 * np.maximum(np.abs(k1), np.abs(k2)))
     if len(bad):
         raise DomainError(f"kinetic energy of {model.name} is not quadratic in the "
@@ -116,48 +150,91 @@ def _check_quadratic_kinetic(model: MechanicalModel, q: np.ndarray) -> None:
                           f"i = {bad.tolist()}")
 
 
+def _check_analytic(model: MechanicalModel) -> None:
+    """DomainError unless the complex-step gradients of K(., qdot) and V
+    match a central difference to 1e-6 of max(|gradient|, |energy|) at the
+    probe q_k = 0.3 k, qdot_k = 0.5 (-1)^k: 3n evaluations of each. An
+    energy that raises TypeError or casts the complex input to real is
+    refused outright."""
+    n = model.n_dof
+    q = 0.3 * np.arange(1, n + 1)
+    qd = 0.5 * (-1.0) ** np.arange(n)
+    steps = _PROBE_FD_H * np.eye(n)
+    for what, f in (("kinetic energy", lambda v: model.kinetic(v, qd)),
+                    ("potential energy", model.potential)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            try:
+                values = np.array(_along_axes(model, f, q, what))
+            except (TypeError, np.exceptions.ComplexWarning) as exc:
+                raise DomainError(f"{what} of {model.name} is not analytic in q: "
+                                  f"a complex q gave {type(exc).__name__}: {exc}") from None
+        central = np.array([float(f(q + s)) - float(f(q - s)) for s in steps]) / (2 * _PROBE_FD_H)
+        if not np.isfinite(central).all():
+            raise _not_finite(what, model, q)
+        error = np.max(np.abs(values.imag / _H - central), initial=0.0)
+        scale = np.max(np.abs(np.concatenate([central, values.real])), initial=0.0)
+        if error > _PROBE_RTOL * scale:
+            raise DomainError(f"{what} of {model.name} is not analytic in q: its "
+                              f"complex-step gradient is off the central difference by "
+                              f"{error:.3g} at q = {q}")
+
+
 def gravity_vector(model: MechanicalModel, q) -> np.ndarray:
-    """G(q) = grad V."""
-    return diffnum.gradient(model.potential, _check_q(model, q), _ENERGY_FD)
+    """G(q) = grad V, by complex step: n evaluations of V."""
+    q = _check_q(model, q)
+    return np.array([v.imag / _H
+                     for v in _along_axes(model, model.potential, q, "potential energy")])
 
 
-def _mass_matrix_rate(model: MechanicalModel, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-    """Ddot: one central difference of D along qdot; q and qd are already checked."""
-    h = _ENERGY_FD.h
-    return (_mass_matrix(model, q + h * qd) - _mass_matrix(model, q - h * qd)) / (2 * h)
+def _mass_matrix_rate(model: MechanicalModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The derivative of D along v, Im D(q + i h v) / h; q and v are already
+    checked."""
+    n = len(q)
+    rows = _polarized(model, q + 1j * _H * v)
+    return np.array([[x.imag / _H for x in row] for row in rows]).reshape(n, n)
 
 
 def mass_matrix_rate(model: MechanicalModel, q, qd) -> np.ndarray:
-    """dD/dt = sum_k dD/dq_k qdot_k: one central difference of D along qdot."""
+    """dD/dt = sum_k dD/dq_k qdot_k: one polarization at q + i h qdot."""
     return _mass_matrix_rate(model, _check_q(model, q), _check_q(model, qd))
 
 
 def coriolis_matrix(model: MechanicalModel, q, qd) -> np.ndarray:
     """C = (Ddot + M - M^T) / 2 with M = d(D qdot)/dq: the Christoffel sum
     C_ij = sum_k (dD_ij/dq_k + dD_ik/dq_j - dD_jk/dq_i) qdot_k / 2 regrouped,
-    so Ddot - 2C = M^T - M is skew by construction."""
+    so Ddot - 2C = M^T - M is skew by construction. Column k of M is
+    dD/dq_k qdot, one complex step along e_k."""
     q, qd = _check_q(model, q), _check_q(model, qd)
-    m = diffnum.jacobian(lambda qq: _mass_matrix(model, qq) @ qd, q, _ENERGY_FD)
+    m = np.array([_mass_matrix_rate(model, q, e) @ qd for e in np.eye(len(q))]).T
     return 0.5 * (_mass_matrix_rate(model, q, qd) + m - m.T)
 
 
 def forward_dynamics(model: MechanicalModel, q, qd, torques) -> np.ndarray:
     """qddot = D^-1 (B_u Gamma - Ddot qdot + dL/dq), with L = K - V.
 
-    One call costs 3n(n + 1)/2 + 4n energy evaluations: three polarized D's
-    at n(n + 1)/2 evaluations of K each (at q and at q -/+ h qdot), plus 2n
-    each of K and V for dL/dq. Polarization assumes K quadratic in qdot,
-    which the model checked when it was built. D is solved by Cholesky; a D
-    that is not positive definite at q (a model checked only at q = 0) raises
-    DomainError "mass matrix of <name> is not positive definite at q = ..."."""
+    One call costs n(n + 1)/2 + 2n energy evaluations, all by complex step
+    with h = 1e-30 and exact to roundoff: K polarized once at q + i h qdot
+    gives D (real part) and Ddot (imaginary part over h), and K - V at
+    q + i h e_k gives dL/dq_k. Both need K quadratic in qdot and K, V
+    analytic in q, which the model checked when it was built. D is solved by
+    Cholesky on Python floats; a D that is not positive definite at q (a
+    model checked only at q = 0) raises DomainError "mass matrix of <name>
+    is not positive definite at q = ...", and non-finite torques or
+    generalized forces raise DomainError."""
     q, qd = _check_q(model, q), _check_q(model, qd)
     torques = np.atleast_1d(np.asarray(torques, dtype=float))
     if len(torques) != model.n_inputs:
         raise DimensionError(f"expected {model.n_inputs} torques, got {len(torques)}")
-    dldq = diffnum.gradient(lambda v: model.kinetic(v, qd) - model.potential(v), q, _ENERGY_FD)
-    rhs = model.input_map @ torques - _mass_matrix_rate(model, q, qd) @ qd + dldq
+    d = _polarized(model, q + 1j * _H * qd)
+    dl = _along_axes(model, lambda z: model.kinetic(z, qd) - model.potential(z), q, "energy")
+    v = qd.tolist()
+    rhs = [f - sum(x.imag * vj for x, vj in zip(row, v)) / _H + g.imag / _H
+           for row, f, g in zip(d, (model.input_map @ torques).tolist(), dl)]
+    if not all(map(math.isfinite, rhs)):
+        raise DomainError(f"generalized forces of {model.name} not finite at q = {q}")
     try:
-        return cholesky_solve(_mass_matrix(model, q), rhs)
+        return np.array(_cholesky_solve_rows([[x.real for x in row] for row in d], rhs))
     except SingularityError:
         raise _not_positive_definite(model, q) from None
 

@@ -57,7 +57,8 @@ def _time_grid(t0: float, tf: float, dt: float) -> np.ndarray:
     check_grid_size((tf - t0) / dt + 1.0, "time grid")
     n_full = int(math.floor((tf - t0) / dt + 1e-12))
     ts = t0 + dt * np.arange(n_full + 1)
-    if ts[-1] < tf - 1e-12 * max(1.0, abs(tf)):
+    # the last grid point snaps onto tf within 1e-12; t0 itself never does
+    if n_full == 0 or ts[-1] < tf - 1e-12 * max(1.0, abs(tf)):
         ts = np.append(ts, tf)   # shortened final step lands exactly on tf
     else:
         ts[-1] = tf

@@ -224,6 +224,15 @@ def test_control_step_integrator_never_settles_exit_2(capsys):
     assert "steady state" not in out
 
 
+def test_control_step_horizon_below_the_grid_tolerance_exit_2(capsys):
+    # the time grid dropped t0 below a 1e-12 horizon: IndexError, exit 1
+    code, out, err = run(capsys, "control", "step", "--num", "1", "--den", "1", "1",
+                         "--T", "1e-15")
+    assert code == 2
+    assert err == "error: response never reaches level 0.1\n"
+    assert "steady state" not in out
+
+
 def metric_lines(out):
     return {k: float(v) for k, _, v in (l.partition(": ") for l in out.splitlines())
             if k in ("steady state", "rise time", "overshoot", "settling time")}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calckit.diffnum import DiffConfig, gradient, hessian, jacobian
+from calckit.diffnum import DiffConfig, gradient, hessian
 from calckit.errors import DimensionError, DomainError
 from calckit.linalg import is_positive_definite, lu_solve
 from calckit import mech
@@ -118,6 +118,11 @@ def test_pendulum_horizontal_release():
     assert qdd[0] == pytest.approx(-G, abs=1e-5)
 
 
+def test_nonfinite_torques_raise_domain_error():
+    with pytest.raises(DomainError, match="generalized forces of pendulum not finite"):
+        forward_dynamics(pendulum(), [0.1], [0.0], [math.nan])
+
+
 def test_point_mass_newton():
     qdd = forward_dynamics(point_mass(1.0), [0.0, 0.0], [0.0, 0.0], [3.0, 4.0])
     assert qdd == pytest.approx([3.0, 4.0], abs=1e-8)
@@ -177,6 +182,12 @@ def test_energy_balance_with_inputs():
 def test_rest_at_stable_equilibrium_stays():
     sig = simulate(pendulum(), None, [0.0], [0.0], 1.0, 1e-2)
     assert np.max(np.abs(sig.y)) == 0.0
+
+
+def test_a_horizon_below_the_grid_tolerance_keeps_the_initial_state():
+    sig = simulate(pendulum(), None, [0.2], [0.0], 1e-15, 0.01)
+    assert sig.t.tolist() == [0.0, 1e-15]
+    assert sig.y[0].tolist() == [0.2, 0.0]
 
 
 def test_small_angle_period():
@@ -292,14 +303,15 @@ def counted_energies(model):
     return counted_model, calls
 
 
-@pytest.mark.parametrize("name,evals", [("pendulum", 7), ("segway", 17),
-                                        ("ballbot", 17), ("gymnast_bar", 30)])
-def test_forward_dynamics_costs_3n_n_plus_1_over_2_plus_4n_energy_evaluations(name, evals):
+@pytest.mark.parametrize("name,evals", [("pendulum", 3), ("segway", 7),
+                                        ("ballbot", 7), ("gymnast_bar", 12)])
+def test_forward_dynamics_costs_n_n_plus_1_over_2_plus_2n_energy_evaluations(name, evals):
+    # one polarized K at q + i h qdot, and K - V at q + i h e_k for each k
     counted_model, calls = counted_energies(MODEL_ZOO[name]())
     n = counted_model.n_dof
     forward_dynamics(counted_model, np.full(n, 0.3), np.full(n, -0.7),
                      np.ones(counted_model.n_inputs))
-    assert len(calls) == evals == 3 * n * (n + 1) // 2 + 4 * n
+    assert len(calls) == evals == n * (n + 1) // 2 + 2 * n
 
 
 @pytest.mark.parametrize("steps", [1, 5])
@@ -308,15 +320,17 @@ def test_segway_simulate_costs_four_forward_dynamics_per_step(steps):
     sig = simulate(counted_model, lambda t, q, qd: np.array([-q[1]]),
                    [0.0, 0.05], [0.0, 0.0], steps * 0.01, 0.01)
     assert len(sig) == steps + 1
-    assert len(calls) == 4 * steps * 17
+    assert len(calls) == 4 * steps * 7
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 0])
 def test_construction_costs_the_quadratic_check_plus_one_mass_matrix(n):
+    # plus the analyticity probe: n complex steps and 2n central-difference
+    # evaluations of K (V costs the same, uncounted here)
     calls = []
     MechanicalModel(lambda q, qd: calls.append(1) or 0.5 * qd @ qd,
                     lambda q: 0.0, np.eye(n))
-    assert len(calls) == 2 * n + n * (n + 1) // 2
+    assert len(calls) == 2 * n + n * (n + 1) // 2 + 3 * n
 
 
 @pytest.mark.parametrize("name,n", [("pendulum", 1), ("segway", 2), ("ballbot", 2),
@@ -376,19 +390,24 @@ def test_forward_dynamics_refuses_a_mass_matrix_indefinite_away_from_zero():
         simulate(model, lambda t, q, qd: np.ones(1), [1.5], [0.0], 1.0, 0.01)
 
 
+def complex_step_dldq(model, q, qd):
+    """Reference: dL/dq_k = Im L(q + i h e_k, qdot) / h at h = 1e-30."""
+    return np.array([(model.kinetic(z, qd) - model.potential(z)).imag / 1e-30
+                     for z in q + 1e-30j * np.eye(len(q))])
+
+
 @pytest.mark.parametrize("name", sorted(MODEL_ZOO))
 def test_cholesky_forward_dynamics_equals_the_lu_solve_to_roundoff(name):
-    # the old forward_dynamics solved the same rhs with the pivoting LU; both
+    # an older forward_dynamics solved the same rhs with the pivoting LU; both
     # solvers are backward stable, so they differ by at most c n eps cond(D)
     # ||qddot||_inf; at these states c stayed below 0.36, and 4 is allowed
     model = MODEL_ZOO[name]()
     n = model.n_dof
-    cfg = DiffConfig(h=1e-4, relative=False)
     rng = np.random.default_rng(31)
     for _ in range(100):
         q, qd = rng.uniform(-3.0, 3.0, size=(2, n))
         torques = rng.uniform(-2.0, 2.0, size=model.n_inputs)
-        dldq = gradient(lambda v: model.kinetic(v, qd) - model.potential(v), q, cfg)
+        dldq = complex_step_dldq(model, q, qd)
         rhs = model.input_map @ torques - mass_matrix_rate(model, q, qd) @ qd + dldq
         d = mass_matrix(model, q)
         qdd = forward_dynamics(model, q, qd, torques)
@@ -396,32 +415,83 @@ def test_cholesky_forward_dynamics_equals_the_lu_solve_to_roundoff(name):
         assert np.max(np.abs(qdd - lu_solve(d, rhs))) <= bound
 
 
-# ------------------------------------------- energies straight into diffnum
+# ------------------------------- complex step against the old central differences
+
+OLD_FD = DiffConfig(h=1e-4, relative=False)
+
+
+def central_difference_terms(model, q, qd):
+    """Reference: G, Ddot and dL/dq as the central differences at h = 1e-4
+    that mech took before its complex step."""
+    h = OLD_FD.h
+    g = gradient(lambda v: float(model.potential(v)), q, OLD_FD)
+    rate = (mass_matrix(model, q + h * qd) - mass_matrix(model, q - h * qd)) / (2 * h)
+    dldq = gradient(lambda v: model.kinetic(v, qd) - model.potential(v), q, OLD_FD)
+    return g, rate, dldq
+
 
 @settings(max_examples=120, deadline=None)
 @given(zoo_states())
-def test_unwrapped_energies_equal_the_old_wrappers_bit_for_bit(state):
+def test_complex_step_terms_are_within_1e_6_of_the_old_central_differences(state):
     model, q, qd = state
-    cfg = DiffConfig(h=1e-4, relative=False)
     # D by polarization against the second-difference Hessian it replaced
     d = mass_matrix(model, q)
-    d_hessian = hessian(lambda v: float(model.kinetic(q, v)), np.zeros(model.n_dof), cfg)
+    d_hessian = hessian(lambda v: float(model.kinetic(q, v)), np.zeros(model.n_dof), OLD_FD)
     assert np.all(np.abs(d - d_hessian) <= 1e-9 * np.maximum(1.0, np.abs(d)))
-    g = gradient(lambda qq: float(model.potential(qq)), q, cfg)
-    assert gravity_vector(model, q).tobytes() == g.tobytes()
-    # Ddot as one central difference against the jacobian over a step along qdot
-    n = model.n_dof
-    rate = jacobian(lambda s: mass_matrix(model, q + s[0] * qd).ravel(), [0.0], cfg)
-    assert mass_matrix_rate(model, q, qd).tobytes() == rate.reshape(n, n).tobytes()
+    g, rate, dldq = central_difference_terms(model, q, qd)
+    assert_close(gravity_vector(model, q), g)
+    assert_close(mass_matrix_rate(model, q, qd), rate)
+    torques = np.linspace(-1.0, 1.0, model.n_inputs)
+    old = lu_solve(d, model.input_map @ torques - rate @ qd + dldq)
+    assert_close(forward_dynamics(model, q, qd, torques), old)
+
+
+def segway_closed_form(q, qd, force, cart=1.0, pole=1.0, length=1.0):
+    """qddot of the cart-pole from its hand-derived Euler-Lagrange equations
+    (M + m) xdd + m l cos(th) thdd = F + m l sin(th) thd^2 and
+    m l cos(th) xdd + m l^2 thdd = m g l sin(th), by Cramer's rule."""
+    s, c = math.sin(q[1]), math.cos(q[1])
+    r1 = force + pole * length * s * qd[1] ** 2
+    r2 = pole * G * length * s
+    det = (cart + pole) * pole * length ** 2 - (pole * length * c) ** 2
+    return np.array([pole * length ** 2 * r1 - pole * length * c * r2,
+                     (cart + pole) * r2 - pole * length * c * r1]) / det
+
+
+def test_segway_forward_dynamics_matches_the_closed_form_to_roundoff():
+    # the central differences were off by up to 7.6e-8 here
+    model = cart_pole_segway()
+    rng = np.random.default_rng(37)
+    for _ in range(2000):
+        q, qd = rng.uniform(-3.0, 3.0, size=(2, 2))
+        force = rng.uniform(-3.0, 3.0)
+        exact = segway_closed_form(q, qd, force)
+        got = forward_dynamics(model, q, qd, [force])
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("kinetic,potential", [
+    (lambda q, qd: 0.5 * (1.0 + np.abs(q[0])) * qd[0] ** 2, lambda q: 0.0),
+    (lambda q, qd: 0.5 * qd[0] ** 2, lambda q: G * np.abs(q[0])),
+    (lambda q, qd: 0.5 * qd[0] ** 2, lambda q: G * (1.0 - math.cos(float(q[0])))),
+    (lambda q, qd: 0.5 * qd[0] ** 2, lambda q: G * (1.0 - math.cos(q.tolist()[0]))),
+], ids=["abs-kinetic", "abs-potential", "float", "type-error"])
+def test_construction_refuses_an_energy_not_analytic_in_q(kinetic, potential):
+    # np.abs drops the imaginary part, so the complex step would read a zero
+    # slope; float() casts it away with a warning, math.cos refuses it
+    with pytest.raises(DomainError, match="energy of non_analytic is not analytic in q"):
+        MechanicalModel(kinetic, potential, np.eye(1), name="non_analytic")
 
 
 @pytest.mark.parametrize("kinetic,potential", [
     (lambda q, qd: math.inf if qd[0] > 0 else 0.5 * qd[0] ** 2, lambda q: 0.0),
     (lambda q, qd: 0.5 * qd[0] ** 2, lambda q: math.nan),
     (lambda q, qd: math.inf, lambda q: 0.0),
+    # nan only away from the construction probe; its imaginary part is 0
+    (lambda q, qd: 0.5 * qd[0] ** 2, lambda q: math.nan if q[0].real < 0.25 else 0.0),
 ])
 def test_nonfinite_energy_raises_domain_error(kinetic, potential):
-    # a K not finite at q = 0 fails at construction, a V on first use
+    # the first three fail at construction, the last on first use
     with pytest.raises(DomainError, match="not finite"):
         forward_dynamics(MechanicalModel(kinetic, potential, np.eye(1)),
                          [0.2], [0.0], [0.0])
@@ -470,8 +540,8 @@ def test_robot_equations_match_the_symbolic_euler_lagrange_oracle(name):
         torques = rng.uniform(-2.0, 2.0, size=model.n_inputs)
         d, ddot_qd, dldq, g = exact(q, qd)
         assert_close(mass_matrix(model, q), d, tol=1e-12)
-        assert_close(gravity_vector(model, q), g)
+        assert_close(gravity_vector(model, q), g, tol=1e-12)
         # C qdot = Ddot qdot - dK/dq, and dK/dq = dL/dq + G
-        assert_close(coriolis_matrix(model, q, qd) @ qd, ddot_qd - dldq - g)
+        assert_close(coriolis_matrix(model, q, qd) @ qd, ddot_qd - dldq - g, tol=1e-12)
         qdd = np.linalg.solve(d, model.input_map @ torques - ddot_qd + dldq)
-        assert_close(forward_dynamics(model, q, qd, torques), qdd)
+        assert_close(forward_dynamics(model, q, qd, torques), qdd, tol=1e-12)

@@ -49,6 +49,14 @@ def test_partial_final_step_lands_on_tf():
     assert sig.y[-1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_a_horizon_below_the_snap_tolerance_keeps_t0():
+    # the final point snapped onto tf and overwrote t0, leaving the grid [tf]
+    assert odesolve._time_grid(5.0, 5.0 + 1e-13, 0.01).tolist() == [5.0, 5.0 + 1e-13]
+    sig = rk4_solve(IvpProblem(lambda t, x: x * 0.0 + 1.0, [2.0], 0.0, 1e-15), 0.01)
+    assert sig.t.tolist() == [0.0, 1e-15]
+    assert sig.y[0, 0] == 2.0
+
+
 def test_nonfinite_rhs_reports_blowup():
     prob = IvpProblem(lambda t, x: x ** 3, [10.0], 0.0, 5.0)
     with pytest.raises(DomainError):
