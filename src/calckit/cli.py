@@ -358,7 +358,8 @@ def main(argv=None) -> int:
     except CalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+            OverflowError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return 2
     print(f"wall time: {time.perf_counter() - start:.3f} s", file=sys.stderr)

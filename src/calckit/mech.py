@@ -16,12 +16,12 @@ n(n + 1)/2 + 2n energy evaluations, without forming C or G; coriolis_matrix
 and gravity_vector give the textbook D qddot + C qdot + G = B_u Gamma.
 
 A MechanicalModel checks its energies once, when it is built, so every
-function below sees a checked model: K(0, 2 e_i) = 4 K(0, e_i), D(0)
-positive definite, and at a fixed probe the complex-step gradients of K and
-V equal to a central difference, which refuses an energy built on np.abs,
-float() or math functions. Each check raises DomainError naming the model.
-Every energy value, real and imaginary part, is checked for finiteness
-(DomainError).
+function below sees a checked model: at a fixed probe (q, v),
+K(0, v) = v^T D(0) v / 2, D(0) is positive definite and the complex-step
+gradients of K and V equal a central difference, which refuses an energy
+built on np.abs, float() or math functions. Each check raises DomainError
+naming the model, and so does any energy value not finite in its real or
+imaginary part.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class MechanicalModel:
     """Energies K(q, qdot), V(q) and the actuator input map B_u, whose
     n_dof x n_inputs shape fixes both sizes.
 
-    Construction raises DomainError unless K is quadratic in qdot, D is
-    positive definite at q = 0 and K and V are analytic in q at a fixed
-    probe: 2n + n(n + 1)/2 + 3n evaluations of K and 3n of V."""
+    Construction raises DomainError unless K(0, v) = v^T D(0) v / 2 at a
+    probe velocity v, D(0) is positive definite and K and V are analytic in
+    q at a fixed probe: n(n + 1)/2 + 1 + 3n evaluations of K and 3n of V."""
 
     kinetic: Callable[[np.ndarray, np.ndarray], float]
     potential: Callable[[np.ndarray], float]
@@ -63,11 +63,7 @@ class MechanicalModel:
         if b.ndim != 2:
             raise DimensionError(f"input map must be n_dof x n_inputs, got shape {b.shape}")
         object.__setattr__(self, "input_map", b)
-        q0 = np.zeros(self.n_dof)
-        _check_quadratic_kinetic(self, q0)
-        if not is_positive_definite(_mass_matrix(self, q0)):
-            raise _not_positive_definite(self, q0)
-        _check_analytic(self)
+        _check_energies(self)
 
     @property
     def n_dof(self) -> int:
@@ -123,42 +119,34 @@ def _along_axes(model: MechanicalModel, f, q: np.ndarray, what: str) -> list[com
     return values
 
 
-def _mass_matrix(model: MechanicalModel, q: np.ndarray) -> np.ndarray:
-    """D(q) by polarization of the quadratic K, exact to roundoff; q is
-    already checked."""
+def mass_matrix(model: MechanicalModel, q) -> np.ndarray:
+    """D(q), the Hessian of K in the velocities, by polarization of the
+    quadratic K: n(n + 1)/2 evaluations, exact to roundoff."""
+    q = _check_q(model, q)
     n = len(q)
     return np.array([[x.real for x in row] for row in _polarized(model, q)]).reshape(n, n)
 
 
-def mass_matrix(model: MechanicalModel, q) -> np.ndarray:
-    """D(q), the Hessian of K in the velocities, by polarization."""
-    return _mass_matrix(model, _check_q(model, q))
-
-
-def _check_quadratic_kinetic(model: MechanicalModel, q: np.ndarray) -> None:
-    """DomainError unless K(q, 2 e_i) = 4 K(q, e_i) to 1e-9 relative for
-    every i: the homogeneity that the polarized D relies on."""
-    eye = np.eye(model.n_dof)
-    k1 = np.array([4.0 * float(model.kinetic(q, e)) for e in eye])
-    k2 = np.array([float(model.kinetic(q, 2.0 * e)) for e in eye])
-    if not np.isfinite((k1, k2)).all():
-        raise _not_finite("kinetic energy", model, q)
-    bad = np.flatnonzero(np.abs(k2 - k1) > 1e-9 * np.maximum(np.abs(k1), np.abs(k2)))
-    if len(bad):
-        raise DomainError(f"kinetic energy of {model.name} is not quadratic in the "
-                          f"velocities: K(q, 2 e_i) != 4 K(q, e_i) at q = {q}, "
-                          f"i = {bad.tolist()}")
-
-
-def _check_analytic(model: MechanicalModel) -> None:
-    """DomainError unless the complex-step gradients of K(., qdot) and V
-    match a central difference to 1e-6 of max(|gradient|, |energy|) at the
-    probe q_k = 0.3 k, qdot_k = 0.5 (-1)^k: 3n evaluations of each. An
-    energy that raises TypeError or casts the complex input to real is
-    refused outright."""
+def _check_energies(model: MechanicalModel) -> None:
+    """DomainError unless, at the probe q_k = 0.3 k, qdot_k = 0.5 (-1)^k:
+    K(0, qdot) = qdot^T D(0) qdot / 2 to 1e-9 of its terms' magnitude, D(0)
+    is positive definite, and the complex-step gradients of K(., qdot) and V
+    match a central difference to 1e-6 of max(|gradient|, |energy|). An
+    energy that raises TypeError or casts a complex q to real is refused."""
     n = model.n_dof
+    q0 = np.zeros(n)
     q = 0.3 * np.arange(1, n + 1)
     qd = 0.5 * (-1.0) ** np.arange(n)
+    d = mass_matrix(model, q0)
+    k = float(model.kinetic(q0, qd))
+    if not math.isfinite(k):
+        raise _not_finite("kinetic energy", model, q0)
+    form = 0.5 * qd @ d @ qd
+    if abs(k - form) > 1e-9 * max(abs(k), 0.5 * np.abs(qd) @ np.abs(d) @ np.abs(qd)):
+        raise DomainError(f"kinetic energy of {model.name} is not quadratic in the velocities: "
+                          f"K(0, v) = {k:.12g} != v^T D(0) v / 2 = {form:.12g} at v = {qd}")
+    if not is_positive_definite(d):
+        raise _not_positive_definite(model, q0)
     steps = _PROBE_FD_H * np.eye(n)
     for what, f in (("kinetic energy", lambda v: model.kinetic(v, qd)),
                     ("potential energy", model.potential)):
@@ -187,17 +175,13 @@ def gravity_vector(model: MechanicalModel, q) -> np.ndarray:
                      for v in _along_axes(model, model.potential, q, "potential energy")])
 
 
-def _mass_matrix_rate(model: MechanicalModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The derivative of D along v, Im D(q + i h v) / h; q and v are already
-    checked."""
-    n = len(q)
-    rows = _polarized(model, q + 1j * _H * v)
-    return np.array([[x.imag / _H for x in row] for row in rows]).reshape(n, n)
-
-
 def mass_matrix_rate(model: MechanicalModel, q, qd) -> np.ndarray:
-    """dD/dt = sum_k dD/dq_k qdot_k: one polarization at q + i h qdot."""
-    return _mass_matrix_rate(model, _check_q(model, q), _check_q(model, qd))
+    """dD/dt = sum_k dD/dq_k qdot_k, Im D(q + i h qdot) / h: one
+    polarization."""
+    q, qd = _check_q(model, q), _check_q(model, qd)
+    n = len(q)
+    rows = _polarized(model, q + 1j * _H * qd)
+    return np.array([[x.imag / _H for x in row] for row in rows]).reshape(n, n)
 
 
 def coriolis_matrix(model: MechanicalModel, q, qd) -> np.ndarray:
@@ -206,8 +190,8 @@ def coriolis_matrix(model: MechanicalModel, q, qd) -> np.ndarray:
     so Ddot - 2C = M^T - M is skew by construction. Column k of M is
     dD/dq_k qdot, one complex step along e_k."""
     q, qd = _check_q(model, q), _check_q(model, qd)
-    m = np.array([_mass_matrix_rate(model, q, e) @ qd for e in np.eye(len(q))]).T
-    return 0.5 * (_mass_matrix_rate(model, q, qd) + m - m.T)
+    m = np.array([mass_matrix_rate(model, q, e) @ qd for e in np.eye(len(q))]).T
+    return 0.5 * (mass_matrix_rate(model, q, qd) + m - m.T)
 
 
 def forward_dynamics(model: MechanicalModel, q, qd, torques) -> np.ndarray:
@@ -245,8 +229,7 @@ def simulate(model: MechanicalModel, controller, q0, qd0, T: float, dt: float) -
     The controller (t, q, qdot) -> torques is sampled at every RK4 stage.
     None means zero input. Non-finite states abort with the blow-up time.
     """
-    q0 = _check_q(model, q0)
-    qd0 = _check_q(model, qd0)
+    q0, qd0 = _check_q(model, q0), _check_q(model, qd0)
     n = model.n_dof
     zero = np.zeros(model.n_inputs)
 

@@ -396,6 +396,37 @@ def test_negative_mass_segway_exits_2(argv, tmp_path, capsys):
     assert not out_csv.exists()
 
 
+LONG_PENDULUM = '{"length": 1e200}'
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["control", "pd", "--model", "segway", "--wn", "1e200", "--zeta", "0.9"], None),
+    (["optimize", "--scenario", "freethrow", "--mode", "fixed_speed", "--speed", "1e200",
+      "--config", str(DATA / "freethrow.json")], None),
+    (["optimize", "--scenario", "gymnast"],
+     '{"half_length": 1e200, "m1": 30.0, "m2": 30.0, "p0": [0.0, 3.0], '
+     '"p_land": [0.0, 0.0], "theta_land": 0.0}'),
+    (["control", "pd", "--model", "pendulum", "--wn", "3", "--zeta", "0.9"], LONG_PENDULUM),
+    (["control", "linearize", "--model", "pendulum"], LONG_PENDULUM),
+    (["simulate", "--model", "pendulum", "--q0", "0.1", "--T", "0.1", "--dt", "0.01"],
+     LONG_PENDULUM),
+], ids=["pd-wn", "freethrow-speed", "gymnast-half-length", "pd-pendulum-length",
+        "linearize-pendulum-length", "simulate-pendulum-length"])
+def test_overflow_from_finite_input_exits_2(argv, config, tmp_path, capsys):
+    # a Python float ** raises OverflowError, which is not a ValueError
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    out_csv = tmp_path / "x.csv"
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(out_csv)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "OverflowError" in err
+    assert not out_csv.exists()
+
+
 def test_control_pd_segway_stable_poles(capsys):
     code, out, _ = run(capsys, "control", "pd", "--model", "segway",
                        "--wn", "3", "--zeta", "0.9", "--T", "5")

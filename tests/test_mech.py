@@ -325,12 +325,12 @@ def test_segway_simulate_costs_four_forward_dynamics_per_step(steps):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 0])
 def test_construction_costs_the_quadratic_check_plus_one_mass_matrix(n):
-    # plus the analyticity probe: n complex steps and 2n central-difference
-    # evaluations of K (V costs the same, uncounted here)
+    # D(0) by polarization, K at the probe velocity, then n complex steps and
+    # 2n central-difference evaluations of K (V costs 3n, uncounted here)
     calls = []
     MechanicalModel(lambda q, qd: calls.append(1) or 0.5 * qd @ qd,
                     lambda q: 0.0, np.eye(n))
-    assert len(calls) == 2 * n + n * (n + 1) // 2 + 3 * n
+    assert len(calls) == n * (n + 1) // 2 + 1 + 3 * n
 
 
 @pytest.mark.parametrize("name,n", [("pendulum", 1), ("segway", 2), ("ballbot", 2),
@@ -355,7 +355,9 @@ def test_zoo_kinetic_energies_pass_the_quadratic_check(name):
     model = MODEL_ZOO[name]()
     rng = np.random.default_rng(23)
     for _ in range(50):
-        mech._check_quadratic_kinetic(model, rng.uniform(-3.0, 3.0, size=model.n_dof))
+        q, v = rng.uniform(-3.0, 3.0, size=(2, model.n_dof))
+        assert model.kinetic(q, v) == pytest.approx(0.5 * v @ mass_matrix(model, q) @ v,
+                                                    rel=1e-12, abs=0.0)
 
 
 def test_construction_rejects_a_kinetic_energy_not_quadratic_in_the_velocities():
@@ -363,6 +365,14 @@ def test_construction_rejects_a_kinetic_energy_not_quadratic_in_the_velocities()
     with pytest.raises(DomainError, match="linear_term is not quadratic"):
         MechanicalModel(lambda q, qd: 0.5 * qd[0] ** 2 + qd[0],
                         lambda q: 0.0, np.eye(1), name="linear_term")
+
+
+def test_construction_rejects_a_velocity_cross_term():
+    # K(0, 2 e_i) = 4 K(0, e_i) holds on both axes and D(0) = [[1, 0.1], [0.1, 1]]
+    # is positive definite, but K(0, (0.5, -0.5)) = 0.2375 is not v^T D v / 2 = 0.225
+    with pytest.raises(DomainError, match="cross_term is not quadratic"):
+        MechanicalModel(lambda q, qd: 0.5 * (qd[0] ** 2 + qd[1] ** 2) + 0.1 * qd[0] ** 2 * qd[1],
+                        lambda q: 0.0, np.eye(2), name="cross_term")
 
 
 @pytest.mark.parametrize("factory,kwargs", [
