@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import funcexpr, lti, mech, odo, opt, quad, svgplot
-from .errors import CalcError, ConvergenceError
+from .errors import CalcError, ConvergenceError, DomainError
 from .signals import write_csv
 
 
@@ -220,6 +220,14 @@ def cmd_step(args) -> int:
         hint = lti.dc_gain(tf)
     except CalcError:
         hint = None     # pole at the origin: fall back to tail averaging
+    # with a hint the tail goes unchecked, so a plant that cannot settle is
+    # refused by its least damped pole; an axis pole's computed real part
+    # has either sign at roundoff, hence the margin
+    if hint is not None and len(tf.den) > 1:
+        pole = max(lti.poles(tf), key=lambda p: p.real / abs(p))
+        if pole.real >= -1e-9 * abs(pole):
+            raise DomainError(f"pole {pole:.6g} is not in the open left half-plane "
+                              "(Re >= -1e-9 |p|): the step response has no steady state")
     metrics = lti.response_metrics(sig, final_hint=hint)
     if args.out:
         write_csv(sig, args.out, headers=["y"])

@@ -7,10 +7,11 @@ controllers are improper in isolation, so closed loops are always formed
 symbolically (polynomial arithmetic) before any simulation; step responses
 march a controllable-canonical realization with its exact discrete-time map
 (one matrix exponential per step size), never a numerical inverse Laplace
-transform. The march is the linear recurrence x_{k+1} = Phi x_k + Gamma,
-blocked so that one matrix product fills _BLOCK states at a time (Kogge &
-Stone, IEEE Trans. Computers C-22(8), 1973). ss_to_tf converts a SISO
-state-space model only; restrict a larger one with subsystem first.
+transform. The march is the linear recurrence x_{k+1} = Phi x_k + Gamma
+from rest, solved by recursive doubling (Kogge & Stone, IEEE Trans.
+Computers C-22(8), 1973): each matrix product doubles the record, so N
+samples take ceil(log2 N) products. ss_to_tf converts a SISO state-space
+model only; restrict a larger one with subsystem first.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import diffnum, mech, odesolve
 from .errors import DimensionError, DomainError
 from .poly import (degree, format_poly, poly_add, poly_eval, poly_mul,
                    roots_dk, trim)
-from .signals import SampledSignal
+from .signals import SampledSignal, check_grid_size
 
 __all__ = [
     "TransferFunction", "StateSpace", "StepMetrics", "PdGains",
@@ -34,7 +35,6 @@ __all__ = [
 ]
 
 _COUPLING_TOL = 1e-9    # subsystem: largest A/C entry still counted as decoupled
-_BLOCK = 64             # step_response: states filled by one matrix product
 
 
 @dataclass(frozen=True)
@@ -250,29 +250,32 @@ def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
     Under a constant input the state obeys x_{k+1} = Phi x_k + Gamma exactly,
     where exp([[A, B], [0, 0]] h) = [[Phi, Gamma], [0, 1]] (Van Loan, IEEE TAC
     23(3), 1978). One matrix exponential serves every full step of length dt;
-    a shortened final step gets its own. The full steps are marched in blocks
-    (Kogge & Stone, IEEE Trans. Computers C-22(8), 1973): with Phi^j and
-    S_j = sum_{i<j} Phi^i Gamma for j = 1.._BLOCK, x_{k+j} = Phi^j x_k + S_j,
-    so one product fills a block from its last state. An output beyond 1e9
+    a shortened final step gets its own. From rest, x_k = sum_{i<k} Phi^i Gamma,
+    so x_{k+j} = Phi^k x_j + x_k: one product fills rows k+1..2k from rows
+    1..k, and Phi^2k = (Phi^k)^2 (recursive doubling, Kogge & Stone, IEEE
+    Trans. Computers C-22(8), 1973). N steps take ceil(log2 N) products with
+    the record at every order, a static gain included. An output beyond 1e9
     in magnitude raises DomainError with the time it happened (unstable).
     """
     if T <= 0:
         raise DomainError("horizon must be positive")
     ss = tf_to_ss(tf)
     ts = odesolve._time_grid(0.0, T, dt)
-    if ss.n_states == 0:
-        return SampledSignal(ts, np.full_like(ts, float(ss.D[0, 0])))
     n = ss.n_states
+    check_grid_size(len(ts) * n, "step response state record")
     xs = np.zeros((len(ts), n))
     phi, gamma = _step_map(ss, dt)
     last = ts[-1] - ts[-2]
     short = abs(last - dt) > 1e-9 * dt
     n_full = len(ts) - 2 if short else len(ts) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        powers, sums = _block_maps(phi, gamma)
-        for k in range(0, n_full, _BLOCK):
-            r = min(_BLOCK, n_full - k)
-            xs[k + 1:k + 1 + r] = (powers[:r * n] @ xs[k]).reshape(r, n) + sums[:r]
+        xs[1] = gamma
+        power, k = phi, 1
+        while k < n_full:
+            r = min(k, n_full - k)
+            rows = np.matmul(xs[1:1 + r], power.T, out=xs[k + 1:k + 1 + r])
+            rows += xs[k]
+            power, k = power @ power, 2 * k
         if short:
             phi, gamma = _step_map(ss, last)
             xs[-1] = phi @ xs[-2] + gamma
@@ -282,23 +285,6 @@ def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
         t_blow = float(ts[int(np.argmax(blown))])
         raise DomainError(f"step response exceeds 1e9 at t = {t_blow} (unstable)")
     return SampledSignal(ts, y)
-
-
-def _block_maps(phi: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phi^1..Phi^b stacked as a (b n x n) matrix, and the rows S_1..S_b,
-    for b = _BLOCK.
-
-    Both follow the per-step recurrence: Phi^{j+1} = Phi Phi^j and
-    S_{j+1} = Phi S_j + Gamma.
-    """
-    n = len(gamma)
-    powers = np.empty((_BLOCK, n, n))
-    sums = np.empty((_BLOCK, n))
-    powers[0], sums[0] = phi, gamma
-    for j in range(1, _BLOCK):
-        powers[j] = phi @ powers[j - 1]
-        sums[j] = phi @ sums[j - 1] + gamma
-    return powers.reshape(_BLOCK * n, n), sums
 
 
 def _step_map(ss: StateSpace, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -16,12 +16,12 @@ n(n + 1)/2 + 2n energy evaluations, without forming C or G; coriolis_matrix
 and gravity_vector give the textbook D qddot + C qdot + G = B_u Gamma.
 
 A MechanicalModel checks its energies once, when it is built, so every
-function below sees a checked model: at a fixed probe (q, v),
-K(0, v) = v^T D(0) v / 2, D(0) is positive definite and the complex-step
-gradients of K and V equal a central difference, which refuses an energy
-built on np.abs, float() or math functions. Each check raises DomainError
-naming the model, and so does any energy value not finite in its real or
-imaginary part.
+function below sees a checked model: at a fixed probe velocity v, both at
+q = 0 and at a probe q, K(q, v) = v^T D(q) v / 2 and D(q) is positive
+definite, and at the probe q the complex-step gradients of K and V equal a
+central difference, which refuses an energy built on np.abs, float() or
+math functions. Each check raises DomainError naming the model, and so does
+any energy value not finite in its real or imaginary part.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ class MechanicalModel:
     """Energies K(q, qdot), V(q) and the actuator input map B_u, whose
     n_dof x n_inputs shape fixes both sizes.
 
-    Construction raises DomainError unless K(0, v) = v^T D(0) v / 2 at a
-    probe velocity v, D(0) is positive definite and K and V are analytic in
-    q at a fixed probe: n(n + 1)/2 + 1 + 3n evaluations of K and 3n of V."""
+    Construction raises DomainError unless K(q, v) = v^T D(q) v / 2 at a
+    probe velocity v and D(q) is positive definite, both at q = 0 and at a
+    probe q, and K and V are analytic in q at the probe: n(n + 1) + 2 + 3n
+    evaluations of K and 3n of V."""
 
     kinetic: Callable[[np.ndarray, np.ndarray], float]
     potential: Callable[[np.ndarray], float]
@@ -128,25 +129,27 @@ def mass_matrix(model: MechanicalModel, q) -> np.ndarray:
 
 
 def _check_energies(model: MechanicalModel) -> None:
-    """DomainError unless, at the probe q_k = 0.3 k, qdot_k = 0.5 (-1)^k:
-    K(0, qdot) = qdot^T D(0) qdot / 2 to 1e-9 of its terms' magnitude, D(0)
-    is positive definite, and the complex-step gradients of K(., qdot) and V
-    match a central difference to 1e-6 of max(|gradient|, |energy|). An
-    energy that raises TypeError or casts a complex q to real is refused."""
+    """DomainError unless, at q = 0 and at the probe q_k = 0.3 k with
+    qdot_k = 0.5 (-1)^k: K(q, qdot) = qdot^T D(q) qdot / 2 to 1e-9 of its
+    terms' magnitude and D(q) is positive definite; and at the probe the
+    complex-step gradients of K(., qdot) and V match a central difference to
+    1e-6 of max(|gradient|, |energy|). An energy that raises TypeError or
+    casts a complex q to real is refused."""
     n = model.n_dof
-    q0 = np.zeros(n)
     q = 0.3 * np.arange(1, n + 1)
     qd = 0.5 * (-1.0) ** np.arange(n)
-    d = mass_matrix(model, q0)
-    k = float(model.kinetic(q0, qd))
-    if not math.isfinite(k):
-        raise _not_finite("kinetic energy", model, q0)
-    form = 0.5 * qd @ d @ qd
-    if abs(k - form) > 1e-9 * max(abs(k), 0.5 * np.abs(qd) @ np.abs(d) @ np.abs(qd)):
-        raise DomainError(f"kinetic energy of {model.name} is not quadratic in the velocities: "
-                          f"K(0, v) = {k:.12g} != v^T D(0) v / 2 = {form:.12g} at v = {qd}")
-    if not is_positive_definite(d):
-        raise _not_positive_definite(model, q0)
+    for z in (np.zeros(n), q):
+        d = mass_matrix(model, z)
+        k = float(model.kinetic(z, qd))
+        if not math.isfinite(k):
+            raise _not_finite("kinetic energy", model, z)
+        form = 0.5 * qd @ d @ qd
+        if abs(k - form) > 1e-9 * max(abs(k), 0.5 * np.abs(qd) @ np.abs(d) @ np.abs(qd)):
+            raise DomainError(f"kinetic energy of {model.name} is not quadratic in the "
+                              f"velocities: K(q, v) = {k:.12g} != v^T D(q) v / 2 = "
+                              f"{form:.12g} at q = {z}, v = {qd}")
+        if not is_positive_definite(d):
+            raise _not_positive_definite(model, z)
     steps = _PROBE_FD_H * np.eye(n)
     for what, f in (("kinetic energy", lambda v: model.kinetic(v, qd)),
                     ("potential energy", model.potential)):
@@ -202,9 +205,9 @@ def forward_dynamics(model: MechanicalModel, q, qd, torques) -> np.ndarray:
     gives D (real part) and Ddot (imaginary part over h), and K - V at
     q + i h e_k gives dL/dq_k. Both need K quadratic in qdot and K, V
     analytic in q, which the model checked when it was built. D is solved by
-    Cholesky on Python floats; a D that is not positive definite at q (a
-    model checked only at q = 0) raises DomainError "mass matrix of <name>
-    is not positive definite at q = ...", and non-finite torques or
+    Cholesky on Python floats; a D that is not positive definite at q (the
+    model checked it at two points only) raises DomainError "mass matrix of
+    <name> is not positive definite at q = ...", and non-finite torques or
     generalized forces raise DomainError."""
     q, qd = _check_q(model, q), _check_q(model, qd)
     torques = np.atleast_1d(np.asarray(torques, dtype=float))

@@ -68,6 +68,7 @@ def _time_grid(t0: float, tf: float, dt: float) -> np.ndarray:
 def _march(prob: IvpProblem, dt: float, step) -> SampledSignal:
     """The one marching loop: x_{k+1} = step(t_k, x_k, t_{k+1} - t_k)."""
     ts = _time_grid(prob.t0, prob.tf, dt)
+    check_grid_size(len(ts) * len(prob.x0), "ODE state record")
     xs = np.empty((len(ts), len(prob.x0)))
     xs[0] = prob.x0
     for k in range(len(ts) - 1):

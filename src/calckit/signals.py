@@ -12,7 +12,8 @@ blocked formatter, ``_write_rows``, writes the rows of ``write_csv`` and the
 points of ``svgplot.line_chart``, WRITE_BLOCK_ROWS per format string. Both
 keep the bytes and line numbers of a one-field-at-a-time loop.
 Every uniform grid the package builds (ODE time grids, fixed-panel
-quadrature) is refused by ``check_grid_size`` above MAX_GRID_POINTS points.
+quadrature), and every state record marched on one (points times state
+width), is refused by ``check_grid_size`` above MAX_GRID_POINTS values.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from calckit import cli, funcexpr, lti, quad
+from calckit import cli, funcexpr, lti, quad, signals
 from calckit.cli import _fmt, _print_pole_table, main
 from calckit.errors import CalcError
 from calckit.signals import read_csv
@@ -224,6 +224,28 @@ def test_control_step_integrator_never_settles_exit_2(capsys):
     assert "steady state" not in out
 
 
+@pytest.mark.parametrize("den", [
+    ["1", "-0.1", "1"],                  # a growing oscillation: overshoot 1.17, settling = T
+    ["1", "0", "1"],                     # undamped
+    ["2", "1", "2", "1"],                # (s^2 + 1)(s + 2): the axis pair comes out at Re < 0
+    [str(c) for c in range(1, 21)],      # degree 19, largest real part 1.03
+], ids=["growing", "undamped", "undamped-roundoff", "degree-19"])
+def test_control_step_refuses_a_plant_with_no_steady_state(den, capsys):
+    code, out, err = run(capsys, "control", "step", "--num", "1", "--den", *den,
+                         "--T", "5", "--dt", "0.01")
+    assert code == 2
+    assert "is not in the open left half-plane" in err
+    assert "steady state" not in out
+
+
+def test_control_step_takes_a_stable_plant_not_yet_settled_at_t(capsys):
+    # zeta = 0.2, wn = 1: the envelope is still about 14 % at T = 10
+    code, out, _ = run(capsys, "control", "step", "--num", "1", "--den", "1", "0.4", "1",
+                       "--T", "10", "--dt", "0.01")
+    assert code == 0
+    assert metric_lines(out)["settling time"] == pytest.approx(10.0, abs=0.02)
+
+
 def test_control_step_horizon_below_the_grid_tolerance_exit_2(capsys):
     # the time grid dropped t0 below a 1e-12 horizon: IndexError, exit 1
     code, out, err = run(capsys, "control", "step", "--num", "1", "--den", "1", "1",
@@ -283,6 +305,20 @@ def test_grid_over_the_point_budget_exits_2(argv, tmp_path, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "over the budget of 10,000,000" in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "pendulum", "--q0", "0.1", "--T", "1", "--dt", "0.002"],
+    ["control", "step", "--num", "1", "--den", "1", "3", "3", "1", "--T", "1", "--dt", "0.003"],
+], ids=["simulate", "control-step"])
+def test_state_record_over_the_budget_exits_2(argv, monkeypatch, tmp_path, capsys):
+    # about 500 (334) points pass a 1000-point grid budget, 2 (3) states do not
+    monkeypatch.setattr(signals, "MAX_GRID_POINTS", 1000)
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run(capsys, *argv, "--out", str(out_csv))
+    assert code == 2
+    assert "state record needs" in err and "over the budget of 1,000" in err
     assert not out_csv.exists()
 
 

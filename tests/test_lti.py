@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from calckit import diffnum, lti, mech, odesolve
+from calckit import diffnum, lti, mech, odesolve, signals
 from calckit.errors import ConvergenceError, DimensionError, DomainError
 from calckit.lti import (PdGains, StateSpace, TransferFunction, dc_gain,
                          linearize, pd_pole_placement, pd_tf, poles,
@@ -465,6 +465,16 @@ def test_static_gain_step_response_uses_the_ivp_grid():
         step_response(TransferFunction([2.0], [1.0]), 1.0, 0.0)
 
 
+def test_step_response_bounds_the_state_record_not_just_the_grid(monkeypatch):
+    # 251 points pass a 1000-point grid budget, but 251 x 4 states do not
+    monkeypatch.setattr(signals, "MAX_GRID_POINTS", 1000)
+    tf, dt = TransferFunction([1.0], [1.0, 4.0, 6.0, 4.0, 1.0]), 2.0 ** -6
+    assert len(step_response(tf, 249 * dt, dt)) == 250
+    with pytest.raises(DomainError, match="step response state record needs 1004 points"):
+        step_response(tf, 250 * dt, dt)
+    assert len(step_response(TransferFunction([2.0], [1.0]), 999 * dt, dt)) == 1000
+
+
 def test_metrics_without_hint_refuse_an_unsettled_record():
     ramp = step_response(TransferFunction([1.0], [0.0, 1.0]), 10.0, 1e-2)
     with pytest.raises(DomainError, match="not settled"):
@@ -574,7 +584,28 @@ def test_direct_term_metrics_match_closed_form():
     assert m.overshoot == 0.0 and m.steady_state == 2.0
 
 
-# ------------------------------------------------ blocked march vs per-step
+# ------------------------------------- doubling vs per-step and blocked marches
+
+def _full_steps(ts, dt):
+    """Steps of length dt on the grid: all but a shortened final one."""
+    short = abs((ts[-1] - ts[-2]) - dt) > 1e-9 * dt
+    return len(ts) - 2 if short else len(ts) - 1
+
+
+def _finish(ss, ts, dt, xs):
+    """Shared tail of the references: a shortened final step with its own
+    map, the output and the blow-up check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _full_steps(ts, dt) < len(ts) - 1:
+            phi, gamma = lti._step_map(ss, ts[-1] - ts[-2])
+            xs[-1] = phi @ xs[-2] + gamma
+        y = xs @ ss.C[0] + ss.D[0, 0]
+    blown = ~(np.abs(y) <= 1e9)
+    if np.any(blown):
+        t_blow = float(ts[int(np.argmax(blown))])
+        raise DomainError(f"step response exceeds 1e9 at t = {t_blow} (unstable)")
+    return SampledSignal(ts, y)
+
 
 def _per_step_step_response(tf, T, dt):
     """The per-step march x_{k+1} = Phi x_k + Gamma, one product per step."""
@@ -586,26 +617,44 @@ def _per_step_step_response(tf, T, dt):
     phi, gamma = lti._step_map(ss, dt)
     x = xs[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, len(ts) - 1):
+        for k in range(1, _full_steps(ts, dt) + 1):
             x = xs[k] = phi @ x + gamma
-        last = ts[-1] - ts[-2]
-        if abs(last - dt) > 1e-9 * dt:
-            phi, gamma = lti._step_map(ss, last)
-        xs[-1] = phi @ x + gamma
-        y = xs @ ss.C[0] + ss.D[0, 0]
-    blown = ~(np.abs(y) <= 1e9)
-    if np.any(blown):
-        t_blow = float(ts[int(np.argmax(blown))])
-        raise DomainError(f"step response exceeds 1e9 at t = {t_blow} (unstable)")
-    return SampledSignal(ts, y)
+    return _finish(ss, ts, dt, xs)
 
 
-def _seeded_tf(rng, n, sign=-1.0):
-    """Real poles and conjugate pairs with real parts of the given sign."""
+def _blocked_step_response(tf, T, dt, block=64):
+    """The blocked march that recursive doubling replaced: with Phi^j and
+    S_j = sum_{i<j} Phi^i Gamma for j = 1..block, x_{k+j} = Phi^j x_k + S_j,
+    so one product fills a block from its last state."""
+    ss = tf_to_ss(tf)
+    ts = odesolve._time_grid(0.0, T, dt)
+    n = ss.n_states
+    xs = np.zeros((len(ts), n))
+    phi, gamma = lti._step_map(ss, dt)
+    powers, sums = np.empty((block, n, n)), np.empty((block, n))
+    powers[0], sums[0] = phi, gamma
+    for j in range(1, block):
+        powers[j] = phi @ powers[j - 1]
+        sums[j] = phi @ sums[j - 1] + gamma
+    powers = powers.reshape(block * n, n)
+    n_full = _full_steps(ts, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, n_full, block):
+            r = min(block, n_full - k)
+            xs[k + 1:k + 1 + r] = (powers[:r * n] @ xs[k]).reshape(r, n) + sums[:r]
+    return _finish(ss, ts, dt, xs)
+
+
+def _seeded_tf(rng, n, sign=-1.0, light=False):
+    """Real poles and conjugate pairs with real parts of the given sign;
+    light: every pair, and at least one pair when n >= 2, has a real part of
+    0.001-0.05 (lightly damped)."""
     roots = []
     while len(roots) < n:
-        if n - len(roots) >= 2 and rng.random() < 0.5:
+        if n - len(roots) >= 2 and (light or rng.random() < 0.5):
             sigma, omega = rng.uniform(0.2, 3.0), rng.uniform(0.2, 5.0)
+            if light:
+                sigma = rng.uniform(0.001, 0.05)
             roots += [complex(sign * sigma, omega), complex(sign * sigma, -omega)]
         else:
             roots.append(sign * rng.uniform(0.2, 4.0))
@@ -614,23 +663,34 @@ def _seeded_tf(rng, n, sign=-1.0):
     return TransferFunction(num, den)
 
 
-def _assert_close_to_per_step(tf, T, dt, samples=None):
+def _assert_close_to_references(tf, T, dt, samples=None):
     got = step_response(tf, T, dt)
-    want = _per_step_step_response(tf, T, dt)
-    assert np.array_equal(got.t, want.t)
-    if samples is not None:
-        assert len(got.t) == samples
-    scale = np.max(np.abs(want.y))
-    assert np.max(np.abs(got.y - want.y)) <= 1e-12 * scale
+    for reference in (_per_step_step_response, _blocked_step_response):
+        want = reference(tf, T, dt)
+        assert np.array_equal(got.t, want.t)
+        if samples is not None:
+            assert len(got.t) == samples
+        scale = np.max(np.abs(want.y))
+        assert np.max(np.abs(got.y - want.y)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("samples", [2, 3, lti._BLOCK, lti._BLOCK + 1, lti._BLOCK + 2, 10_001])
+@pytest.mark.parametrize("samples", [2, 3, 4, 5, 9, 17, 64, 65, 66, 1025, 1026, 10_001])
 def test_blocked_march_matches_the_per_step_march(n, samples):
+    # the doubling against both older marches at its boundaries: N samples
+    # are N - 1 steps, so at N = 2^m + 1 the last product is full and at
+    # N = 2^m + 2 it fills one row
     rng = np.random.default_rng(100 * n + samples)
     dt = 2.0 ** -9                         # a binary step: T = (samples - 1) dt is exact
     for _ in range(3):
-        _assert_close_to_per_step(_seeded_tf(rng, n), (samples - 1) * dt, dt, samples)
+        _assert_close_to_references(_seeded_tf(rng, n), (samples - 1) * dt, dt, samples)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_doubling_matches_both_marches_on_lightly_damped_systems(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(3):
+        _assert_close_to_references(_seeded_tf(rng, n, light=True), 100.0, 1e-2, 10_001)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -640,9 +700,9 @@ def test_blocked_march_with_a_shortened_final_step(n):
         T, dt = rng.uniform(1.0, 12.0), float(rng.choice([1e-3, 2e-3, 1e-2]))
         grid = odesolve._time_grid(0.0, T, dt)
         assert abs((grid[-1] - grid[-2]) - dt) > 1e-9 * dt
-        _assert_close_to_per_step(_seeded_tf(rng, n), T, dt)
+        _assert_close_to_references(_seeded_tf(rng, n), T, dt)
     # a horizon shorter than one step is the shortened step alone
-    _assert_close_to_per_step(_seeded_tf(rng, n), 4e-4, 1e-3, 2)
+    _assert_close_to_references(_seeded_tf(rng, n), 4e-4, 1e-3, 2)
 
 
 def _blow_up_message(fn, tf, T, dt):
@@ -651,7 +711,7 @@ def _blow_up_message(fn, tf, T, dt):
     return str(err.value)
 
 
-def test_blocked_march_raises_at_the_same_time_on_unstable_systems():
+def test_doubling_raises_at_the_same_time_on_unstable_systems():
     rng = np.random.default_rng(77)
     for n in (1, 2, 3, 4):
         for _ in range(4):
@@ -661,8 +721,8 @@ def test_blocked_march_raises_at_the_same_time_on_unstable_systems():
 
 
 def test_fast_unstable_poles_raise_at_the_per_step_time():
-    # up to 20 e-folds a step: Phi^64 overflows, and the output passes 1e9
-    # within the first block
+    # up to 20 e-folds a step: the squared powers of Phi overflow, and the
+    # output passes 1e9 within the first few products
     rng = np.random.default_rng(9)
     for _ in range(40):
         n = int(rng.integers(1, 4))
@@ -682,7 +742,7 @@ def test_static_gain_path_is_the_per_step_one(gain):
         assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
 
 
-def test_segway_overshoot_blocked_against_per_step():
+def test_segway_overshoot_doubling_against_per_step():
     # control pd --model segway --wn 3 --zeta 0.9: peak - final cancels, so
     # the overshoot carries the march's roundoff (about 3e-14 here); the
     # pinned value also carries linearize's outer central difference, through

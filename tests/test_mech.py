@@ -325,12 +325,13 @@ def test_segway_simulate_costs_four_forward_dynamics_per_step(steps):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 0])
 def test_construction_costs_the_quadratic_check_plus_one_mass_matrix(n):
-    # D(0) by polarization, K at the probe velocity, then n complex steps and
-    # 2n central-difference evaluations of K (V costs 3n, uncounted here)
+    # D by polarization and K at the probe velocity, both at q = 0 and at the
+    # probe q, then n complex steps and 2n central-difference evaluations of K
+    # (V costs 3n, uncounted here)
     calls = []
     MechanicalModel(lambda q, qd: calls.append(1) or 0.5 * qd @ qd,
                     lambda q: 0.0, np.eye(n))
-    assert len(calls) == n * (n + 1) // 2 + 1 + 3 * n
+    assert len(calls) == 2 * (n * (n + 1) // 2 + 1) + 3 * n
 
 
 @pytest.mark.parametrize("name,n", [("pendulum", 1), ("segway", 2), ("ballbot", 2),
@@ -373,6 +374,16 @@ def test_construction_rejects_a_velocity_cross_term():
     with pytest.raises(DomainError, match="cross_term is not quadratic"):
         MechanicalModel(lambda q, qd: 0.5 * (qd[0] ** 2 + qd[1] ** 2) + 0.1 * qd[0] ** 2 * qd[1],
                         lambda q: 0.0, np.eye(2), name="cross_term")
+
+
+def test_construction_rejects_a_kinetic_energy_quadratic_only_at_zero():
+    # sin(q0) q0'^3 vanishes at q = 0, where the identity holds; the model was
+    # built, mass_matrix(model, [1.0]) returned 2.683 and forward_dynamics
+    # returned 0.297 at (q, qdot, torque) = (1, 0.5, 1) with no error
+    with pytest.raises(DomainError, match=r"sine_cubic is not quadratic in the velocities: "
+                                          r"K\(q, v\) = 0\.16194.* at q = \[0\.3\]"):
+        MechanicalModel(lambda q, qd: 0.5 * qd[0] ** 2 + np.sin(q[0]) * qd[0] ** 3,
+                        lambda q: 0.0, np.eye(1), name="sine_cubic")
 
 
 @pytest.mark.parametrize("factory,kwargs", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from calckit import odesolve
+from calckit import odesolve, signals
 from calckit.errors import DimensionError, DomainError
 from calckit.linalg import determinant
 from calckit.odesolve import (IvpProblem, char_poly, eigenvalues, euler_solve,
@@ -285,3 +285,13 @@ def test_march_equals_old_loops_bit_for_bit(case):
         ts, xs = loop(prob, dt)
         assert sig.t.tobytes() == ts.tobytes()
         assert sig.y.tobytes() == xs.tobytes()
+
+
+@pytest.mark.parametrize("solve", [euler_solve, rk4_solve])
+def test_march_bounds_the_state_record_not_just_the_grid(solve, monkeypatch):
+    # 251 points pass a 1000-point grid budget, but 251 x 4 states do not
+    monkeypatch.setattr(signals, "MAX_GRID_POINTS", 1000)
+    dt = 2.0 ** -6
+    assert len(solve(IvpProblem(lambda t, x: -x, np.ones(4), 0.0, 249 * dt), dt)) == 250
+    with pytest.raises(DomainError, match="ODE state record needs 1004 points, over the budget"):
+        solve(IvpProblem(lambda t, x: -x, np.ones(4), 0.0, 250 * dt), dt)
