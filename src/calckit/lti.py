@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffnum, mech, odesolve
+from . import linalg, mech, odesolve
 from .errors import DimensionError, DomainError
 from .poly import (degree, format_poly, poly_add, poly_eval, poly_mul,
                    roots_dk, trim)
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _COUPLING_TOL = 1e-9    # subsystem: largest A/C entry still counted as decoupled
+_DELTA = 1e-3           # linearize: step of the fourth-order stencil on G
 
 
 @dataclass(frozen=True)
@@ -219,29 +220,31 @@ def subsystem(ss: StateSpace, states, outputs=None) -> StateSpace:
 def linearize(model: mech.MechanicalModel, q_eq, torques_eq) -> StateSpace:
     """Linear state-variable model about an equilibrium (q_eq, 0, Gamma_eq).
 
-    States are x = (q, qdot); [A, B] is one central-difference Jacobian of
-    (q, qdot, Gamma) -> (qdot, qddot). C selects the configuration, D = 0.
-    The point must actually be an equilibrium: the acceleration residual
-    there is checked against 1e-6.
+    States are x = (q, qdot), C selects q, D = 0. K is quadratic in qdot, so
+    A = [[0, I], [A21, 0]] and B = [0; D^-1 B_u] exactly, column k of A21
+    being -D^-1 (dG/dq_k + dD/dq_k qddot_eq) with D, dD/dq_k and qddot_eq
+    exact from mech. Only dG/dq is differenced: fourth-order central at
+    _DELTA on the exact G (Fornberg, Math. Comp. 51, 1988). The point must be
+    an equilibrium: the residual qddot_eq is checked against 1e-6.
     """
     q_eq = np.atleast_1d(np.asarray(q_eq, dtype=float))
     torques_eq = np.atleast_1d(np.asarray(torques_eq, dtype=float))
-    n = model.n_dof
-    residual = float(np.max(np.abs(
-        mech.forward_dynamics(model, q_eq, np.zeros(n), torques_eq))))
+    n, m = model.n_dof, model.n_inputs
+    qdd_eq = mech.forward_dynamics(model, q_eq, np.zeros(n), torques_eq)
+    residual = float(np.max(np.abs(qdd_eq), initial=0.0))
     if residual > 1e-6:
         raise DomainError(
             f"(q_eq, 0) is not an equilibrium: ||qddot||_inf = {residual:.3e}")
-
-    def rates(z):
-        q, qd, u = z[:n], z[n:2 * n], z[2 * n:]
-        return np.concatenate([qd, mech.forward_dynamics(model, q, qd, u)])
-
-    z_eq = np.concatenate([q_eq, np.zeros(n), torques_eq])
-    jac = diffnum.jacobian(rates, z_eq, diffnum.DiffConfig(h=1e-5, relative=False))
-    c = np.hstack([np.eye(n), np.zeros((n, n))])
-    d = np.zeros((n, model.n_inputs))
-    return StateSpace(jac[:, :2 * n], jac[:, 2 * n:], c, d)
+    rhs = list(model.input_map.T)
+    for e in np.eye(n):
+        g = [mech.gravity_vector(model, q_eq + j * _DELTA * e) for j in (2, 1, -1, -2)]
+        rhs.append((g[0] - 8 * g[1] + 8 * g[2] - g[3]) / (12 * _DELTA)
+                   - mech.mass_matrix_rate(model, q_eq, e) @ qdd_eq)
+    d = mech.mass_matrix(model, q_eq)
+    x = np.array([linalg.cholesky_solve(d, col) for col in rhs]).reshape(m + n, n).T
+    a = np.block([[np.zeros((n, n)), np.eye(n)], [x[:, m:], np.zeros((n, n))]])
+    b = np.vstack([np.zeros((n, m)), x[:, :m]])
+    return StateSpace(a, b, np.hstack([np.eye(n), np.zeros((n, n))]), np.zeros((n, m)))
 
 
 def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
@@ -254,8 +257,10 @@ def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
     so x_{k+j} = Phi^k x_j + x_k: one product fills rows k+1..2k from rows
     1..k, and Phi^2k = (Phi^k)^2 (recursive doubling, Kogge & Stone, IEEE
     Trans. Computers C-22(8), 1973). N steps take ceil(log2 N) products with
-    the record at every order, a static gain included. An output beyond 1e9
-    in magnitude raises DomainError with the time it happened (unstable).
+    the record at every order, a static gain included. The powers are squared
+    in np.longdouble, which keeps their roundoff far below float64's, and each
+    is cast to float64 for its record product. An output beyond 1e9 in magnitude
+    raises DomainError with the time it happened (unstable).
     """
     if T <= 0:
         raise DomainError("horizon must be positive")
@@ -270,10 +275,10 @@ def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
     n_full = len(ts) - 2 if short else len(ts) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         xs[1] = gamma
-        power, k = phi, 1
+        power, k = phi.astype(np.longdouble), 1
         while k < n_full:
             r = min(k, n_full - k)
-            rows = np.matmul(xs[1:1 + r], power.T, out=xs[k + 1:k + 1 + r])
+            rows = np.matmul(xs[1:1 + r], power.T.astype(float), out=xs[k + 1:k + 1 + r])
             rows += xs[k]
             power, k = power @ power, 2 * k
         if short:

@@ -7,8 +7,9 @@ The golden-file test replays the exact same commands and compares bytes, so
 regenerate only when an intentional behavior change invalidates the goldens.
 ``--check`` rebuilds everything in a temporary directory, compares it byte
 for byte with the committed files, lists each file that differs and exits 1
-if any does; it writes nothing here. A differing CSV with the same header
-and shape also gets its largest absolute and relative numeric difference.
+if any does; it writes nothing here. A differing file whose lines pair up
+with the committed ones and match once their numbers are masked also gets
+its largest absolute and relative numeric difference.
 """
 
 import filecmp
@@ -16,6 +17,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -24,6 +26,7 @@ import numpy as np
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))     # this checkout's calckit, installed or not
+_SEPARATORS = re.compile(r"([\s,\[\]]+)")          # numeric_difference's fields
 
 
 def main(argv=None):
@@ -47,27 +50,35 @@ def check():
         differ = [name for name in built if not (HERE / name).is_file()
                   or not filecmp.cmp(HERE / name, tmp / name, shallow=False)]
         for name in differ:
-            print(f"differs: {name}{csv_difference(HERE / name, tmp / name)}")
+            print(f"differs: {name}{numeric_difference(HERE / name, tmp / name)}")
     print(f"{len(built) - len(differ)} of {len(built)} files match")
     return 1 if differ else 0
 
 
-def csv_difference(old: pathlib.Path, new: pathlib.Path) -> str:
-    """' (max abs diff A, max rel diff R)' when both files are numeric CSVs
-    with one equal header line and the same shape, else ''."""
-    if old.suffix != ".csv" or not old.is_file():
+def numeric_difference(old: pathlib.Path, new: pathlib.Path) -> str:
+    """' (max abs diff A, max rel diff R)' when both files have the same
+    number of lines, equal once every field that float accepts is masked, and
+    hold at least one number; else ''. Fields are split on whitespace, ',',
+    '[' and ']'."""
+    if not old.is_file():
         return ""
-    tables = []
+    masked, numbers = [], []
     for path in (old, new):
-        try:
-            header, *lines = path.read_text(encoding="utf-8").splitlines()
-            tables.append((header, np.array([[float(v) for v in line.split(",")]
-                                             for line in lines if line])))
-        except ValueError:
-            return ""
-    (h_old, a), (h_new, b) = tables
-    if h_old != h_new or a.shape != b.shape or not a.size:
+        lines, values = [], []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            fields = _SEPARATORS.split(line)       # separators at the odd indices
+            for i in range(0, len(fields), 2):
+                try:
+                    values.append(float(fields[i]))
+                    fields[i] = None
+                except ValueError:
+                    pass
+            lines.append(fields)
+        masked.append(lines)
+        numbers.append(values)
+    if masked[0] != masked[1] or not numbers[0]:
         return ""
+    a, b = np.array(numbers[0]), np.array(numbers[1])
     diff = np.abs(a - b)
     scale = np.maximum(np.abs(a), np.abs(b))
     rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)

@@ -710,7 +710,26 @@ def test_regenerate_csv_difference_needs_equal_headers_and_shapes(tmp_path):
              "text.csv": "t,x\n0,one\n1,2\n", "empty.csv": ""}
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
-    diff = regenerate.csv_difference
+    diff = regenerate.numeric_difference
     assert diff(tmp_path / "a.csv", tmp_path / "b.csv") == " (max abs diff 0.5, max rel diff 0.2)"
     for other in ("header.csv", "short.csv", "text.csv", "empty.csv"):
         assert diff(tmp_path / "a.csv", tmp_path / other) == ""
+
+
+def test_regenerate_numeric_difference_of_text_goldens(tmp_path):
+    regenerate = load_regenerate()
+    files = {"a.txt": "plant: [1] / [9.81,-0,1]\nkp: 6.19000000016\nkd: 5.6\n",
+             "b.txt": "plant: [1] / [9.81,-0,1]\nkp: 6.19\nkd: 5.6\n",
+             "word.txt": "plant: [1] / [9.81,-0,1]\nkp: 6.19\nkd: 5.6 s\n",
+             "spaced.txt": "plant: [1] / [9.81, -0, 1]\nkp: 6.19\nkd: 5.6\n",
+             "long.txt": "plant: [1] / [9.81,-0,1]\nkp: 6.19\nkd: 5.6\nkd: 5.6\n",
+             "words.txt": "plant\nkp\nkd\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    diff = regenerate.numeric_difference
+    assert (diff(tmp_path / "a.txt", tmp_path / "b.txt")
+            == " (max abs diff 1.6e-10, max rel diff 2.58e-11)")
+    for other in ("word.txt", "spaced.txt", "long.txt", "words.txt"):
+        assert diff(tmp_path / "a.txt", tmp_path / other) == ""
+    assert diff(tmp_path / "words.txt", tmp_path / "words.txt") == ""
+    assert diff(tmp_path / "missing.txt", tmp_path / "a.txt") == ""

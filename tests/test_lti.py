@@ -336,9 +336,12 @@ def test_linearize_cart_pole_upright_unstable():
 
 
 def test_linearize_of_an_unactuated_model_has_an_empty_input_matrix():
-    ss = linearize(gymnast_bar(gravity=0.0), np.zeros(3), np.zeros(0))
+    # without gravity the bar is a free particle: A = [[0, I], [0, 0]] exactly,
+    # with no -0 for control linearize to print
+    ss = linearize(gymnast_bar(gravity=0.0), [0.4, -1.0, 2.0], np.zeros(0))
     assert ss.A.shape == (6, 6) and ss.B.shape == (6, 0) and ss.D.shape == (3, 0)
-    assert np.array_equal(ss.A[:3, 3:], np.eye(3)) and not ss.A[3:].any()
+    assert np.array_equal(ss.A, np.block([[np.zeros((3, 3)), np.eye(3)], [np.zeros((3, 6))]]))
+    assert not np.signbit(ss.A).any()
 
 
 def _linearize_two_jacobians(model, q_eq, torques_eq):
@@ -366,11 +369,83 @@ def _linearize_two_jacobians(model, q_eq, torques_eq):
     (planar_ballbot(), [0.0, 0.0], [0.0]),
     (gymnast_bar(gravity=0.0), [0.0, 0.0, 0.0], []),
 ], ids=["pendulum", "segway", "ballbot", "gymnast_bar"])
-def test_linearize_equals_two_jacobians_bit_for_bit(model, q_eq, torques_eq):
+def test_linearize_matches_the_two_jacobians_to_1e_8(model, q_eq, torques_eq):
+    # the structured A and B against the differenced forward dynamics they
+    # replaced, within that method's own error (about 1e-9)
     ss = linearize(model, q_eq, torques_eq)
     a, b = _linearize_two_jacobians(model, q_eq, torques_eq)
-    assert ss.A.tobytes() == a.tobytes()
-    assert ss.B.shape == b.shape and ss.B.tobytes() == b.tobytes()
+    assert np.max(np.abs(ss.A - a)) <= 1e-8 * np.max(np.abs(a))
+    assert ss.B.shape == b.shape
+    assert np.max(np.abs(ss.B - b), initial=0.0) <= 1e-8 * np.max(np.abs(b), initial=0.0)
+
+
+def _closed_form(d, stiffness, input_map):
+    """A = [[0, I], [-D^-1 dG/dq, 0]] and B = [0; D^-1 B_u] from a
+    hand-derived D and dG/dq = d^2 V / dq^2, at an equilibrium where
+    qddot_eq = 0, so the dD/dq term drops out."""
+    n, m = input_map.shape
+    a = np.block([[np.zeros((n, n)), np.eye(n)],
+                  [-np.linalg.solve(d, stiffness), np.zeros((n, n))]])
+    return a, np.vstack([np.zeros((n, m)), np.linalg.solve(d, input_map)])
+
+
+def _assert_within(got, want, scale, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * scale
+
+
+@pytest.mark.parametrize("q", [0.0, math.pi])
+def test_linearize_pendulum_at_rest_and_inverted_is_exact(q):
+    ss = linearize(pendulum(), [q], [0.0])
+    _assert_within(ss.A, np.array([[0.0, 1.0], [-G * math.cos(q), 0.0]]), G)
+    _assert_within(ss.B, np.array([[0.0], [1.0]]), 1.0)
+
+
+def test_linearize_pendulum_held_at_an_angle_matches_the_closed_form():
+    # A21 = -(g / l) cos q crosses zero, so its error is measured against
+    # its amplitude g / l rather than against the entry itself
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        mass, length = rng.uniform(0.2, 3.0, 2)
+        gravity, q = rng.uniform(1.0, 15.0), rng.uniform(-math.pi, math.pi)
+        hold = mass * gravity * length * math.sin(q)
+        ss = linearize(pendulum(mass, length, gravity), [q], [hold])
+        a, b = _closed_form(np.array([[mass * length ** 2]]),
+                            np.array([[mass * gravity * length * math.cos(q)]]), np.eye(1))
+        _assert_within(ss.A, a, max(1.0, gravity / length))
+        _assert_within(ss.B, b, np.max(np.abs(b)))
+
+
+def test_linearize_segway_and_ballbot_upright_match_the_closed_forms():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        cart, pole, ell, gravity = rng.uniform(0.5, 3.0, 3).tolist() + [rng.uniform(1.0, 15.0)]
+        d = np.array([[cart + pole, pole * ell], [pole * ell, pole * ell ** 2]])
+        a, b = _closed_form(d, np.diag([0.0, -pole * gravity * ell]), np.array([[1.0], [0.0]]))
+        ss = linearize(cart_pole_segway(cart, pole, ell, gravity),
+                       [rng.uniform(-2, 2), 0.0], [0.0])
+        _assert_within(ss.A, a, np.max(np.abs(a)))
+        _assert_within(ss.B, b, np.max(np.abs(b)))
+
+        mb, r, torso, inertia, off = (rng.uniform(0.1, 1.0), rng.uniform(0.05, 0.3),
+                                      rng.uniform(1.0, 10.0), rng.uniform(0.05, 0.5),
+                                      rng.uniform(0.1, 0.6))
+        d = np.array([[1.5 * mb * r ** 2 + torso * r ** 2, torso * r * off],
+                      [torso * r * off, torso * off ** 2 + inertia]])
+        a, b = _closed_form(d, np.diag([0.0, -torso * gravity * off]), np.array([[1.0], [-1.0]]))
+        ss = linearize(planar_ballbot(mb, r, None, torso, inertia, off, gravity),
+                       [rng.uniform(-3, 3), 0.0], [0.0])
+        _assert_within(ss.A, a, np.max(np.abs(a)))
+        _assert_within(ss.B, b, np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("inputs", [0, 2])
+def test_linearize_of_a_model_without_degrees_of_freedom_is_empty(inputs):
+    model = mech.MechanicalModel(lambda q, qd: 0.5 * qd @ qd, lambda q: 0.0,
+                                 np.zeros((0, inputs)))
+    ss = linearize(model, [], np.zeros(inputs))
+    assert ss.A.shape == (0, 0) and ss.B.shape == (0, inputs)
+    assert ss.C.shape == (0, 0) and ss.D.shape == (0, inputs)
 
 
 def test_linearize_rejects_non_equilibrium():
@@ -742,11 +817,38 @@ def test_static_gain_path_is_the_per_step_one(gain):
         assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
 
 
+def _long_double_step_response(tf, T, dt):
+    """The per-step march in np.longdouble on a grid without a shortened
+    final step: the output as long doubles."""
+    ss = tf_to_ss(tf)
+    ts = odesolve._time_grid(0.0, T, dt)
+    assert _full_steps(ts, dt) == len(ts) - 1
+    phi, gamma = (x.astype(np.longdouble) for x in lti._step_map(ss, dt))
+    xs = np.zeros((len(ts), ss.n_states), dtype=np.longdouble)
+    for k in range(1, len(ts)):
+        xs[k] = phi @ xs[k - 1] + gamma
+    return xs @ ss.C[0].astype(np.longdouble) + ss.D[0, 0]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is float64 here")
+def test_doubling_squares_the_powers_in_long_double():
+    # lightly damped, n = 5, 23,001 samples: float64 squaring of Phi^k puts
+    # the record 2.4e-13 off the long-double march, long-double squaring 7e-15
+    tf = _seeded_tf(np.random.default_rng(4), 5, light=True)
+    dt = 2.0 ** -7
+    got = step_response(tf, 23_000 * dt, dt).y[:, 0]
+    want = _long_double_step_response(tf, 23_000 * dt, dt)
+    assert len(got) == 23_001
+    assert float(np.max(np.abs(got - want)) / np.max(np.abs(want))) <= 1e-13
+
+
 def test_segway_overshoot_doubling_against_per_step():
     # control pd --model segway --wn 3 --zeta 0.9: peak - final cancels, so
-    # the overshoot carries the march's roundoff (about 3e-14 here); the
-    # pinned value also carries linearize's outer central difference, through
-    # kp = -28.6199999977 where the exact plant gives -28.62
+    # the overshoot carries the march's roundoff (about 2e-14 for the float64
+    # per-step march). linearize gives the plant -1 / (s^2 - 19.62) to
+    # roundoff (3e-14 relative), so kp prints -28.62, and the pinned value is
+    # a long-double per-step march on the exact plant
     from calckit import cli
 
     _, plant = cli._design_plant("segway", None)
@@ -754,7 +856,7 @@ def test_segway_overshoot_doubling_against_per_step():
     closed = TransferFunction(precompensator(loop) * loop.num, loop.den)
     metrics = [response_metrics(fn(closed, 10.0, 1e-3), final_hint=dc_gain(closed))
                for fn in (step_response, _per_step_step_response)]
-    assert metrics[0].overshoot == pytest.approx(0.002190031609, abs=1e-12)
+    assert metrics[0].overshoot == pytest.approx(0.002190031608440447, abs=1e-15)
     assert abs(metrics[0].overshoot - metrics[1].overshoot) <= 1e-12
 
 

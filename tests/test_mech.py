@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from calckit.diffnum import DiffConfig, gradient, hessian
 from calckit.errors import DimensionError, DomainError
 from calckit.linalg import is_positive_definite, lu_solve
-from calckit import mech
+from calckit import lti, mech
 from calckit.mech import (MODEL_ZOO, MechanicalModel, cart_pole_segway,
                           coriolis_matrix, forward_dynamics, gravity_vector,
                           gymnast_bar, mass_matrix, mass_matrix_rate,
@@ -312,6 +312,17 @@ def test_forward_dynamics_costs_n_n_plus_1_over_2_plus_2n_energy_evaluations(nam
     forward_dynamics(counted_model, np.full(n, 0.3), np.full(n, -0.7),
                      np.ones(counted_model.n_inputs))
     assert len(calls) == evals == n * (n + 1) // 2 + 2 * n
+
+
+@pytest.mark.parametrize("name,evals", [("pendulum", 9), ("segway", 32), ("ballbot", 32),
+                                        ("gymnast_bar", 72)])
+def test_linearize_costs_its_structure_in_energy_evaluations(name, evals):
+    # forward_dynamics n(n + 1)/2 + 2n, D n(n + 1)/2, dD/dq_k n(n + 1)/2 each,
+    # and the four-point stencil on G, n evaluations of V per point
+    counted_model, calls = counted_energies(MODEL_ZOO[name](gravity=0.0))
+    n = counted_model.n_dof
+    lti.linearize(counted_model, np.zeros(n), np.zeros(counted_model.n_inputs))
+    assert len(calls) == evals == (n + 2) * n * (n + 1) // 2 + 2 * n + 4 * n ** 2
 
 
 @pytest.mark.parametrize("steps", [1, 5])
