@@ -35,7 +35,7 @@ print("  closed-loop poles:", ", ".join(f"{p.real:+.3f}{p.imag:+.3f}j"
 print(f"  closed-loop DC gain: {lti.dc_gain(closed):.12f}")
 
 step = lti.step_response(closed, 4.0, 1e-3)
-metrics = lti.response_metrics(step, final_hint=lti.dc_gain(closed))
+metrics = lti.response_metrics(step, closed)
 print(f"  rise {metrics.rise_time:.3f} s, overshoot {100 * metrics.overshoot:.1f}%,"
       f" settling {metrics.settling_time:.3f} s")
 svgplot.line_chart(OUT / "segway_step.svg", "closed-loop lean step response",

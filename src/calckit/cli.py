@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import funcexpr, lti, mech, odo, opt, quad, svgplot
-from .errors import CalcError, ConvergenceError, DomainError
+from .errors import CalcError, ConvergenceError
 from .signals import write_csv
 
 
@@ -216,19 +216,7 @@ def cmd_step(args) -> int:
     _report_header(args)
     tf = lti.TransferFunction(np.asarray(args.num, float), np.asarray(args.den, float))
     sig = lti.step_response(tf, args.T, args.dt)
-    try:
-        hint = lti.dc_gain(tf)
-    except CalcError:
-        hint = None     # pole at the origin: fall back to tail averaging
-    # with a hint the tail goes unchecked, so a plant that cannot settle is
-    # refused by its least damped pole; an axis pole's computed real part
-    # has either sign at roundoff, hence the margin
-    if hint is not None and len(tf.den) > 1:
-        pole = max(lti.poles(tf), key=lambda p: p.real / abs(p))
-        if pole.real >= -1e-9 * abs(pole):
-            raise DomainError(f"pole {pole:.6g} is not in the open left half-plane "
-                              "(Re >= -1e-9 |p|): the step response has no steady state")
-    metrics = lti.response_metrics(sig, final_hint=hint)
+    metrics = lti.response_metrics(sig, tf)
     if args.out:
         write_csv(sig, args.out, headers=["y"])
         print(f"wrote: {args.out}")
@@ -240,9 +228,9 @@ def cmd_pd(args) -> int:
     _report_header(args, args.config)
     _, plant = _design_plant(args.model, args.config)
     gains = lti.pd_pole_placement(plant, args.wn, args.zeta)
-    loop = lti.unity_feedback(plant, lti.pd_tf(gains))
-    pre = lti.precompensator(loop)
-    closed = lti.TransferFunction(pre * loop.num, loop.den)
+    pd = lti.pd_tf(gains)
+    pre = lti.precompensator(lti.unity_feedback(plant, pd))
+    closed = lti.unity_feedback(plant, pd, precomp=pre)
     print(f"plant: {plant}")
     print(f"kp: {_fmt(gains.kp)}")
     print(f"kd: {_fmt(gains.kd)}")
@@ -250,7 +238,7 @@ def cmd_pd(args) -> int:
     print("closed-loop poles:")
     _print_pole_table(lti.poles(closed))
     sig = lti.step_response(closed, args.T, args.dt)
-    _print_metrics(lti.response_metrics(sig, final_hint=lti.dc_gain(closed)))
+    _print_metrics(lti.response_metrics(sig, closed))
     return 0
 
 

@@ -10,7 +10,8 @@ march a controllable-canonical realization with its exact discrete-time map
 transform. The march is the linear recurrence x_{k+1} = Phi x_k + Gamma
 from rest, solved by recursive doubling (Kogge & Stone, IEEE Trans.
 Computers C-22(8), 1973): each matrix product doubles the record, so N
-samples take ceil(log2 N) products. ss_to_tf converts a SISO state-space
+samples take ceil(log2 N) products. response_metrics alone decides whether
+a step response has a steady state. ss_to_tf converts a SISO state-space
 model only; restrict a larger one with subsystem first.
 """
 
@@ -259,8 +260,9 @@ def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
     Trans. Computers C-22(8), 1973). N steps take ceil(log2 N) products with
     the record at every order, a static gain included. The powers are squared
     in np.longdouble, which keeps their roundoff far below float64's, and each
-    is cast to float64 for its record product. An output beyond 1e9 in magnitude
-    raises DomainError with the time it happened (unstable).
+    is cast to float64 for its record product. An output beyond 1e150 in
+    magnitude, where the metrics' arithmetic would overflow, raises DomainError
+    with the time it happened; stability is response_metrics' verdict.
     """
     if T <= 0:
         raise DomainError("horizon must be positive")
@@ -285,10 +287,10 @@ def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
             phi, gamma = _step_map(ss, last)
             xs[-1] = phi @ xs[-2] + gamma
         y = xs @ ss.C[0] + ss.D[0, 0]
-    blown = ~(np.abs(y) <= 1e9)          # also catches overflow to inf/nan
+    blown = ~(np.abs(y) <= 1e150)        # also catches overflow to inf/nan
     if np.any(blown):
         t_blow = float(ts[int(np.argmax(blown))])
-        raise DomainError(f"step response exceeds 1e9 at t = {t_blow} (unstable)")
+        raise DomainError(f"step response exceeds 1e150 at t = {t_blow} (overflow bound)")
     return SampledSignal(ts, y)
 
 
@@ -315,17 +317,26 @@ def _crossing_time(t: np.ndarray, y: np.ndarray, level: float) -> float:
     return float(t[k - 1] + (level - y0) / (y1 - y0) * (t[k] - t[k - 1]))
 
 
-def response_metrics(sig: SampledSignal, final_hint: float | None = None) -> StepMetrics:
+def response_metrics(sig: SampledSignal, tf: TransferFunction | None = None) -> StepMetrics:
     """Rise (10-90%), overshoot, 2% settling time, and the steady state.
 
-    Without a hint the final value is the average over the last 5% of the
-    record, and that stretch must lie within the 2% band around its average;
-    a record that has not settled (a ramp, a slow drift) raises DomainError.
+    Given tf, the transfer function behind sig, with a DC gain, that gain is
+    the final value, and a least damped pole with Re p >= -1e-9 |p| (an axis
+    pole's computed real part has either sign at roundoff) raises DomainError:
+    the record has no steady state. Otherwise the final value is the average
+    over the last 5% of the record, and that stretch must lie within the 2%
+    band around its average; a record that has not settled (a ramp, a slow
+    drift) raises DomainError.
     """
     t = sig.t
     y = sig.channel(0)
-    if final_hint is not None:
-        final = float(final_hint)
+    if tf is not None and tf.den[0] != 0.0:
+        final = dc_gain(tf)
+        if len(tf.den) > 1:                  # a static gain has no pole
+            pole = max(poles(tf), key=lambda p: p.real / abs(p))
+            if pole.real >= -1e-9 * abs(pole):
+                raise DomainError(f"pole {pole:.6g} is not in the open left half-plane "
+                                  "(Re >= -1e-9 |p|): the step response has no steady state")
     else:
         tail = y[-max(2, int(0.05 * len(y))):]
         final = float(np.mean(tail))

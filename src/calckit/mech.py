@@ -34,9 +34,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import signals
 from .errors import DimensionError, DomainError, SingularityError
 from .linalg import _cholesky_solve_rows, is_positive_definite
-from .odesolve import IvpProblem, rk4_solve
+from .odesolve import IvpProblem, _time_grid, rk4_solve
 from .signals import SampledSignal
 
 _H = 1e-30              # complex step: the O(h^2) error is far below roundoff
@@ -231,6 +232,9 @@ def simulate(model: MechanicalModel, controller, q0, qd0, T: float, dt: float) -
 
     The controller (t, q, qdot) -> torques is sampled at every RK4 stage.
     None means zero input. Non-finite states abort with the blow-up time.
+    The work is budgeted before the first stage: 4 forward_dynamics calls a
+    step at n(n + 1)/2 + 2n energy evaluations each, and more evaluations
+    than signals.MAX_GRID_POINTS raise DomainError.
     """
     q0, qd0 = _check_q(model, q0), _check_q(model, qd0)
     n = model.n_dof
@@ -242,6 +246,10 @@ def simulate(model: MechanicalModel, controller, q0, qd0, T: float, dt: float) -
         return np.concatenate([qd, forward_dynamics(model, q, qd, torques)])
 
     prob = IvpProblem(rhs, np.concatenate([q0, qd0]), 0.0, T)
+    evals = (len(_time_grid(0.0, T, dt)) - 1) * 4 * (n * (n + 1) // 2 + 2 * n)
+    if evals > signals.MAX_GRID_POINTS:
+        raise DomainError(f"simulation needs {evals:,} energy evaluations, over the "
+                          f"budget of {signals.MAX_GRID_POINTS:,}")
     return rk4_solve(prob, dt)
 
 

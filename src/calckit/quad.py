@@ -69,21 +69,28 @@ class Lamina:
             raise DomainError("upper boundary dips below lower boundary")
 
 
-_BLOCK_POINTS = 1 << 16       # darboux_bounds samples at most this many points at once
+_BLOCK_POINTS = 1 << 16       # _sample evaluates at most this many points at once
 _TAIL_PANELS = 256            # Simpson panels per doubling segment in improper_type1
 _RIEMANN_OFFSETS = {"left": 0.0, "right": 1.0, "midpoint": 0.5}   # node k: a + h (k + offset)
 
 
 def _sample(f, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f on a grid, vectorized when f supports it."""
+    """Evaluate f on a grid, vectorized when f supports it, in blocks of about
+    _BLOCK_POINTS nodes along axis 0, so an integrand's temporaries stay
+    bounded in size whatever the grid's."""
+    ys = np.empty(xs.shape)
+    rows = max(1, _BLOCK_POINTS * len(xs) // xs.size)
     with np.errstate(all="ignore"):
-        try:
-            ys = np.asarray(f(xs), dtype=float)
-            if ys.shape != xs.shape:
-                raise TypeError
-        except Exception:
-            ys = np.fromiter((float(f(float(x))) for x in xs.flat), dtype=float,
-                             count=xs.size).reshape(xs.shape)
+        for start in range(0, len(xs), rows):
+            block = xs[start:start + rows]
+            try:
+                out = np.asarray(f(block), dtype=float)
+                if out.shape != block.shape:
+                    raise TypeError
+            except Exception:
+                out = np.fromiter((float(f(float(x))) for x in block.flat), dtype=float,
+                                  count=block.size).reshape(block.shape)
+            ys[start:start + rows] = out
     if not np.all(np.isfinite(ys)):
         bad = xs[~np.isfinite(ys)][0]
         raise DomainError(f"integrand is not finite at x = {bad}")

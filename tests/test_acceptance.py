@@ -196,8 +196,7 @@ def test_c10_control_oracles():
         for zeta in (0.3, 0.5, 0.7):
             wn = 2.0
             tf = lti.TransferFunction([wn * wn], [wn * wn, 2.0 * zeta * wn, 1.0])
-            metrics = lti.response_metrics(lti.step_response(tf, 15.0, 1e-3),
-                                           final_hint=1.0)
+            metrics = lti.response_metrics(lti.step_response(tf, 15.0, 1e-3), tf)
             expected = math.exp(-math.pi * zeta / math.sqrt(1.0 - zeta * zeta))
             assert abs(metrics.overshoot - expected) <= 0.005
         rng = np.random.default_rng(10)

@@ -246,6 +246,16 @@ def test_control_step_takes_a_stable_plant_not_yet_settled_at_t(capsys):
     assert metric_lines(out)["settling time"] == pytest.approx(10.0, abs=0.02)
 
 
+def test_control_step_takes_a_stable_plant_with_a_large_gain(capsys):
+    # 1e10 / (s + 1) passes 1e9 at t = 0.106 on its way to 1e10: its pole,
+    # not its magnitude, decides whether it has a steady state
+    code, out, _ = run(capsys, "control", "step", "--num", "1e10", "--den", "1", "1")
+    assert code == 0
+    m = metric_lines(out)
+    assert m["steady state"] == 1e10
+    assert m["rise time"] == pytest.approx(math.log(9.0), abs=1e-6)
+
+
 def test_control_step_horizon_below_the_grid_tolerance_exit_2(capsys):
     # the time grid dropped t0 below a 1e-12 horizon: IndexError, exit 1
     code, out, err = run(capsys, "control", "step", "--num", "1", "--den", "1", "1",
@@ -309,16 +319,27 @@ def test_grid_over_the_point_budget_exits_2(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--model", "pendulum", "--q0", "0.1", "--T", "1", "--dt", "0.002"],
     ["control", "step", "--num", "1", "--den", "1", "3", "3", "1", "--T", "1", "--dt", "0.003"],
-], ids=["simulate", "control-step"])
+], ids=["control-step"])
 def test_state_record_over_the_budget_exits_2(argv, monkeypatch, tmp_path, capsys):
-    # about 500 (334) points pass a 1000-point grid budget, 2 (3) states do not
+    # about 334 points pass a 1000-point grid budget, 3 states do not
     monkeypatch.setattr(signals, "MAX_GRID_POINTS", 1000)
     out_csv = tmp_path / "x.csv"
     code, _, err = run(capsys, *argv, "--out", str(out_csv))
     assert code == 2
     assert "state record needs" in err and "over the budget of 1,000" in err
+    assert not out_csv.exists()
+
+
+def test_simulate_work_over_the_budget_exits_2(monkeypatch, tmp_path, capsys):
+    # 501 points pass a 1000-point grid budget; 1002 state values do not, but
+    # 500 steps x 4 stages x 3 energy evaluations are refused first
+    monkeypatch.setattr(signals, "MAX_GRID_POINTS", 1000)
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run(capsys, "simulate", "--model", "pendulum", "--q0", "0.1", "--T", "1",
+                       "--dt", "0.002", "--out", str(out_csv))
+    assert code == 2
+    assert err == "error: simulation needs 6,000 energy evaluations, over the budget of 1,000\n"
     assert not out_csv.exists()
 
 

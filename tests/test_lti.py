@@ -471,13 +471,13 @@ def test_first_order_step_values():
     sig = step_response(tf, 10.0, 1e-3)
     k = int(round(1.0 / 1e-3))
     assert sig.y[k, 0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
-    metrics = response_metrics(sig, final_hint=1.0)
+    metrics = response_metrics(sig, tf)
     assert metrics.rise_time == pytest.approx(math.log(9.0), rel=0.01)
 
 
 def test_critically_damped_no_overshoot():
     tf = TransferFunction([1.0], [1.0, 2.0, 1.0])
-    metrics = response_metrics(step_response(tf, 20.0, 1e-3), final_hint=1.0)
+    metrics = response_metrics(step_response(tf, 20.0, 1e-3), tf)
     assert metrics.overshoot < 1e-3
 
 
@@ -485,17 +485,17 @@ def test_critically_damped_no_overshoot():
 def test_second_order_overshoot_formula(zeta):
     wn = 2.0
     tf = TransferFunction([wn * wn], [wn * wn, 2.0 * zeta * wn, 1.0])
-    metrics = response_metrics(step_response(tf, 15.0, 1e-3), final_hint=1.0)
+    metrics = response_metrics(step_response(tf, 15.0, 1e-3), tf)
     expected = math.exp(-math.pi * zeta / math.sqrt(1.0 - zeta * zeta))
     assert abs(metrics.overshoot - expected) <= 0.005
 
 
 def test_unstable_step_reports_blowup():
     tf = TransferFunction([1.0], [-60.0, 1.0])   # pole at +60: y = (exp(60 t) - 1) / 60
-    with pytest.raises(DomainError, match="exceeds 1e9") as err:
-        step_response(tf, 2.0, 1e-3)
+    with pytest.raises(DomainError, match="exceeds 1e150") as err:
+        step_response(tf, 7.0, 1e-3)
     t_blow = float(str(err.value).split("t = ")[1].split()[0])
-    assert t_blow == pytest.approx(math.log(6e10 + 1.0) / 60.0, abs=1e-3)
+    assert t_blow == pytest.approx(math.log(6e151 + 1.0) / 60.0, abs=1e-3)
 
 
 def _rk4_step_response(tf, T, dt):
@@ -550,17 +550,34 @@ def test_step_response_bounds_the_state_record_not_just_the_grid(monkeypatch):
     assert len(step_response(TransferFunction([2.0], [1.0]), 999 * dt, dt)) == 1000
 
 
-def test_metrics_without_hint_refuse_an_unsettled_record():
-    ramp = step_response(TransferFunction([1.0], [0.0, 1.0]), 10.0, 1e-2)
-    with pytest.raises(DomainError, match="not settled"):
-        response_metrics(ramp)
-    ringing = step_response(TransferFunction([4.0], [4.0, 0.2, 1.0]), 10.0, 1e-2)
+def test_metrics_without_a_dc_gain_refuse_an_unsettled_record():
+    integrator = TransferFunction([1.0], [0.0, 1.0])
+    ramp = step_response(integrator, 10.0, 1e-2)
+    for tf in (None, integrator):            # a pole at the origin: the tail decides
+        with pytest.raises(DomainError, match="not settled"):
+            response_metrics(ramp, tf)
+    slow = TransferFunction([4.0], [4.0, 0.2, 1.0])
+    ringing = step_response(slow, 10.0, 1e-2)
     with pytest.raises(DomainError, match="not settled"):
         response_metrics(ringing)
-    assert response_metrics(ramp, final_hint=5.0).steady_state == 5.0
+    # its poles are stable, so with the transfer function the DC gain is final
+    assert response_metrics(ringing, slow).steady_state == 1.0
 
 
-def test_steady_state_matches_dc_gain_without_hint():
+@pytest.mark.parametrize("den", [
+    [1.0, 0.0, 1.0],                     # poles at +-i
+    [2.0, 1.0, 2.0, 1.0],                # (s^2 + 1)(s + 2): the axis pair at roundoff
+    [-1.0, 1.0],                         # pole at +1
+    [1.0, -0.1, 1.0],                    # a growing oscillation
+], ids=["axis", "axis-roundoff", "right-real", "right-pair"])
+def test_metrics_with_a_tf_refuse_a_pole_off_the_open_left_half_plane(den):
+    tf = TransferFunction([1.0], den)
+    sig = step_response(tf, 5.0, 1e-2)
+    with pytest.raises(DomainError, match="is not in the open left half-plane"):
+        response_metrics(sig, tf)
+
+
+def test_steady_state_from_the_tail_matches_dc_gain():
     tf = TransferFunction([3.0], [2.0, 2.0, 1.0])
     metrics = response_metrics(step_response(tf, 30.0, 1e-3))
     assert abs(metrics.steady_state - dc_gain(tf)) <= 1e-3
@@ -628,15 +645,16 @@ def test_segway_pd_design_end_to_end():
 # ------------------------------------------- responses that start past a level
 
 def test_static_gain_metrics_are_instantaneous():
-    sig = step_response(TransferFunction([2.0], [1.0]), 10.0, 1e-3)
-    m = response_metrics(sig, final_hint=2.0)
+    gain = TransferFunction([2.0], [1.0])
+    m = response_metrics(step_response(gain, 10.0, 1e-3), gain)
     assert (m.rise_time, m.overshoot, m.settling_time, m.steady_state) == (0.0, 0.0, 0.0, 2.0)
-    neg = response_metrics(step_response(TransferFunction([-2.0], [1.0]), 1.0, 1e-3),
-                           final_hint=-2.0)
+    neg_gain = TransferFunction([-2.0], [1.0])
+    neg = response_metrics(step_response(neg_gain, 1.0, 1e-3), neg_gain)
     assert (neg.rise_time, neg.settling_time) == (0.0, 0.0)
-    # a first sample exactly on the level counts as reached, even if the next stays there
-    on_level = SampledSignal(np.linspace(0.0, 1.0, 11), np.full(11, 0.9))
-    assert response_metrics(on_level, final_hint=1.0).rise_time == 0.0
+    # a first sample exactly on the level counts as reached, even if the next
+    # stays there; the last two samples set the final value 1.0
+    on_level = SampledSignal(np.linspace(0.0, 1.0, 11), np.append(np.full(9, 0.9), [1.0, 1.0]))
+    assert response_metrics(on_level).rise_time == 0.0
 
 
 def test_later_samples_on_a_level_reach_it_at_their_own_time():
@@ -644,7 +662,7 @@ def test_later_samples_on_a_level_reach_it_at_their_own_time():
     t = np.linspace(0.0, 1.0, 11)
     y = np.array([0.0, 0.05, 0.1, 0.1, 0.5, 0.9, 0.9, 1.0, 1.0, 1.0, 1.0])
     for sign in (1.0, -1.0):
-        m = response_metrics(SampledSignal(t, sign * y), final_hint=sign)
+        m = response_metrics(SampledSignal(t, sign * y))
         assert m.rise_time == pytest.approx(0.3, abs=1e-12)
 
 
@@ -652,8 +670,8 @@ def test_direct_term_metrics_match_closed_form():
     # (s + 2)/(s + 1): y = 2 - e^-t starts at 1, past the 10% level 0.2, so
     # rise = t(1.8) - 0 = ln 5 and the 2% band |e^-t| <= 0.04 is entered at ln 25
     dt = 1e-3
-    m = response_metrics(step_response(TransferFunction([2.0, 1.0], [1.0, 1.0]), 10.0, dt),
-                         final_hint=2.0)
+    tf = TransferFunction([2.0, 1.0], [1.0, 1.0])
+    m = response_metrics(step_response(tf, 10.0, dt), tf)
     assert m.rise_time == pytest.approx(math.log(5.0), abs=1e-6)
     assert math.log(25.0) - dt <= m.settling_time <= math.log(25.0)
     assert m.overshoot == 0.0 and m.steady_state == 2.0
@@ -675,10 +693,10 @@ def _finish(ss, ts, dt, xs):
             phi, gamma = lti._step_map(ss, ts[-1] - ts[-2])
             xs[-1] = phi @ xs[-2] + gamma
         y = xs @ ss.C[0] + ss.D[0, 0]
-    blown = ~(np.abs(y) <= 1e9)
+    blown = ~(np.abs(y) <= 1e150)
     if np.any(blown):
         t_blow = float(ts[int(np.argmax(blown))])
-        raise DomainError(f"step response exceeds 1e9 at t = {t_blow} (unstable)")
+        raise DomainError(f"step response exceeds 1e150 at t = {t_blow} (overflow bound)")
     return SampledSignal(ts, y)
 
 
@@ -781,7 +799,7 @@ def test_blocked_march_with_a_shortened_final_step(n):
 
 
 def _blow_up_message(fn, tf, T, dt):
-    with pytest.raises(DomainError, match="exceeds 1e9") as err:
+    with pytest.raises(DomainError, match="exceeds 1e150") as err:
         fn(tf, T, dt)
     return str(err.value)
 
@@ -790,18 +808,19 @@ def test_doubling_raises_at_the_same_time_on_unstable_systems():
     rng = np.random.default_rng(77)
     for n in (1, 2, 3, 4):
         for _ in range(4):
-            tf = _seeded_tf(rng, n, sign=1.0)         # e^(0.2 t) passes 1e9 before t = 110
-            assert (_blow_up_message(step_response, tf, 120.0, 1e-2)
-                    == _blow_up_message(_per_step_step_response, tf, 120.0, 1e-2))
+            tf = _seeded_tf(rng, n, sign=1.0)         # e^(0.2 t) passes 1e150 near t = 1730
+            assert (_blow_up_message(step_response, tf, 2000.0, 0.1)
+                    == _blow_up_message(_per_step_step_response, tf, 2000.0, 0.1))
 
 
 def test_fast_unstable_poles_raise_at_the_per_step_time():
     # up to 20 e-folds a step: the squared powers of Phi overflow, and the
-    # output passes 1e9 within the first few products
+    # output passes 1e150 within the first few products; at least 400
+    # e-folds by t = 1
     rng = np.random.default_rng(9)
     for _ in range(40):
         n = int(rng.integers(1, 4))
-        roots = rng.uniform(1.0, 2e3, n) * rng.choice([1.0, -1.0], n)
+        roots = rng.uniform(400.0, 2e3, n) * rng.choice([1.0, -1.0], n)
         roots[0] = abs(roots[0])
         tf = TransferFunction(rng.uniform(0.5, 2.0, n), np.real(np.poly(roots))[::-1])
         dt = 10.0 ** rng.uniform(-4, -2)
@@ -854,7 +873,7 @@ def test_segway_overshoot_doubling_against_per_step():
     _, plant = cli._design_plant("segway", None)
     loop = unity_feedback(plant, pd_tf(pd_pole_placement(plant, 3.0, 0.9)))
     closed = TransferFunction(precompensator(loop) * loop.num, loop.den)
-    metrics = [response_metrics(fn(closed, 10.0, 1e-3), final_hint=dc_gain(closed))
+    metrics = [response_metrics(fn(closed, 10.0, 1e-3), closed)
                for fn in (step_response, _per_step_step_response)]
     assert metrics[0].overshoot == pytest.approx(0.002190031608440447, abs=1e-15)
     assert abs(metrics[0].overshoot - metrics[1].overshoot) <= 1e-12

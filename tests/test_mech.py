@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from calckit.diffnum import DiffConfig, gradient, hessian
 from calckit.errors import DimensionError, DomainError
 from calckit.linalg import is_positive_definite, lu_solve
-from calckit import lti, mech
+from calckit import lti, mech, signals
 from calckit.mech import (MODEL_ZOO, MechanicalModel, cart_pole_segway,
                           coriolis_matrix, forward_dynamics, gravity_vector,
                           gymnast_bar, mass_matrix, mass_matrix_rate,
@@ -332,6 +332,22 @@ def test_segway_simulate_costs_four_forward_dynamics_per_step(steps):
                    [0.0, 0.05], [0.0, 0.0], steps * 0.01, 0.01)
     assert len(sig) == steps + 1
     assert len(calls) == 4 * steps * 7
+
+
+def test_simulate_refuses_work_over_the_budget_before_the_first_stage(monkeypatch):
+    # 101 grid points and 404 state values pass a 1000-point budget, but
+    # 100 steps x 4 stages x 7 energy evaluations do not; 35 steps (980) do
+    monkeypatch.setattr(signals, "MAX_GRID_POINTS", 1000)
+    model = cart_pole_segway()
+
+    def never(t, q, qd):
+        pytest.fail("the controller ran before the work was budgeted")
+
+    with pytest.raises(DomainError, match="simulation needs 2,800 energy evaluations, "
+                                          "over the budget of 1,000"):
+        simulate(model, never, [0.0, 0.05], [0.0, 0.0], 1.0, 0.01)
+    dt = 2.0 ** -6
+    assert len(simulate(model, None, [0.0, 0.05], [0.0, 0.0], 35 * dt, dt)) == 36
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 0])

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calckit import quad
+from calckit import funcexpr, quad
 from calckit.diffnum import DiffConfig, derivative
 from calckit.errors import ConvergenceError, DimensionError, DomainError
 from calckit.quad import (Interval, Lamina, antiderivative_numeric,
@@ -257,6 +258,26 @@ def test_darboux_blocks_match_panel_loop_bit_for_bit(monkeypatch):
     for block in (1, 50, 1 << 16):
         monkeypatch.setattr(quad, "_BLOCK_POINTS", block)
         assert darboux_bounds(f, iv, n, m) == (lower, upper)
+
+
+@pytest.mark.parametrize("rule", [
+    quad.simpson, quad.trapezoid, lambda f, iv, n: quad.riemann_sum(f, iv, n, "midpoint"),
+], ids=["simpson", "trapezoid", "midpoint"])
+def test_fixed_grid_rules_sample_in_blocks_of_bounded_memory(rule):
+    # x+(x+(...)) holds one temporary per level while the innermost one
+    # evaluates: (depth + 3) arrays of one block, plus a few of the grid
+    # (nodes, samples, node arithmetic); on the whole grid at once the
+    # temporaries alone took (depth + 3) x 3.2 MB here
+    depth, n = 20, 400_000
+    ast = funcexpr.parse_text("x+(" * depth + "x" + ")" * depth)
+    tracemalloc.start()
+    try:
+        value = rule(lambda x: funcexpr.evaluate(ast, {"x": x}), Interval(0.0, 1.0), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(0.5 * (depth + 1), rel=1e-12)
+    assert peak <= (depth + 3) * quad._BLOCK_POINTS * 8 + 4 * (n + 1) * 8
 
 
 def test_path_length_straight_line():
