@@ -140,13 +140,18 @@ def bias_corrected_odometry(trace: ImuTrace, measurements, gains: FilterGains,
             innovation = v_meas - v_hat
             v_hat = v_hat + gains.l1 * innovation
             b_hat = b_hat - gains.l2 * innovation
-        # segment [s, e): b_hat is constant, steps k = s .. hi-1 reach sample k+1
+        # segment [s, e): b_hat is constant, steps k = s .. hi-1 reach sample k+1;
+        # rows s .. hi hold the carry, then the increments, then their sums
+        # (row e, if any, is rewritten by the next segment)
         hi = min(e, n - 1)
-        dv = 0.5 * ((a[s:hi] - b_hat) + (a[s + 1:hi + 1] - b_hat)) * dt[s:hi]
-        w = np.cumsum(np.vstack([v_hat, dv]), axis=0)
-        q = np.cumsum(np.vstack([p_hat, 0.5 * (w[:-1] + w[1:]) * dt[s:hi]]), axis=0)
-        v[s:e], p[s:e], bias[s:e] = w[:e - s], q[:e - s], b_hat
-        v_hat, p_hat = w[-1], q[-1]
+        w, q = v[s:hi + 1], p[s:hi + 1]
+        w[0], q[0] = v_hat, p_hat
+        np.multiply(0.5 * ((a[s:hi] - b_hat) + (a[s + 1:hi + 1] - b_hat)), dt[s:hi], out=w[1:])
+        np.cumsum(w, axis=0, out=w)
+        np.multiply(0.5 * (w[:-1] + w[1:]), dt[s:hi], out=q[1:])
+        np.cumsum(q, axis=0, out=q)
+        bias[s:e] = b_hat
+        v_hat, p_hat = w[-1].copy(), q[-1].copy()
     return Odometry(SampledSignal(trace.t, v), SampledSignal(trace.t, p),
                     SampledSignal(trace.t, bias))
 
@@ -264,9 +269,9 @@ def write_measurements_csv(measurements, path) -> None:
 def write_odometry_csv(result, path) -> None:
     """Write ``t,vx,..,px,..[,bx,..]``, the b columns if there is a bias history."""
     d = result.v.dim
-    columns = [result.v.y, result.p.y]
+    more = [result.p]
     headers = axis_headers("v", d) + axis_headers("p", d)
     if result.bias_history is not None:
-        columns.append(result.bias_history.y)
+        more.append(result.bias_history)
         headers += axis_headers("b", d)
-    write_csv(SampledSignal(result.v.t, np.hstack(columns)), path, headers=headers)
+    write_csv(result.v, path, headers, *more)

@@ -7,10 +7,13 @@ one row per sample, decimal point ``.``, UTF-8, no thousands separators,
 every field finite.
 
 ``read_csv`` parses a file once in blocks of READ_BLOCK_LINES lines, each
-converted by one ``np.array`` call, so memory is bounded by the block. One
+converted by one ``np.loadtxt`` call, so memory is bounded by the block; a
+block ``loadtxt`` refuses, or one it would read differently from ``float``,
+goes through a per-line ``float`` loop that names the first bad line. One
 blocked formatter, ``_write_rows``, writes the rows of ``write_csv`` and the
-points of ``svgplot.line_chart``, WRITE_BLOCK_ROWS per format string. Both
-keep the bytes and line numbers of a one-field-at-a-time loop.
+points of ``svgplot.line_chart``, WRITE_BLOCK_ROWS rows at a time, and
+formats each run of bit-identical values in a column once. Both keep the
+bytes and line numbers of a one-field-at-a-time loop.
 Every uniform grid the package builds (ODE time grids, fixed-panel
 quadrature), and every state record marched on one (points times state
 width), is refused by ``check_grid_size`` above MAX_GRID_POINTS values.
@@ -19,13 +22,14 @@ width), is refused by ``check_grid_size`` above MAX_GRID_POINTS values.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
 
-READ_BLOCK_LINES = 8192     # lines converted per np.array call in read_csv
+READ_BLOCK_LINES = 8192     # lines converted per np.loadtxt call in read_csv
 WRITE_BLOCK_ROWS = 4096     # rows formatted per string in _write_rows
 MAX_GRID_POINTS = 10_000_000  # 80 MB per float64 array of grid values
 
@@ -84,21 +88,43 @@ class SampledSignal:
 
 
 def _write_rows(fh, columns, field: str, sep: str) -> None:
-    """Write equal-length arrays side by side: fields formatted by the %-format
-    `field` joined by ',', rows joined by `sep`, WRITE_BLOCK_ROWS rows per string."""
+    """Write equal-length 1-D arrays side by side: fields formatted by the
+    %-format `field` joined by ',', rows joined by `sep`, WRITE_BLOCK_ROWS
+    rows per format string. Each run of bit-identical values in a column
+    (bits, not ``==``, so -0.0 and 0.0 stay apart) is formatted once: a
+    column with runs enters the row string as its run texts, repeated, and
+    one without as its values, so no block holds a string per field."""
     for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
-        block = np.column_stack([c[start:start + WRITE_BLOCK_ROWS] for c in columns])
-        rows = sep.join([",".join([field] * block.shape[1])] * len(block))
-        fh.write(sep * (start > 0) + rows % tuple(block.ravel().tolist()))
+        specs, args = [], []
+        for c in columns:
+            c = c[start:start + WRITE_BLOCK_ROWS]
+            bits = c.view(np.int64)
+            changes = bits[1:] != bits[:-1]
+            if changes.all():
+                specs.append(field)
+                args.append(c.tolist())
+            else:
+                heads = [0, *(np.flatnonzero(changes) + 1).tolist(), len(c)]
+                text = [field % x for x in c[heads[:-1]].tolist()]
+                runs = [b - a for a, b in zip(heads, heads[1:])]
+                specs.append("%s")
+                args.append(list(itertools.chain.from_iterable(map(itertools.repeat, text, runs))))
+        rows = sep.join([",".join(specs)] * len(c))
+        fh.write(sep * (start > 0) + rows % tuple(itertools.chain.from_iterable(zip(*args))))
 
 
-def write_csv(sig: SampledSignal, path, headers) -> None:
-    """Write ``t,<headers>`` and one row per sample; repr round-trips every float."""
-    if len(headers) != sig.dim:
+def write_csv(sig: SampledSignal, path, headers, *more: SampledSignal) -> None:
+    """Write ``t,<headers>`` and one row per sample: the channels of `sig`,
+    then those of each signal in `more`, which must share its timestamps.
+    repr round-trips every float."""
+    channels = [sig.y, *(m.y for m in more)]
+    if len(headers) != sum(y.shape[1] for y in channels):
         raise DimensionError("one header per channel required")
+    if not all(np.array_equal(m.t, sig.t) for m in more):
+        raise DimensionError("signals written side by side must share their timestamps")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(headers) + "\n")
-        _write_rows(fh, [sig.t, sig.y], "%r", "\n")
+        _write_rows(fh, [sig.t, *(col for y in channels for col in y.T)], "%r", "\n")
         fh.write("\n")
 
 
@@ -124,17 +150,23 @@ def _header_width(path, line: str, expected_headers) -> int:
 def _parse_block(path, lines, first_lineno: int, width: int) -> np.ndarray:
     """Convert one block of data lines to a (rows, width) float array.
 
-    Blank lines are skipped but counted. The first malformed line raises
-    DomainError with its number: a wrong field count, a field ``float``
-    rejects, or a field that is not finite.
+    ``np.loadtxt`` reads the non-blank lines. Its result stands if it has
+    one row of `width` finite values per line and they hold no U+001F,
+    which loadtxt reads as blank around a number but ``float`` refuses.
+    Otherwise a per-line ``float`` loop raises DomainError at the first
+    malformed line, blank lines skipped but counted: a wrong field count, a
+    field ``float`` rejects, or a field that is not finite.
     """
-    rows = [line.split(",") for line in lines if line.strip()]
-    try:
-        block = np.array(rows, dtype=float).reshape(len(rows), width)
-        if np.isfinite(block).all():
-            return block
-    except ValueError:
-        pass
+    data = [line for line in lines if line.strip()]
+    if data and "\x1f" not in "".join(data):      # loadtxt warns on no data
+        try:
+            block = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if block.shape == (len(data), width) and np.isfinite(block).all():
+                return block
+    values = []
     for lineno, line in enumerate(lines, start=first_lineno):
         if not line.strip():
             continue
@@ -142,20 +174,22 @@ def _parse_block(path, lines, first_lineno: int, width: int) -> np.ndarray:
         if len(fields) != width:
             raise DomainError(f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
         try:
-            values = np.array(fields, dtype=float)
+            row = [float(f) for f in fields]
         except ValueError:
             raise DomainError(f"{path}: line {lineno}: non-numeric field") from None
-        if not np.isfinite(values).all():
+        if not all(map(math.isfinite, row)):
             raise DomainError(f"{path}: line {lineno}: non-finite field")
+        values.append(row)
+    return np.array(values).reshape(len(data), width)
 
 
 def read_csv(path, expected_headers=None) -> SampledSignal:
     """Read the shared CSV format back into a SampledSignal in one pass.
 
-    Each block's ``np.array(rows, dtype=float)`` accepts and rejects exactly
-    what ``float`` does per field. Malformed content, a non-finite field
-    included, raises DomainError naming the offending line number (1-based,
-    header and blank lines included). If ``expected_headers`` is given the
+    Each block accepts and rejects exactly what ``float`` does per field,
+    with the same bits (see ``_parse_block``). Malformed content, a
+    non-finite field included, raises DomainError naming the offending line
+    number (1-based, header and blank lines included). If ``expected_headers`` is given the
     header row must match ``t,<expected...>`` exactly.
     """
     blocks = []

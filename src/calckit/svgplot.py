@@ -3,8 +3,9 @@
 No plotting dependency: a fixed-size polyline chart with axes, tick labels,
 and a legend, with all coordinates formatted through %.6g so output bytes
 are stable for golden-file comparisons. Point coordinates are computed on
-whole arrays; polylines go through the CSV writer's blocked formatter,
-``signals._write_rows``, WRITE_BLOCK_ROWS points per format string.
+whole arrays. Each polyline keeps at most 4 points per pixel column (M4,
+see ``_m4``), however long the record, and they go through the CSV
+writer's blocked formatter, ``signals._write_rows``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,26 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 def _fmt(x: float) -> str:
     return f"{float(x):.6g}"
+
+
+def _m4(px, py) -> np.ndarray:
+    """Mask of the points M4 keeps. Pixel column floor(px) is one run of
+    samples, as px increases. A column of at most 4 keeps them all, a larger
+    one its first and last and the first of its least and greatest py: the
+    polyline through them draws the same pixels as the full one (Jugel et
+    al., "M4: A Visualization-Oriented Time Series Data Aggregation", PVLDB
+    7(10), 2014)."""
+    n = len(px)
+    starts = np.flatnonzero(np.r_[True, np.diff(np.floor(px)) != 0])
+    sizes = np.diff(np.r_[starts, n])
+    column = np.repeat(np.arange(len(starts)), sizes)
+    keep = np.zeros(n + 1, dtype=bool)      # slot n takes a NaN column's extremes
+    keep[:n] = sizes[column] <= 4
+    keep[starts] = keep[starts + sizes - 1] = True
+    for extreme in (np.minimum, np.maximum):
+        hit = py == extreme.reduceat(py, starts)[column]
+        keep[np.minimum.reduceat(np.where(hit, np.arange(n), n), starts)] = True
+    return keep[:n]
 
 
 def line_chart(path, title: str, t, series) -> None:
@@ -65,8 +86,9 @@ def line_chart(path, title: str, t, series) -> None:
         for idx, (label, y) in enumerate(series):
             color = PALETTE[idx % len(PALETTE)]
             py = MARGIN_T + (ymax - y) / (ymax - ymin) * plot_h
+            keep = _m4(px, py)
             fh.write('<polyline points="')
-            _write_rows(fh, [px, py], "%.6g", " ")
+            _write_rows(fh, [px[keep], py[keep]], "%.6g", " ")
             fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
             ly = MARGIN_T + 16 * idx + 12
             lx = WIDTH - MARGIN_R - 110

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from calckit import signals
-from calckit.errors import DomainError
+from calckit.errors import DimensionError, DomainError
 from calckit.signals import READ_BLOCK_LINES, SampledSignal, read_csv, write_csv
 
 
@@ -38,6 +40,41 @@ def test_write_csv_bytes_equal_row_loop(tmp_path, monkeypatch, n, block):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     back = read_csv(tmp_path / "new.csv", expected_headers=headers)
     assert np.array_equal(back.t, sig.t) and np.array_equal(back.y, sig.y)
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_write_csv_formats_runs_of_equal_bits_like_the_row_loop(tmp_path, monkeypatch, block):
+    # runs are found by bit pattern: a dedup by value would write -0.0 as 0.0
+    monkeypatch.setattr(signals, "WRITE_BLOCK_ROWS", block)
+    rng = np.random.default_rng(block)
+    n = 3 * 4096 + 5
+    zeros = np.resize([0.0, -0.0, -0.0, 0.0, 5e-324, 5e-324], n)
+    steps = np.repeat(rng.standard_normal(n), rng.integers(1, 18, n))[:n]
+    runs_across_blocks = np.repeat(rng.standard_normal(4), [2, 4093, 4097, n - 8192])
+    distinct = rng.standard_normal(n)
+    assert len(steps) == n and len(np.unique(distinct)) == n
+    sig = SampledSignal(np.arange(n) * 0.1, np.column_stack([zeros, steps, runs_across_blocks,
+                                                              distinct]))
+    headers = ["z", "s", "r", "d"]
+    write_csv(sig, tmp_path / "new.csv", headers)
+    loop_write_csv(sig, tmp_path / "old.csv", headers)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_text().startswith("t,z,s,r,d\n0.0,0.0,")
+    back = read_csv(tmp_path / "new.csv")
+    assert np.array_equal(back.y.view(np.int64), sig.y.view(np.int64))
+
+
+def test_write_csv_puts_signals_on_shared_timestamps_side_by_side(tmp_path):
+    a, b = random_signal(50, 2, seed=1), random_signal(50, 3, seed=2)
+    b = SampledSignal(a.t, b.y)
+    write_csv(a, tmp_path / "new.csv", ["a0", "a1", "b0", "b1", "b2"], b)
+    loop_write_csv(SampledSignal(a.t, np.hstack([a.y, b.y])), tmp_path / "old.csv",
+                   ["a0", "a1", "b0", "b1", "b2"])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    with pytest.raises(DimensionError, match="one header per channel"):
+        write_csv(a, tmp_path / "bad.csv", ["a0", "a1"], b)
+    with pytest.raises(DimensionError, match="share their timestamps"):
+        write_csv(a, tmp_path / "bad.csv", ["a0", "a1"] * 2, random_signal(50, 2, seed=3))
 
 
 def test_write_csv_requires_headers(tmp_path):
@@ -166,3 +203,67 @@ def test_read_csv_header_and_size_errors(tmp_path):
     path.write_text("t,a\n1,1\n0,2\n")
     with pytest.raises(DomainError, match="strictly increasing"):
         read_csv(path)
+
+
+# ---------------------------------------------------------------- differential
+
+C_FIELDS = ["1.5", " 1.5", "+1", "-0"]          # np.loadtxt reads these too
+GOOD_FIELDS = C_FIELDS + ["1_0", "１２", "١"]
+BAD_FIELDS = ["\x1f1", "1e400", "nan", "Infinity", "0x1p3", "1,5"]
+
+
+def float_reference(path, lines, width):
+    """Per-field ``float``: (t, y) of the accepted file, or the message of
+    the first malformed line (1-based, header and blank lines counted)."""
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            return f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
+        try:
+            row = [float(f) for f in fields]
+        except ValueError:
+            return f"{path}: line {lineno}: non-numeric field"
+        if not all(map(math.isfinite, row)):
+            return f"{path}: line {lineno}: non-finite field"
+        rows.append(row)
+    rows = np.array(rows)
+    return rows[:, 0], rows[:, 1:]
+
+
+@pytest.mark.parametrize("block", [5, READ_BLOCK_LINES])
+def test_read_csv_accepts_and_reports_what_float_does(tmp_path, monkeypatch, block):
+    # every bad kind is the only one in some files, among fields np.loadtxt
+    # reads in half of them, so a block parser that accepted any bad kind
+    # ("\x1f1" included) would read a file float refuses
+    monkeypatch.setattr(signals, "READ_BLOCK_LINES", block)
+    rng = np.random.default_rng(block)
+    outcomes = set()
+    for k in range(120):
+        bad = BAD_FIELDS[k // 2 % len(BAD_FIELDS)] if k % 2 else None
+        good = C_FIELDS if k // 12 % 2 else GOOD_FIELDS
+        lines = []
+        for i in range(int(rng.integers(2, 30))):
+            if rng.random() < 0.1:
+                lines.append(str(rng.choice(["", "  "])))
+            fields = [str(rng.choice(good)) for _ in range(2)]
+            if bad is not None and rng.random() < 0.1:
+                fields[int(rng.integers(2))] = bad
+            lines.append(",".join([repr(float(i))] + fields))
+        path = tmp_path / f"f{k}.csv"
+        write_lines(path, lines)
+        expected = float_reference(path, lines, 3)
+        if isinstance(expected, str):
+            with pytest.raises(DomainError) as info:
+                read_csv(path, expected_headers=["a", "b"])
+            assert str(info.value) == expected
+            outcomes.add(expected.split(": ")[-1])
+        else:
+            sig = read_csv(path, expected_headers=["a", "b"])
+            assert np.array_equal(sig.t.view(np.int64), expected[0].view(np.int64))
+            assert np.array_equal(sig.y.view(np.int64), expected[1].view(np.int64))
+            outcomes.add("accepted")
+    assert outcomes == {"accepted", "expected 3 fields, got 4", "non-numeric field",
+                        "non-finite field"}
