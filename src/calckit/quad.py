@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import diffnum
+from . import diffnum, signals
 from .errors import ConvergenceError, DomainError
 from .signals import SampledSignal, check_grid_size
 
@@ -266,7 +266,9 @@ def volume_of_revolution(f, iv: Interval, n: int) -> float:
 
 def antiderivative_numeric(f, a: float) -> Callable[[float], float]:
     """Antiderivative F of f with F(a) = 0, via adaptive Simpson refinement
-    (absolute target 1e-10 per evaluation)."""
+    (absolute target 1e-10 per evaluation). One evaluation of F that needs
+    more than signals.MAX_GRID_POINTS evaluations of f raises
+    ConvergenceError."""
 
     def F(x: float) -> float:
         if x == a:
@@ -287,10 +289,15 @@ def _eval_point(f, x: float) -> float:
 def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     fa, fm, fb = _eval_point(f, a), _eval_point(f, 0.5 * (a + b)), _eval_point(f, b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _refine(f, a, b, fa, fm, fb, whole, tol, depth=48)
+    return _refine(f, a, b, fa, fm, fb, whole, tol, 48, [signals.MAX_GRID_POINTS - 3])
 
 
-def _refine(f, a, b, fa, fm, fb, whole, tol, depth):
+def _refine(f, a, b, fa, fm, fb, whole, tol, depth, budget):
+    """One panel's refinement; budget[0] is what is left of the evaluations."""
+    budget[0] -= 2
+    if budget[0] < 0:
+        raise ConvergenceError(f"adaptive Simpson refinement needs more than "
+                               f"{signals.MAX_GRID_POINTS:,} integrand evaluations")
     m = 0.5 * (a + b)
     flm = _eval_point(f, 0.5 * (a + m))
     frm = _eval_point(f, 0.5 * (m + b))
@@ -300,5 +307,5 @@ def _refine(f, a, b, fa, fm, fb, whole, tol, depth):
         return left + right + (left + right - whole) / 15.0
     if depth <= 0:
         raise ConvergenceError("adaptive Simpson refinement stalled")
-    return (_refine(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-            + _refine(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
+    return (_refine(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1, budget)
+            + _refine(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1, budget))

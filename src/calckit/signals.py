@@ -9,6 +9,7 @@ every field finite.
 ``read_csv`` parses a file once in blocks of READ_BLOCK_LINES lines, each
 converted by one ``np.loadtxt`` call, so memory is bounded by the block; a
 block ``loadtxt`` refuses, or one it would read differently from ``float``,
+goes to ``np.array`` of its split fields, and only a block that both refuse
 goes through a per-line ``float`` loop that names the first bad line. One
 blocked formatter, ``_write_rows``, writes the rows of ``write_csv`` and the
 points of ``svgplot.line_chart``, WRITE_BLOCK_ROWS rows at a time, and
@@ -150,20 +151,23 @@ def _header_width(path, line: str, expected_headers) -> int:
 def _parse_block(path, lines, first_lineno: int, width: int) -> np.ndarray:
     """Convert one block of data lines to a (rows, width) float array.
 
-    ``np.loadtxt`` reads the non-blank lines. Its result stands if it has
-    one row of `width` finite values per line and they hold no U+001F,
-    which loadtxt reads as blank around a number but ``float`` refuses.
-    Otherwise a per-line ``float`` loop raises DomainError at the first
-    malformed line, blank lines skipped but counted: a wrong field count, a
-    field ``float`` rejects, or a field that is not finite.
+    ``np.loadtxt`` reads the non-blank lines or, failing that, ``np.array``
+    converts their split fields in C as ``float`` does (``1_0`` included).
+    A result stands if it has one row of `width` finite values per line and
+    the lines hold no U+001F, which loadtxt reads as blank around a number
+    but ``float`` refuses. Otherwise a per-line ``float`` loop raises
+    DomainError at the first malformed line, blank lines skipped but
+    counted: a wrong field count, a field ``float`` rejects, or a field
+    that is not finite.
     """
     data = [line for line in lines if line.strip()]
     if data and "\x1f" not in "".join(data):      # loadtxt warns on no data
-        try:
-            block = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
+        for convert in (lambda: np.loadtxt(data, delimiter=",", comments=None, ndmin=2),
+                        lambda: np.array([line.split(",") for line in data], dtype=float)):
+            try:
+                block = convert()
+            except ValueError:
+                continue
             if block.shape == (len(data), width) and np.isfinite(block).all():
                 return block
     values = []

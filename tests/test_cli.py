@@ -346,15 +346,24 @@ def test_simulate_work_over_the_budget_exits_2(monkeypatch, tmp_path, capsys):
 DEEP = 3000
 
 
-@pytest.mark.parametrize("expr, message", [
-    ("(" * DEEP + "x" + ")" * DEEP, "expression nested too deeply (at offset"),
-    ("-" * DEEP + "x", "expression nested too deeply (at offset"),
-    ("+".join(["x"] * 20_000), "expression nested too deeply to evaluate"),
+HALF = funcexpr.MAX_TOKENS // 2
+
+
+@pytest.mark.parametrize("expr, value, too_long", [
+    ("(" * DEEP + "x" + ")" * DEEP, "0.5", "(" * HALF + "x" + ")" * HALF),
+    ("-" * DEEP + "x", "0.5", "-" * (2 * HALF) + "x"),
+    ("+".join(["x"] * 20_000), "10000", "+".join(["x"] * (HALF + 1))),
 ], ids=["parentheses", "unary-minus", "flat-sum"])
-def test_deeply_nested_expression_exits_2(expr, message, capsys):
-    code, _, err = run(capsys, "integrate", f"--expr={expr}", "--a", "0", "--b", "1")
+def test_deeply_nested_expression_exits_2(expr, value, too_long, capsys):
+    # nesting takes no stack: an expression integrates at any depth, and only
+    # one of MAX_TOKENS + 1 tokens is refused
+    code, out, _ = run(capsys, "integrate", f"--expr={expr}", "--a", "0", "--b", "1")
+    assert code == 0
+    assert f"value: {value}\n" in out
+    code, _, err = run(capsys, "integrate", f"--expr={too_long}", "--a", "0", "--b", "1")
     assert code == 2
-    assert message in err
+    offset = funcexpr.tokenize(too_long)[funcexpr.MAX_TOKENS].position
+    assert err == f"error: expression over 262,144 tokens (at offset {offset})\n"
 
 
 @pytest.mark.parametrize("argv", [

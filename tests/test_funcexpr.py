@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -6,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calckit.errors import EvalError, ParseError
-from calckit.funcexpr import (FUNCTIONS, BinOp, Call, Const, Neg, Token, Var, evaluate,
-                              parse, parse_text, pretty, tokenize)
+from calckit.funcexpr import (FUNCTIONS, MAX_TOKENS, BinOp, Call, Const, Neg, Token, Var,
+                              evaluate, parse, parse_text, pretty, tokenize)
 
 
 def test_tokenize_smallest_arithmetic():
@@ -122,24 +127,77 @@ def test_unknown_function_raises_at_evaluation():
         evaluate(ast)
 
 
-def test_nesting_past_the_recursion_limit_raises_calckit_errors():
-    with pytest.raises(ParseError) as info:
-        parse_text("(" * 3000 + "x" + ")" * 3000)
-    assert 0 < info.value.position < 3000
-    with pytest.raises(ParseError):
-        parse_text("-" * 3000 + "x")
-    with pytest.raises(EvalError):          # a flat sum parses into a deep left spine
-        evaluate(parse_text("+".join(["x"] * 20_000)), {"x": 1.0})
+def test_deep_nesting_evaluates_and_only_the_token_budget_raises():
+    xs = np.array([0.5, 2.0, -3.0])
+    assert evaluate(parse_text("(" * 3000 + "x" + ")" * 3000), {"x": xs}).tolist() == xs.tolist()
+    assert evaluate(parse_text("-" * 3000 + "x"), {"x": xs}).tolist() == xs.tolist()
+    # a flat sum parses into a left spine 19,999 nodes deep
+    assert evaluate(parse_text("+".join(["x"] * 20_000)), {"x": xs}).tolist() == \
+        (20_000 * xs).tolist()
     nested = "(" * 100 + "-x^2+1" + ")" * 100
     assert evaluate(parse_text(nested), {"x": np.array([0.5, 2.0])}).tolist() == [0.75, -3.0]
+    tokens = tokenize("-" * MAX_TOKENS + "x")
+    assert isinstance(parse(tokens[1:]), Neg)
+    with pytest.raises(ParseError, match="expression over 262,144 tokens") as info:
+        parse(tokens)
+    assert info.value.position == tokens[MAX_TOKENS].position
+    # scanning stops one token past the budget, however long the text
+    long = tokenize("-" * (4 * MAX_TOKENS) + "x")
+    assert long == tokens[:-1] + [Token("operator", "-", MAX_TOKENS)]
 
 
-def test_deep_chains_parse_and_print_one_frame_per_level():
-    # a ^ chain and a unary-minus chain each take one parser frame per level,
-    # parentheses two; pretty takes one for each
+def test_deep_chains_round_trip_through_pretty():
     for text in ["^".join(["x"] * 800), "-" * 800 + "x", "(" * 400 + "x" + ")" * 400]:
-        printed = pretty(parse_text(text))
+        ast = parse_text(text)
+        printed = pretty(ast)
+        assert printed == _ref_pretty(ast)
         assert pretty(parse_text(printed)) == printed
+
+
+_DEEP_CHILD = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from calckit.errors import EvalError
+    from calckit.funcexpr import evaluate, parse_text, pretty
+    sys.setrecursionlimit(60)
+    k = 20_000
+    x = np.array([1.0, -1.0])
+    sines = x
+    for _ in range(5_000):
+        sines = np.sin(sines)
+    cases = [("+".join(["x"] * k), k * x),
+             ("^".join(["x"] * k), x),
+             ("-" * k + "x", x),
+             ("(" * k + "x" + ")" * k, x),
+             ("sin(" * 5_000 + "x" + ")" * 5_000, sines),
+             ("+".join(["x"] * 100_000), 100_000 * x)]
+    for text, want in cases:
+        ast = parse_text(text)
+        got = evaluate(ast, {"x": x})
+        assert np.array_equal(got, want) and got.dtype == np.float64, text[:20]
+        printed = pretty(ast)
+        assert pretty(parse_text(printed)) == printed, text[:20]
+    for text, message in [("x+foo(y)", "unknown function 'foo'"),
+                          ("y+bar(x)", "unbound variable 'y'")]:
+        try:
+            evaluate(parse_text(text), {"x": x})
+        except EvalError as err:
+            assert str(err) == message, (text, str(err))
+        else:
+            raise AssertionError(text)
+    print("ok")
+""")
+
+
+def test_parse_evaluate_and_print_need_no_stack_per_level():
+    # a child interpreter with a recursion limit of 60 frames, which a walker
+    # that recursed once per level would pass within its first few levels
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _DEEP_CHILD], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_builtins_match_reference_library():
@@ -174,6 +232,7 @@ def test_pretty_parse_round_trip_1000_random_asts():
     rng = np.random.default_rng(42)
     for _ in range(1000):
         ast = _random_ast(rng, int(rng.integers(1, 5)))
+        assert pretty(ast) == _ref_pretty(ast)
         assert parse_text(pretty(ast)) == ast
 
 
@@ -216,6 +275,9 @@ def _assert_array_matches_scalar(tree, xs):
     got = evaluate(tree, {"x": xs})
     want = np.array([evaluate(tree, {"x": float(x)}) for x in xs])
     assert got.dtype == np.float64 and got.shape == xs.shape
+    assert not np.shares_memory(got, xs)
+    # a contiguous binding is read in place, at any offset into its buffer
+    assert np.array_equal(evaluate(tree, {"x": np.append(0.0, xs)[1:]}), got, equal_nan=True)
     assert np.array_equal(got, want, equal_nan=True)
     finite = ~np.isnan(want)
     assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
@@ -387,6 +449,31 @@ class _RefParser:
             self.expect("rparen", "')'")
             return inner
         raise ParseError(f"unexpected {tok.lexeme!r}", tok.position)
+
+
+def _ref_group(text, node, min_prec):
+    if isinstance(node, BinOp):
+        prec = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}[node.op]
+    else:
+        prec = 3 if isinstance(node, Neg) else 9
+    return f"({text})" if prec < min_prec else text
+
+
+def _ref_pretty(ast):
+    # the printer that recursed once per level, as it was before it took a
+    # work stack
+    if isinstance(ast, Const):
+        return repr(float(ast.value))
+    if isinstance(ast, Var):
+        return ast.name
+    if isinstance(ast, Call):
+        return f"{ast.name}({_ref_pretty(ast.arg)})"
+    if isinstance(ast, Neg):
+        return "-" + _ref_group(_ref_pretty(ast.operand), ast.operand, 3)
+    prec = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}[ast.op]
+    lhs_min, rhs_min = (prec + 1, 3) if ast.op == "^" else (prec, prec + 1)
+    lhs = _ref_group(_ref_pretty(ast.lhs), ast.lhs, lhs_min)
+    return f"{lhs}{ast.op}{_ref_group(_ref_pretty(ast.rhs), ast.rhs, rhs_min)}"
 
 
 def _ref_parse_text(src):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calckit import funcexpr, quad
+from calckit import funcexpr, quad, signals
 from calckit.diffnum import DiffConfig, derivative
 from calckit.errors import ConvergenceError, DimensionError, DomainError
 from calckit.quad import (Interval, Lamina, antiderivative_numeric,
@@ -264,20 +264,36 @@ def test_darboux_blocks_match_panel_loop_bit_for_bit(monkeypatch):
     quad.simpson, quad.trapezoid, lambda f, iv, n: quad.riemann_sum(f, iv, n, "midpoint"),
 ], ids=["simpson", "trapezoid", "midpoint"])
 def test_fixed_grid_rules_sample_in_blocks_of_bounded_memory(rule):
-    # x+(x+(...)) holds one temporary per level while the innermost one
-    # evaluates: (depth + 3) arrays of one block, plus a few of the grid
-    # (nodes, samples, node arithmetic); on the whole grid at once the
-    # temporaries alone took (depth + 3) x 3.2 MB here
-    depth, n = 20, 400_000
-    ast = funcexpr.parse_text("x+(" * depth + "x" + ")" * depth)
-    tracemalloc.start()
-    try:
-        value = rule(lambda x: funcexpr.evaluate(ast, {"x": x}), Interval(0.0, 1.0), n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert value == pytest.approx(0.5 * (depth + 1), rel=1e-12)
-    assert peak <= (depth + 3) * quad._BLOCK_POINTS * 8 + 4 * (n + 1) * 8
+    # the integrand sees one block of nodes at a time, and evaluate holds at
+    # most 2 values of a chain besides x (its Sethi-Ullman number), so one
+    # bound of a few blocks plus a few arrays of the grid (nodes, samples,
+    # node arithmetic) holds at any depth; holding each left operand while
+    # the right one evaluates took (depth + 3) blocks, and the whole grid at
+    # once (depth + 3) x 1.1 MB here
+    n = 140_000
+
+    def power_chain(x, depth):
+        s = np.sin(x)
+        value = s
+        for _ in range(depth - 1):
+            value = s ** value
+        return value
+
+    for depth in (20, 400):
+        for text, iv, want, rel in [
+            ("x+(" * depth + "x" + ")" * depth, Interval(0.0, 1.0), 0.5 * (depth + 1), 1e-12),
+            ("^".join(["sin(x)"] * depth), Interval(0.5, 1.0),
+             rule(lambda x: power_chain(x, depth), Interval(0.5, 1.0), 2000), 1e-6),
+        ]:
+            ast = funcexpr.parse_text(text)
+            tracemalloc.start()
+            try:
+                value = rule(lambda x: funcexpr.evaluate(ast, {"x": x}), iv, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert value == pytest.approx(want, rel=rel)
+            assert peak <= 6 * quad._BLOCK_POINTS * 8 + 4 * (n + 1) * 8
 
 
 def test_path_length_straight_line():
@@ -432,6 +448,29 @@ def test_antiderivative_at_base_point_is_zero():
 def test_antiderivative_of_exp():
     F = antiderivative_numeric(math.exp, 0.0)
     assert F(1.0) == pytest.approx(math.e - 1.0, abs=1e-9)
+
+
+def test_antiderivative_refuses_work_over_the_budget(monkeypatch):
+    # sin(1e12 x) sends the refinement toward 2^40 panels; a converging call
+    # gives the same bits with a budget of exactly the evaluations it makes
+    calls = []
+
+    def counted(f):
+        return lambda x: calls.append(x) or f(x)
+
+    monkeypatch.setattr(signals, "MAX_GRID_POINTS", 1000)
+    with pytest.raises(ConvergenceError, match="needs more than 1,000 integrand evaluations"):
+        antiderivative_numeric(counted(lambda x: math.sin(1e12 * x)), 0.0)(1.0)
+    assert 990 < len(calls) <= 1000
+    monkeypatch.undo()
+    calls.clear()
+    want = antiderivative_numeric(counted(math.cos), 0.0)(1.0)
+    needed = len(calls)
+    monkeypatch.setattr(signals, "MAX_GRID_POINTS", needed)
+    assert antiderivative_numeric(math.cos, 0.0)(1.0) == want == pytest.approx(math.sin(1.0))
+    monkeypatch.setattr(signals, "MAX_GRID_POINTS", needed - 1)
+    with pytest.raises(ConvergenceError):
+        antiderivative_numeric(math.cos, 0.0)(1.0)
 
 
 def test_ftc_derivative_of_antiderivative_recovers_f():
