@@ -13,6 +13,7 @@ Intended scale is n <= ~16.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -120,13 +121,13 @@ def _square_rows(a) -> list[list[float]]:
 def _cholesky_rows(a_rows: list[list[float]]) -> list[list[float]]:
     """Rows of the lower Cholesky factor of a square matrix of finite Python
     floats (row i holds L[i, :i + 1]); only the lower triangle is read."""
-    threshold = PIVOT_RTOL * max((sum(map(abs, a)) for a in a_rows), default=0.0)
+    threshold = PIVOT_RTOL * max([sum(map(abs, a)) for a in a_rows], default=0.0)
     rows: list[list[float]] = []
     for i, a in enumerate(a_rows):
         li = []
         for j, lj in enumerate(rows):
-            li.append((a[j] - sum(x * y for x, y in zip(li, lj))) / lj[j])
-        s = a[i] - sum(x * x for x in li)
+            li.append((a[j] - sum(map(mul, li, lj))) / lj[j])
+        s = a[i] - sum(map(mul, li, li))
         if s <= threshold:
             raise SingularityError(
                 f"pivot {s:.3e} not above threshold {threshold:.3e} at column {i}")
@@ -140,12 +141,11 @@ def _cholesky_solve_rows(a_rows: list[list[float]], b: list[float]) -> list[floa
     matching size) and given as Python floats: Cholesky, then forward
     (L y = b) and back (L^T x = y) substitution."""
     rows = _cholesky_rows(a_rows)
-    y = list(b)
-    n = len(rows)
-    for i, li in enumerate(rows):
-        y[i] = (y[i] - sum(x * v for x, v in zip(li, y[:i]))) / li[i]
-    for i in range(n - 1, -1, -1):
-        y[i] = (y[i] - sum(rows[k][i] * y[k] for k in range(i + 1, n))) / rows[i][i]
+    y = []
+    for li, bi in zip(rows, b):
+        y.append((bi - sum(map(mul, li, y))) / li[-1])
+    for i in range(len(rows) - 1, -1, -1):
+        y[i] = (y[i] - sum(map(mul, [lk[i] for lk in rows[i + 1:]], y[i + 1:]))) / rows[i][i]
     return y
 
 

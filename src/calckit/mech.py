@@ -11,9 +11,9 @@ Alonso, ACM TOMS 29(3), 2003): for f analytic in q, Im f(q + i h v) / h is
 the derivative of f along v with no difference to cancel, exact to roundoff
 at h = 1e-30. K polarized at q + i h qdot gives D (real part) and h Ddot
 (imaginary part), and dL/dq_k = Im (K - V)(q + i h e_k) / h, so
-forward_dynamics solves d/dt(D qdot) - dL/dq = B_u Gamma by Cholesky on D at
-n(n + 1)/2 + 2n energy evaluations, without forming C or G; coriolis_matrix
-and gravity_vector give the textbook D qddot + C qdot + G = B_u Gamma.
+forward_dynamics solves d/dt(D qdot) - dL/dq = B_u Gamma by Cholesky on D
+without forming C or G (its docstring states the cost); coriolis_matrix and
+gravity_vector give the textbook D qddot + C qdot + G = B_u Gamma.
 
 A MechanicalModel checks its energies once, when it is built, so every
 function below sees a checked model: at a fixed probe velocity v, both at
@@ -30,6 +30,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -53,7 +54,8 @@ class MechanicalModel:
     Construction raises DomainError unless K(q, v) = v^T D(q) v / 2 at a
     probe velocity v and D(q) is positive definite, both at q = 0 and at a
     probe q, and K and V are analytic in q at the probe: n(n + 1) + 2 + 3n
-    evaluations of K and 3n of V."""
+    evaluations of K and 3n of V. The complex-step probes e_i, e_i + e_j and
+    i h e_i are built here, once, as read-only arrays."""
 
     kinetic: Callable[[np.ndarray, np.ndarray], float]
     potential: Callable[[np.ndarray], float]
@@ -65,6 +67,14 @@ class MechanicalModel:
         if b.ndim != 2:
             raise DimensionError(f"input map must be n_dof x n_inputs, got shape {b.shape}")
         object.__setattr__(self, "input_map", b)
+        # complex-step probes: e_i, (i, j, e_i + e_j) for i < j, and i h e_i
+        eye = np.eye(len(b))
+        i, j = np.triu_indices(len(b), 1)
+        sums, steps = eye[i] + eye[j], 1j * _H * eye
+        for a in (eye, sums, steps):
+            a.flags.writeable = False
+        pairs = tuple(zip(i.tolist(), j.tolist(), sums))
+        object.__setattr__(self, "_probes", (tuple(eye), pairs, tuple(steps)))
         _check_energies(self)
 
     @property
@@ -88,7 +98,8 @@ def _not_finite(what: str, model: MechanicalModel, q: np.ndarray) -> DomainError
 
 
 def _check_q(model: MechanicalModel, q) -> np.ndarray:
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if not (type(q) is np.ndarray and q.dtype == float and q.ndim == 1):
+        q = np.atleast_1d(np.asarray(q, dtype=float))
     if len(q) != model.n_dof:
         raise DimensionError(f"configuration has {len(q)} coordinates, model has {model.n_dof}")
     return q
@@ -98,15 +109,12 @@ def _polarized(model: MechanicalModel, z: np.ndarray) -> list[list[complex]]:
     """K(z, .) polarized into rows of Python complex numbers, n(n + 1)/2
     evaluations. For real z = q this is D(q); for z = q + i h v the real
     part is D(q) and the imaginary part h times the derivative of D along v."""
-    n = len(z)
-    eye = np.eye(n)
-    k = [complex(model.kinetic(z, e)) for e in eye]
-    rows = [[0j] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 2.0 * k[i]
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = complex(model.kinetic(z, eye[i] + eye[j])) - k[i] - k[j]
-    if not all(cmath.isfinite(x) for row in rows for x in row):
+    axes, pairs, _ = model._probes
+    k = [complex(model.kinetic(z, e)) for e in axes]
+    rows = [[2.0 * x] * len(k) for x in k]      # the pair loop overwrites all but the diagonal
+    for i, j, e in pairs:
+        rows[i][j] = rows[j][i] = complex(model.kinetic(z, e)) - k[i] - k[j]
+    if not all(map(cmath.isfinite, [x for row in rows for x in row])):
         raise _not_finite("kinetic energy", model, z.real)
     return rows
 
@@ -115,7 +123,7 @@ def _along_axes(model: MechanicalModel, f, q: np.ndarray, what: str) -> list[com
     """f(q + i h e_k) for k = 1..n, n evaluations: the real parts are f(q)
     and the imaginary parts h df/dq_k. DomainError unless every value is
     finite in both parts."""
-    values = [complex(f(z)) for z in q + 1j * _H * np.eye(len(q))]
+    values = [complex(f(q + step)) for step in model._probes[2]]
     if not all(map(cmath.isfinite, values)):
         raise _not_finite(what, model, q)
     return values
@@ -217,12 +225,14 @@ def forward_dynamics(model: MechanicalModel, q, qd, torques) -> np.ndarray:
     d = _polarized(model, q + 1j * _H * qd)
     dl = _along_axes(model, lambda z: model.kinetic(z, qd) - model.potential(z), q, "energy")
     v = qd.tolist()
-    rhs = [f - sum(x.imag * vj for x, vj in zip(row, v)) / _H + g.imag / _H
-           for row, f, g in zip(d, (model.input_map @ torques).tolist(), dl)]
+    d_real, rhs = [], []
+    for row, f, g in zip(d, (model.input_map @ torques).tolist(), dl):
+        d_real.append([x.real for x in row])
+        rhs.append(f - sum(map(mul, [x.imag for x in row], v)) / _H + g.imag / _H)
     if not all(map(math.isfinite, rhs)):
         raise DomainError(f"generalized forces of {model.name} not finite at q = {q}")
     try:
-        return np.array(_cholesky_solve_rows([[x.real for x in row] for row in d], rhs))
+        return np.array(_cholesky_solve_rows(d_real, rhs))
     except SingularityError:
         raise _not_positive_definite(model, q) from None
 
@@ -233,8 +243,8 @@ def simulate(model: MechanicalModel, controller, q0, qd0, T: float, dt: float) -
     The controller (t, q, qdot) -> torques is sampled at every RK4 stage.
     None means zero input. Non-finite states abort with the blow-up time.
     The work is budgeted before the first stage: 4 forward_dynamics calls a
-    step at n(n + 1)/2 + 2n energy evaluations each, and more evaluations
-    than signals.MAX_GRID_POINTS raise DomainError.
+    step, each at its stated cost, and more energy evaluations than
+    signals.MAX_GRID_POINTS raise DomainError.
     """
     q0, qd0 = _check_q(model, q0), _check_q(model, qd0)
     n = model.n_dof

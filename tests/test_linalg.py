@@ -1,3 +1,6 @@
+import math
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,8 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from calckit.errors import DimensionError, DomainError, SingularityError
-from calckit.linalg import (as_mat, as_vec, cholesky, cholesky_solve, determinant,
-                            is_positive_definite, lu_solve, norm_inf)
+from calckit.linalg import (PIVOT_RTOL, _cholesky_rows, _cholesky_solve_rows, as_mat, as_vec,
+                            cholesky, cholesky_solve, determinant, is_positive_definite,
+                            lu_solve, norm_inf)
 
 
 def test_identity_product():
@@ -189,3 +193,78 @@ def test_cholesky_and_its_solve_match_numpy(b, shift, data):
     x = np.linalg.solve(s, rhs)
     assert (np.max(np.abs(cholesky_solve(s, rhs) - x))
             <= 10.0 * n * EPS * cond * max(np.max(np.abs(x)), 1e-300))
+
+
+# ------------------------------- map inner products vs the generator spelling
+
+def generator_cholesky_rows(a_rows):
+    """Reference: _cholesky_rows with its inner products as generator sums,
+    as it was before they became sum(map(mul, ...))."""
+    threshold = PIVOT_RTOL * max((sum(map(abs, a)) for a in a_rows), default=0.0)
+    rows = []
+    for i, a in enumerate(a_rows):
+        li = []
+        for j, lj in enumerate(rows):
+            li.append((a[j] - sum(x * y for x, y in zip(li, lj))) / lj[j])
+        s = a[i] - sum(x * x for x in li)
+        if s <= threshold:
+            raise SingularityError(
+                f"pivot {s:.3e} not above threshold {threshold:.3e} at column {i}")
+        li.append(math.sqrt(s))
+        rows.append(li)
+    return rows
+
+
+def generator_cholesky_solve_rows(a_rows, b):
+    """Reference: _cholesky_solve_rows with generator-sum substitutions."""
+    rows = generator_cholesky_rows(a_rows)
+    y = list(b)
+    n = len(rows)
+    for i, li in enumerate(rows):
+        y[i] = (y[i] - sum(x * v for x, v in zip(li, y[:i]))) / li[i]
+    for i in range(n - 1, -1, -1):
+        y[i] = (y[i] - sum(rows[k][i] * y[k] for k in range(i + 1, n))) / rows[i][i]
+    return y
+
+
+def flat_bits(rows):
+    return np.array(list(chain.from_iterable(rows)), dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_map_inner_products_equal_the_generator_sums_bit_for_bit(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(200):
+        b = rng.standard_normal((n, n)) * rng.choice([1.0, 0.0, 1e-4, 1e4], size=(n, n))
+        a = (b @ b.T + rng.uniform(1e-6, 1.0) * np.eye(n)).tolist()
+        rhs = (rng.standard_normal(n) * rng.choice([1.0, 0.0, -0.0], size=n)).tolist()
+        assert flat_bits(_cholesky_rows(a)) == flat_bits(generator_cholesky_rows(a))
+        assert (flat_bits([_cholesky_solve_rows(a, rhs)])
+                == flat_bits([generator_cholesky_solve_rows(a, rhs)]))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_map_inner_products_refuse_what_the_generator_sums_refuse(n):
+    # B B^T - (s lambda_min + 1e-3) I with s in [0, 2] is indefinite about half
+    # the time; the last pivot of [[1, 1], [1, 1 + t]] is about t against the
+    # threshold 1e-12 (2 + t)
+    rng = np.random.default_rng(80 + n)
+    cases = []
+    for _ in range(50):
+        b = rng.standard_normal((n, n))
+        gram = b @ b.T
+        shift = rng.uniform(0.0, 2.0) * np.linalg.eigvalsh(gram)[0] + 1e-3
+        cases.append((gram - shift * np.eye(n)).tolist())
+    cases += [[[1.0, 1.0], [1.0, 1.0 + t]]
+              for t in (1e-13, 1e-12, 2e-12, 2.000000000002e-12, 2.0001e-12, 3e-12)]
+    refused = []
+    for a in cases:
+        outcomes = []
+        for factor in (_cholesky_rows, generator_cholesky_rows):
+            try:
+                outcomes.append(flat_bits(factor(a)))
+            except SingularityError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        refused.append(isinstance(outcomes[0], str))
+    assert any(refused) and not all(refused)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from calckit.diffnum import DiffConfig, gradient, hessian
 from calckit.errors import DimensionError, DomainError
-from calckit.linalg import is_positive_definite, lu_solve
-from calckit import lti, mech, signals
+from calckit.linalg import _cholesky_solve_rows, is_positive_definite, lu_solve
+from calckit import lti, mech, odesolve, signals
 from calckit.mech import (MODEL_ZOO, MechanicalModel, cart_pole_segway,
                           coriolis_matrix, forward_dynamics, gravity_vector,
                           gymnast_bar, mass_matrix, mass_matrix_rate,
@@ -593,3 +594,157 @@ def test_robot_equations_match_the_symbolic_euler_lagrange_oracle(name):
         assert_close(coriolis_matrix(model, q, qd) @ qd, ddot_qd - dldq - g, tol=1e-12)
         qdd = np.linalg.solve(d, model.input_map @ torques - ddot_qd + dldq)
         assert_close(forward_dynamics(model, q, qd, torques), qdd, tol=1e-12)
+
+
+# ------------------------- probes built once per model vs built on every call
+
+H = 1e-30
+PD_GAINS = {"segway": (-44.62, -8.0), "ballbot": (-9.65887889273, -0.770657439446)}
+
+
+def per_call_forward_dynamics(model, q, qd, torques):
+    """Reference: forward_dynamics before the probes were built with the
+    model, with np.eye, i h I and e_i + e_j made on every call, generator
+    sums, and D's real part taken in a second pass. The solve is linalg's,
+    which test_linalg compares with its generator spelling bit for bit."""
+    q, qd = np.atleast_1d(np.asarray(q, dtype=float)), np.atleast_1d(np.asarray(qd, dtype=float))
+    torques = np.atleast_1d(np.asarray(torques, dtype=float))
+    n = len(q)
+    z, eye = q + 1j * H * qd, np.eye(n)
+    k = [complex(model.kinetic(z, e)) for e in eye]
+    d = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = 2.0 * k[i]
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = complex(model.kinetic(z, eye[i] + eye[j])) - k[i] - k[j]
+    dl = [complex(model.kinetic(zk, qd) - model.potential(zk)) for zk in q + 1j * H * np.eye(n)]
+    v = qd.tolist()
+    rhs = [f - sum(x.imag * vj for x, vj in zip(row, v)) / H + g.imag / H
+           for row, f, g in zip(d, (model.input_map @ torques).tolist(), dl)]
+    return np.array(_cholesky_solve_rows([[x.real for x in row] for row in d], rhs))
+
+
+def stagewise_simulate(model, controller, q0, qd0, T, dt):
+    """Reference: simulate before the march entered np.errstate once, with
+    the errstate entered at every stage around per_call_forward_dynamics."""
+    n = model.n_dof
+
+    def rhs(t, x):
+        with np.errstate(all="ignore"):
+            q, qd = x[:n], x[n:]
+            torques = np.zeros(model.n_inputs) if controller is None else controller(t, q, qd)
+            dx = np.concatenate([qd, per_call_forward_dynamics(model, q, qd, torques)])
+        assert np.all(np.isfinite(dx))
+        return dx
+
+    ts = odesolve._time_grid(0.0, T, dt)
+    xs = np.empty((len(ts), 2 * n))
+    xs[0] = np.concatenate([q0, qd0])
+    for k in range(len(ts) - 1):
+        t, x = ts[k], xs[k]
+        h = ts[k + 1] - t
+        k1 = rhs(t, x)
+        k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = rhs(t + h, x + h * k3)
+        xs[k + 1] = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return ts, xs
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_ZOO))
+def test_forward_dynamics_equals_the_per_call_probes_bit_for_bit(name):
+    model = MODEL_ZOO[name]()
+    n = model.n_dof
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        q, qd = rng.uniform(-3.0, 3.0, size=(2, n)) * rng.choice([1.0, 0.0, -0.0], size=(2, n))
+        torques = rng.uniform(-2.0, 2.0, size=model.n_inputs)
+        assert same_bits(forward_dynamics(model, q, qd, torques),
+                         per_call_forward_dynamics(model, q, qd, torques))
+
+
+@pytest.mark.parametrize("name", sorted(PD_GAINS))
+def test_pd_simulate_equals_the_stagewise_march_bit_for_bit(name):
+    # the gains of `control pd --model <name> --wn 5 --zeta 0.8`
+    kp, kd = PD_GAINS[name]
+    model = MODEL_ZOO[name]()
+
+    def pd(t, q, qd):
+        return np.array([0.0 - kp * q[1] - kd * qd[1]])
+
+    sig = simulate(model, pd, [0.0, 0.07], [0.0, 0.0], 2.0, 0.005)
+    ts, xs = stagewise_simulate(model, pd, [0.0, 0.07], [0.0, 0.0], 2.0, 0.005)
+    assert same_bits(sig.t, ts) and same_bits(sig.y, xs)
+    assert abs(sig.y[-1, 1]) <= 0.02 * 0.07
+
+
+def test_unforced_bar_flight_equals_the_stagewise_march_bit_for_bit():
+    model = gymnast_bar(m1=25.0, m2=35.0, half_length=0.85)
+    q0, qd0 = [0.0, 3.0, 0.4], [1.2, 2.5, -2.0]
+    sig = simulate(model, None, q0, qd0, 1.0, 0.01)
+    ts, xs = stagewise_simulate(model, None, q0, qd0, 1.0, 0.01)
+    assert same_bits(sig.t, ts) and same_bits(sig.y, xs)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_ZOO))
+def test_the_probes_are_read_only(name):
+    model = MODEL_ZOO[name]()
+    axes, pairs, steps = model._probes
+    n = model.n_dof
+    assert len(axes) == len(steps) == n and len(pairs) == n * (n - 1) // 2
+    for probe in [*axes, *(e for _, _, e in pairs), *steps]:
+        assert not probe.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            probe[0] = 7.0
+
+
+def test_an_energy_that_writes_into_its_velocity_raises_and_leaves_the_probes_intact():
+    def kinetic(q, qd):
+        if q[0].real > 1.0:
+            qd[0] = 5.0
+        return 0.5 * qd[0] ** 2 + 0.5 * qd[1] ** 2
+
+    model = MechanicalModel(kinetic, lambda q: np.sin(q[0]), np.eye(2), name="writer")
+    before = forward_dynamics(model, [0.5, 0.0], [0.3, -0.2], [1.0, 2.0])
+    with pytest.raises(ValueError, match="read-only"):
+        forward_dynamics(model, [2.0, 0.0], [0.3, -0.2], [1.0, 2.0])
+    assert same_bits(forward_dynamics(model, [0.5, 0.0], [0.3, -0.2], [1.0, 2.0]), before)
+    assert np.array_equal(np.array(model._probes[0]), np.eye(2))
+    with pytest.raises(ValueError, match="read-only"):
+        MechanicalModel(lambda q, qd: qd.__setitem__(0, 1.0) or 0.5 * qd @ qd,
+                        lambda q: 0.0, np.eye(2))
+
+
+def test_replace_rebuilds_the_probes_for_the_new_model():
+    model = pendulum()
+    wider = dataclasses.replace(model, kinetic=lambda q, qd: 0.5 * qd @ qd,
+                                input_map=np.eye(3), name="wider")
+    assert len(wider._probes[0]) == 3 and len(model._probes[0]) == 1
+    assert same_bits(forward_dynamics(wider, np.zeros(3), np.zeros(3), [1.0, 2.0, 3.0]),
+                     [1.0, 2.0, 3.0])
+    counted_model, calls = counted_energies(model)
+    assert counted_model._probes is not model._probes
+    forward_dynamics(counted_model, [0.2], [0.1], [0.0])
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("controller,message", [
+    # D = 0.5, so the solve of 0.5 qddot = 1e308 overflows to inf
+    (lambda t, q, qd: np.array([1e308]), r"rhs is not finite at t = 0\.0 \(state blow-up\)"),
+    # exp(1e3 t) drives qdot past 1e154, where K overflows in the complex step
+    (lambda t, q, qd: np.exp([1e3 * t]), r"energy of light not finite at q = "),
+])
+def test_an_overflowing_simulate_raises_domain_error_without_a_runtime_warning(controller,
+                                                                               message):
+    model = MechanicalModel(lambda q, qd: 0.25 * qd[0] ** 2, lambda q: 0.0, np.eye(1),
+                            name="light")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match=message):
+            simulate(model, controller, [0.0], [0.0], 1.0, 0.01)
+    assert caught == []

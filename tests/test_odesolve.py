@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,20 @@ def test_nonfinite_rhs_reports_blowup():
     prob = IvpProblem(lambda t, x: x ** 3, [10.0], 0.0, 5.0)
     with pytest.raises(DomainError):
         rk4_solve(prob, 0.1)
+
+
+@pytest.mark.parametrize("solve,t_bad", [(euler_solve, "2.0"), (rk4_solve, "1.0")])
+def test_a_state_that_overflows_reports_the_blowup_without_a_runtime_warning(solve, t_bad):
+    # x + h k overflows in the march itself, outside the rhs: 1e308 + 1e308
+    # at the first Euler step and the second RK4 stage; the march runs with
+    # floating-point warnings off, so the non-finite rhs at the overflowed
+    # state is what reports it
+    prob = IvpProblem(lambda t, x: x, [1e308], 0.0, 4.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match=rf"rhs is not finite at t = {t_bad} \(state blow-up\)"):
+            solve(prob, 2.0)
+    assert caught == []
 
 
 def test_expm_at_zero_is_identity():
