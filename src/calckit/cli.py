@@ -30,8 +30,13 @@ def _fmt(x: float) -> str:
 
 
 def _digest(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:12]
+    """First 12 hex digits of the file's SHA-256, read 1 MiB at a time."""
+    sha = hashlib.sha256()
+    with open(path, "rb", buffering=0) as fh:
+        while block := fh.read(1 << 20):
+            sha.update(block)
+            del block                   # so that no read holds two blocks
+    return sha.hexdigest()[:12]
 
 
 def _report_header(args, *inputs):
@@ -74,11 +79,13 @@ def cmd_project1(args) -> int:
     if args.meas:
         measurements = odo.read_measurements_csv(args.meas)
         gains = odo.FilterGains(args.l1, args.l2)
+    _report_header(args, args.imu, args.meas)   # digests before the records exist
+    if args.meas:
         result = odo.bias_corrected_odometry(trace, measurements, gains,
                                              zeros, zeros, zeros)
     else:
         result = odo.dead_reckon(trace, zeros, zeros)
-    _report_header(args, args.imu, args.meas)
+    del trace                                   # its samples are not needed again
     odo.write_odometry_csv(result, args.out)
     final_p = result.p.y[-1]
     print(f"final position: {' '.join(_fmt(v) for v in final_p)}")

@@ -66,7 +66,9 @@ def _time_grid(t0: float, tf: float, dt: float) -> np.ndarray:
 
 def _march(prob: IvpProblem, dt: float, step) -> SampledSignal:
     """The one marching loop: x_{k+1} = step(t_k, x_k, t_{k+1} - t_k), with
-    numpy's floating-point warnings off; _eval_rhs refuses a non-finite rhs."""
+    numpy's floating-point warnings off; _eval_rhs refuses a non-finite rhs,
+    and one check after the loop a state that overflowed in a step's own
+    arithmetic (the last step's, or one whose rhs stays finite)."""
     ts = _time_grid(prob.t0, prob.tf, dt)
     check_grid_size(len(ts) * len(prob.x0), "ODE state record")
     xs = np.empty((len(ts), len(prob.x0)))
@@ -74,6 +76,9 @@ def _march(prob: IvpProblem, dt: float, step) -> SampledSignal:
     with np.errstate(all="ignore"):
         for k in range(len(ts) - 1):
             xs[k + 1] = step(ts[k], xs[k], ts[k + 1] - ts[k])
+    finite = np.isfinite(xs).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"state is not finite at t = {ts[finite.argmin()]} (state blow-up)")
     return SampledSignal(ts, xs)
 
 

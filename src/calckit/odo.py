@@ -128,8 +128,7 @@ def bias_corrected_odometry(trace: ImuTrace, measurements, gains: FilterGains,
         events.setdefault(int(k), []).append(v_meas)
 
     n = len(trace)
-    a = trace.y
-    dt = np.diff(trace.t)[:, None]
+    t, a = trace.t, trace.y
     v = np.empty((n, d))
     p = np.empty((n, d))
     bias = np.empty((n, d))
@@ -145,15 +144,17 @@ def bias_corrected_odometry(trace: ImuTrace, measurements, gains: FilterGains,
         # (row e, if any, is rewritten by the next segment)
         hi = min(e, n - 1)
         w, q = v[s:hi + 1], p[s:hi + 1]
+        dt = np.diff(t[s:hi + 1])[:, None]
         w[0], q[0] = v_hat, p_hat
-        np.multiply(0.5 * ((a[s:hi] - b_hat) + (a[s + 1:hi + 1] - b_hat)), dt[s:hi], out=w[1:])
+        np.multiply(0.5 * ((a[s:hi] - b_hat) + (a[s + 1:hi + 1] - b_hat)), dt, out=w[1:])
         np.cumsum(w, axis=0, out=w)
-        np.multiply(0.5 * (w[:-1] + w[1:]), dt[s:hi], out=q[1:])
+        np.multiply(0.5 * (w[:-1] + w[1:]), dt, out=q[1:])
         np.cumsum(q, axis=0, out=q)
         bias[s:e] = b_hat
         v_hat, p_hat = w[-1].copy(), q[-1].copy()
-    return Odometry(SampledSignal(trace.t, v), SampledSignal(trace.t, p),
-                    SampledSignal(trace.t, bias))
+    for record in (v, p, bias):         # adopted as they are, with the trace's t
+        record.setflags(write=False)
+    return Odometry(SampledSignal(t, v), SampledSignal(t, p), SampledSignal(t, bias))
 
 
 @dataclass(frozen=True)

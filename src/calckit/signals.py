@@ -18,6 +18,13 @@ bytes and line numbers of a one-field-at-a-time loop.
 Every uniform grid the package builds (ODE time grids, fixed-panel
 quadrature), and every state record marched on one (points times state
 width), is refused by ``check_grid_size`` above MAX_GRID_POINTS values.
+
+A SampledSignal's ``t`` and ``y`` are read-only float64 arrays that own
+their data. It adopts an array handed to it that already is all three,
+without a copy, and copies and freezes anything else, so a record built
+once and frozen by its maker exists once however many signals share it.
+The caller's side of the rule: keep no writable view of an array you hand
+over frozen, since freezing an array does not freeze views taken before.
 """
 
 from __future__ import annotations
@@ -41,6 +48,16 @@ def check_grid_size(points: float, what: str) -> None:
     if not points <= MAX_GRID_POINTS:
         raise DomainError(f"{what} needs {points:.4g} points, over the budget of "
                           f"{MAX_GRID_POINTS:,}")
+
+
+def _adopt(a: np.ndarray) -> np.ndarray:
+    """The float64 array `a` itself if it owns its data and is read-only,
+    else a read-only copy (the adoption rule of the module docstring)."""
+    if a.base is None and not a.flags.writeable:
+        return a
+    a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -67,12 +84,8 @@ class SampledSignal:
             raise DomainError("timestamps and samples must be finite")
         if np.any(np.diff(t) <= 0):
             raise DomainError("timestamps must be strictly increasing")
-        t = t.copy()
-        y = y.copy()
-        t.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "t", _adopt(t))
+        object.__setattr__(self, "y", _adopt(y))
 
     @property
     def dim(self) -> int:
@@ -209,8 +222,11 @@ def read_csv(path, expected_headers=None) -> SampledSignal:
             lineno += len(lines)
     if width is None:
         raise DomainError(f"{path}: line 1: empty file")
-    data = np.concatenate(blocks)
+    t = np.concatenate([block[:, 0] for block in blocks])
+    y = np.concatenate([block[:, 1:] for block in blocks])
+    t.setflags(write=False)
+    y.setflags(write=False)
     try:
-        return SampledSignal(data[:, 0], data[:, 1:])
+        return SampledSignal(t, y)
     except (DomainError, DimensionError) as exc:
         raise DomainError(f"{path}: {exc}") from None

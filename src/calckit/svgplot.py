@@ -23,24 +23,29 @@ def _fmt(x: float) -> str:
     return f"{float(x):.6g}"
 
 
-def _m4(px, py) -> np.ndarray:
-    """Mask of the points M4 keeps. Pixel column floor(px) is one run of
-    samples, as px increases. A column of at most 4 keeps them all, a larger
-    one its first and last and the first of its least and greatest py: the
-    polyline through them draws the same pixels as the full one (Jugel et
-    al., "M4: A Visualization-Oriented Time Series Data Aggregation", PVLDB
-    7(10), 2014)."""
+def _m4(px):
+    """The M4 mask of one chart, as a function of a series' py. Pixel
+    column floor(px) is one run of samples, as px increases. A column of at
+    most 4 keeps them all, a larger one its first and last and the first of
+    its least and greatest py: the polyline through them draws the same
+    pixels as the full one (Jugel et al., "M4: A Visualization-Oriented
+    Time Series Data Aggregation", PVLDB 7(10), 2014). The columns depend
+    on px alone and are found once; each series adds its extremes."""
     n = len(px)
     starts = np.flatnonzero(np.r_[True, np.diff(np.floor(px)) != 0])
     sizes = np.diff(np.r_[starts, n])
-    column = np.repeat(np.arange(len(starts)), sizes)
-    keep = np.zeros(n + 1, dtype=bool)      # slot n takes a NaN column's extremes
-    keep[:n] = sizes[column] <= 4
-    keep[starts] = keep[starts + sizes - 1] = True
-    for extreme in (np.minimum, np.maximum):
-        hit = py == extreme.reduceat(py, starts)[column]
-        keep[np.minimum.reduceat(np.where(hit, np.arange(n), n), starts)] = True
-    return keep[:n]
+    ends = starts + sizes
+    fixed = np.r_[np.repeat(sizes <= 4, sizes), False]   # slot n: a NaN column's extremes
+    fixed[starts] = fixed[ends - 1] = True
+
+    def mask(py) -> np.ndarray:
+        keep = fixed.copy()
+        for extreme in (np.minimum, np.maximum):
+            hits = np.r_[np.flatnonzero(py == np.repeat(extreme.reduceat(py, starts), sizes)), n]
+            first = hits[np.searchsorted(hits, starts)]     # first hit at or after each start
+            keep[np.where(first < ends, first, n)] = True
+        return keep[:n]
+    return mask
 
 
 def line_chart(path, title: str, t, series) -> None:
@@ -57,6 +62,7 @@ def line_chart(path, title: str, t, series) -> None:
 
     # the same IEEE operations, in the same order, as a per-point float loop
     px = MARGIN_L + (t - x0) / (x1 - x0) * plot_w
+    m4 = _m4(px)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -86,7 +92,7 @@ def line_chart(path, title: str, t, series) -> None:
         for idx, (label, y) in enumerate(series):
             color = PALETTE[idx % len(PALETTE)]
             py = MARGIN_T + (ymax - y) / (ymax - ymin) * plot_h
-            keep = _m4(px, py)
+            keep = m4(py)
             fh.write('<polyline points="')
             _write_rows(fh, [px[keep], py[keep]], "%.6g", " ")
             fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -6,12 +7,13 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from calckit import cli, funcexpr, lti, quad, signals
+from calckit import cli, funcexpr, lti, odo, quad, signals
 from calckit.cli import _fmt, _print_pole_table, main
 from calckit.errors import CalcError
 from calckit.signals import read_csv
@@ -108,6 +110,53 @@ def test_project1_writes_reingestable_csv(tmp_path, capsys):
     assert "final position:" in out
     sig = read_csv(out_csv)           # shared CSV contract round-trips
     assert sig.dim == 2               # vx and px for the 1-axis trace
+
+
+def test_project1_holds_each_record_once(tmp_path, monkeypatch, capsys):
+    # the trace, three odometry records on the trace's one t, and blocks of
+    # 512 rows: about 120 bytes a sample traced, where copying each record
+    # into every SampledSignal and digesting the input whole took 210
+    monkeypatch.setattr(signals, "READ_BLOCK_LINES", 512)
+    monkeypatch.setattr(signals, "WRITE_BLOCK_ROWS", 512)
+    n = 20_000
+    syn = odo.synth_imu(odo.AccelProfile.sinusoid(0.5, 0.2), [0.05, -0.03, 0.02], 0.01,
+                        0.01, (n - 1) * 0.01, seed=3)
+    imu, meas = tmp_path / "imu.csv", tmp_path / "meas.csv"
+    odo.write_imu_csv(syn.trace, imu)
+    odo.write_measurements_csv([odo.VelMeasurement(syn.truth_v.t[k], syn.truth_v.y[k])
+                                for k in range(200, n, 200)], meas)
+    tracemalloc.start()
+    try:
+        code = main(["project1", "--imu", str(imu), "--meas", str(meas),
+                     "--out", str(tmp_path / "odo.csv"), "--plot", str(tmp_path / "odo.svg")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(syn.trace) == n
+    assert "final position:" in capsys.readouterr().out
+    assert peak <= 140 * n
+
+
+@pytest.mark.parametrize("size", [0, 1, 2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1])
+def test_digest_is_the_whole_file_sha256(tmp_path, size):
+    data = np.random.default_rng(size).bytes(size)
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    assert cli._digest(path) == hashlib.sha256(data).hexdigest()[:12]
+
+
+def test_digest_memory_does_not_grow_with_the_file(tmp_path):
+    path = tmp_path / "input.bin"
+    with open(path, "wb") as fh:
+        for k in range(8):
+            fh.write(bytes([k]) * 2 ** 20)
+    tracemalloc.start()
+    try:
+        cli._digest(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_project1_malformed_csv_reports_line(tmp_path, capsys):

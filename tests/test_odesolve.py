@@ -78,6 +78,18 @@ def test_a_state_that_overflows_reports_the_blowup_without_a_runtime_warning(sol
     assert caught == []
 
 
+@pytest.mark.parametrize("solve,dt,t_bad", [(rk4_solve, 2.0, "2.0"), (euler_solve, 0.5, "1.0")])
+def test_a_state_that_overflows_under_a_finite_rhs_reports_the_blowup_time(solve, dt, t_bad):
+    # the rhs stays finite at an infinite state, so no rhs call sees the
+    # overflow: it happens in RK4's only (last) step and in Euler's second
+    prob = IvpProblem(lambda t, x: np.full_like(x, 1e308), [1e308], 0.0, 2.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match=rf"state is not finite at t = {t_bad} \(state blow-up\)"):
+            solve(prob, dt)
+    assert caught == []
+
+
 def test_expm_at_zero_is_identity():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 4))

@@ -97,6 +97,15 @@ def test_measurement_outside_trace_rejected():
                                 FilterGains(0.5, 0.5), [0.0], [0.0], [0.0])
 
 
+def test_odometry_records_share_the_trace_timestamps():
+    syn = synth_imu(AccelProfile.constant(0.2), [0.05, 0.1], 0.01, 0.01, 2.0, seed=2)
+    zero = np.zeros(2)
+    out = bias_corrected_odometry(syn.trace, constant_measurements(0.2, [1.0], 2),
+                                  FilterGains(0.5, 0.5), zero, zero, zero)
+    for sig in (out.v, out.p, out.bias_history):
+        assert sig.t is syn.trace.t and not sig.y.flags.writeable
+
+
 def test_gain_validation():
     with pytest.raises(DomainError):
         FilterGains(-0.1, 0.0)

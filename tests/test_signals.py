@@ -267,3 +267,52 @@ def test_read_csv_accepts_and_reports_what_float_does(tmp_path, monkeypatch, blo
             outcomes.add("accepted")
     assert outcomes == {"accepted", "expected 3 fields, got 4", "non-numeric field",
                         "non-finite field"}
+
+
+def frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+def test_an_owned_read_only_float_array_is_adopted():
+    t, y = frozen(np.arange(5.0)), frozen(np.ones((5, 2)))
+    sig = SampledSignal(t, y)
+    assert np.shares_memory(sig.t, t) and np.shares_memory(sig.y, y)
+
+
+def test_a_writable_array_is_copied_and_later_writes_do_not_reach_the_signal():
+    t, y = np.arange(5.0), np.ones((5, 2))
+    sig = SampledSignal(t, y)
+    t[0], y[:] = -1.0, 7.0
+    assert sig.t.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0] and (sig.y == 1.0).all()
+    assert not sig.t.flags.writeable and not sig.y.flags.writeable
+
+
+def test_a_read_only_view_of_a_writable_base_is_copied():
+    base = np.ones((5, 3))
+    t, y = frozen(np.arange(5.0)[:]), frozen(base[:, 1:])
+    sig = SampledSignal(t, y)
+    base[:] = 7.0
+    assert not np.shares_memory(sig.t, t) and not np.shares_memory(sig.y, base)
+    assert (sig.y == 1.0).all()
+
+
+def test_an_int_array_is_converted():
+    t, y = frozen(np.arange(5)), frozen(np.arange(10).reshape(5, 2))
+    sig = SampledSignal(t, y)
+    assert sig.t.dtype == sig.y.dtype == np.float64
+    assert sig.t.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0] and sig.y.tolist() == y.tolist()
+    assert not sig.t.flags.writeable and not sig.y.flags.writeable
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: SampledSignal([0.0, 1.0, 2.0], [[1.0], [2.0], [3.0]]),
+    lambda path: SampledSignal(np.arange(3.0), np.arange(3.0)),      # 1-D y: a column view
+    lambda path: read_csv(path),
+], ids=["lists", "1-D y", "read_csv"])
+def test_every_signal_is_adopted_by_the_next(tmp_path, monkeypatch, make):
+    monkeypatch.setattr(signals, "READ_BLOCK_LINES", 3)
+    write_csv(random_signal(10, 2, seed=4), tmp_path / "s.csv", ["a", "b"])
+    sig = make(tmp_path / "s.csv")
+    again = SampledSignal(sig.t, sig.y)
+    assert again.t is sig.t and again.y is sig.y
