@@ -48,8 +48,8 @@ def norm_inf(a: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     if m.ndim == 1:
-        return float(np.max(np.abs(m)))
-    return float(np.max(np.sum(np.abs(m), axis=1)))
+        return float(np.abs(m).max())
+    return float(np.abs(m).sum(axis=1).max())
 
 
 def lu_factor(a: np.ndarray):

@@ -286,11 +286,15 @@ def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
         if short:
             phi, gamma = _step_map(ss, last)
             xs[-1] = phi @ xs[-2] + gamma
-        y = xs @ ss.C[0] + ss.D[0, 0]
+        y = np.empty((len(ts), 1))      # a 1-D y would reach the signal as a view
+        np.matmul(xs, ss.C[0], out=y[:, 0])
+        y += ss.D[0, 0]
     blown = ~(np.abs(y) <= 1e150)        # also catches overflow to inf/nan
     if np.any(blown):
         t_blow = float(ts[int(np.argmax(blown))])
         raise DomainError(f"step response exceeds 1e150 at t = {t_blow} (overflow bound)")
+    for record in (ts, y):              # adopted by the signal as they are
+        record.setflags(write=False)
     return SampledSignal(ts, y)
 
 

@@ -79,6 +79,8 @@ def _march(prob: IvpProblem, dt: float, step) -> SampledSignal:
     finite = np.isfinite(xs).all(axis=1)
     if not finite.all():
         raise DomainError(f"state is not finite at t = {ts[finite.argmin()]} (state blow-up)")
+    for record in (ts, xs):             # adopted by the signal as they are
+        record.setflags(write=False)
     return SampledSignal(ts, xs)
 
 

@@ -305,6 +305,16 @@ def test_control_step_takes_a_stable_plant_with_a_large_gain(capsys):
     assert m["rise time"] == pytest.approx(math.log(9.0), abs=1e-6)
 
 
+def test_control_step_judges_a_plant_with_tiny_poles_stable(capsys):
+    # poles -1e-13 and -3e-13, below the absolute tol of 1e-12: both are
+    # stable, and time constants that dwarf T = 10 reach no level
+    code, out, err = run(capsys, "control", "step", "--num", "3e-26",
+                         "--den", "3e-26", "4e-13", "1")
+    assert code == 2
+    assert err == "error: response never reaches level 0.1\n"
+    assert "steady state" not in out
+
+
 def test_control_step_horizon_below_the_grid_tolerance_exit_2(capsys):
     # the time grid dropped t0 below a 1e-12 horizon: IndexError, exit 1
     code, out, err = run(capsys, "control", "step", "--num", "1", "--den", "1", "1",

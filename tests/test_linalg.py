@@ -13,6 +13,13 @@ from calckit.linalg import (PIVOT_RTOL, _cholesky_rows, _cholesky_solve_rows, as
                             lu_solve, norm_inf)
 
 
+def test_norm_inf_of_vectors_matrices_and_empties():
+    assert norm_inf(np.array([-3.0, 2.0])) == 3.0
+    assert norm_inf(np.array([[1.0, -2.0], [-4.0, 0.5]])) == 4.5
+    assert norm_inf(np.zeros((0, 3))) == 0.0
+    assert type(norm_inf([[1.0]])) is float
+
+
 def test_identity_product():
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -11,7 +11,7 @@ from calckit.lti import (PdGains, StateSpace, TransferFunction, dc_gain,
                          step_response, subsystem, tf_to_ss, unity_feedback,
                          zeros)
 from calckit.mech import cart_pole_segway, gymnast_bar, pendulum, planar_ballbot
-from calckit.poly import _horner, poly_add, poly_eval, poly_mul, roots_dk, trim
+from calckit.poly import _horner, as_poly, poly_add, poly_eval, poly_mul, roots_dk, trim
 from calckit.signals import SampledSignal
 
 G = 9.81
@@ -33,6 +33,25 @@ def test_poly_hand_expansion():
 
 def test_poly_add_padding():
     assert np.allclose(poly_add([1.0], [0.0, 0.0, 2.0]), [1.0, 0.0, 2.0])
+
+
+def test_as_poly_copies_and_refuses_what_is_not_a_finite_sequence():
+    c = np.array([1.0, 2.0])
+    p = as_poly(c)
+    assert not np.shares_memory(p, c) and p.flags.writeable
+    assert as_poly(3).tolist() == [3.0]
+    for bad in ([], [[1.0, 2.0]]):
+        with pytest.raises(DomainError, match="nonempty 1-D"):
+            as_poly(bad)
+    with pytest.raises(DomainError, match="must be finite"):
+        as_poly([1.0, np.nan])
+
+
+def test_trim_drops_high_powers_below_1e_12_relative():
+    assert trim([1.0, 2.0, 1e-12, 0.0]).tolist() == [1.0, 2.0]
+    assert trim([1.0, 2.0, 3e-12]).tolist() == [1.0, 2.0, 3e-12]
+    assert trim([0.0, -0.0]).tolist() == [0.0]
+    assert trim([0.0, 5e-324, 0.0]).tolist() == [0.0, 5e-324]
 
 
 def test_roots_difference_of_squares():
@@ -95,6 +114,7 @@ def _roots_dk_delete_loop(p, tol=1e-12, max_iters=500):
     z = radius * np.exp(1j * (2.0 * np.pi * np.arange(deg) / deg + 0.4))
     coeffs, magnitudes = p.astype(complex), np.abs(p)
     rounding = 2.0 * deg * np.finfo(float).eps
+    tol *= min(1.0, radius)
     for _ in range(max_iters):
         values = np.array([_horner(coeffs, zi) for zi in z])
         noise = rounding * np.array([_horner(magnitudes, abs(zi)).real for zi in z])
@@ -121,6 +141,102 @@ def test_roots_dk_equals_the_delete_loop_bit_for_bit():
                     roots_dk(coeffs)
                 continue
             assert roots_dk(coeffs) == want
+
+
+def _roots_dk_array_sweep(p, tol=1e-12, max_iters=500):
+    """Reference: roots_dk as one numpy sweep over arrays, each Weierstrass
+    denominator a row product of the pairwise-difference matrix, as before
+    the sweep ran on Python scalars."""
+    p = trim(p)
+    deg, lead = len(p) - 1, p[-1]
+    ratios = np.abs(p[-2::-1] / lead)
+    ratios[-1] /= 2.0
+    radius = 2.0 * float(np.max(ratios ** (1.0 / np.arange(1, deg + 1))))
+    z = radius * np.exp(1j * (2.0 * np.pi * np.arange(deg) / deg + 0.4))
+    coeffs, magnitudes = p.astype(complex), np.abs(p)
+    rounding = 2.0 * deg * np.finfo(float).eps
+    tol *= min(1.0, radius)
+    for _ in range(max_iters):
+        values = np.array([_horner(coeffs, zi) for zi in z])
+        noise = rounding * np.array([_horner(magnitudes, abs(zi)).real for zi in z])
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        diff[diff == 0] = 1e-30
+        updates = values / (lead * np.prod(diff, axis=1))
+        z = z - updates
+        if np.max(np.abs(updates)) < tol or np.all(np.abs(values) <= noise):
+            return sorted(map(complex, z), key=lambda r: (r.real, r.imag))
+    raise ConvergenceError(
+        f"root iteration did not settle in {max_iters} iterations "
+        f"(last update {np.max(np.abs(updates)):.3e})"
+    )
+
+
+def _bits(roots):
+    """Each root's two parts exactly, signed zeros told apart."""
+    return [(r.real.hex(), r.imag.hex()) for r in roots]
+
+
+def _pd_closed_loops():
+    for wn in np.linspace(1.0, 8.0, 15):
+        for zeta in np.linspace(0.2, 1.0, 9):
+            yield np.array([wn * wn, 2.0 * zeta * wn, 1.0])
+
+
+def _third_order_step_plants():
+    # the denominators of the bench's order-3 `control step` plants
+    for wn in np.linspace(1.0, 4.0, 7):
+        for zeta in np.linspace(0.2, 0.7, 6):
+            for p in np.linspace(2.0, 6.0, 5):
+                yield np.convolve([wn * wn, 2.0 * zeta * wn, 1.0], [p, 1.0])
+
+
+def _degree_12_stable_spectra():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        pairs = -rng.uniform(0.1, 3.0, 6) + 1j * rng.uniform(0.1, 3.0, 6)
+        yield np.poly(np.concatenate([pairs, pairs.conj()])).real[::-1]
+
+
+@pytest.mark.parametrize("max_iters", [500, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("family", [_pd_closed_loops, _third_order_step_plants,
+                                    _degree_12_stable_spectra])
+def test_roots_dk_equals_the_array_sweep_bit_for_bit(family, max_iters):
+    for coeffs in family():
+        try:
+            want = _roots_dk_array_sweep(coeffs, max_iters=max_iters)
+        except ConvergenceError as err:
+            with pytest.raises(ConvergenceError) as got:
+                roots_dk(coeffs, max_iters=max_iters)
+            assert str(got.value) == str(err)
+            continue
+        got = roots_dk(coeffs, max_iters=max_iters)
+        assert all(type(r) is complex for r in got)
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+def test_tiny_roots_are_found_to_tol_relative(alpha):
+    # p(s / alpha) has the roots of p scaled by alpha; an absolute stop at
+    # tol would accept the first update once every root is below about tol.
+    # The double roots (zeta = 1) keep the sqrt(eps) accuracy they have at
+    # alpha = 1.
+    families = (_pd_closed_loops, _third_order_step_plants)
+    for coeffs in (c for family in families for c in family()):
+        scaled = coeffs * alpha ** -np.arange(len(coeffs), dtype=float)
+        want = np.roots(scaled[::-1])
+        size = np.max(np.abs(want))
+        spread = np.abs(want[:, None] - want[None, :]) + np.eye(len(want)) * size
+        bound = 1e-12 if spread.min() > 1e-6 * size else 1e-7
+        got = np.array(roots_dk(scaled))
+        gaps = np.abs(got[:, None] - want[None, :]).min(axis=1)
+        assert np.max(gaps) <= bound * size
+
+
+def test_tiny_poles_are_those_of_numpy():
+    got = poles(TransferFunction([1.0], [3e-26, 4e-13, 1.0]))
+    assert np.allclose([r.real for r in got], [-3e-13, -1e-13], rtol=1e-12, atol=0.0)
+    assert max(abs(r.imag) for r in got) <= 1e-12 * 1e-13
 
 
 def test_roots_budget_exhaustion():
@@ -548,6 +664,16 @@ def test_step_response_bounds_the_state_record_not_just_the_grid(monkeypatch):
     with pytest.raises(DomainError, match="step response state record needs 1004 points"):
         step_response(tf, 250 * dt, dt)
     assert len(step_response(TransferFunction([2.0], [1.0]), 999 * dt, dt)) == 1000
+
+
+@pytest.mark.parametrize("den", [[1.0], [2.0, 3.0, 1.0], [1.0, 4.0, 6.0, 4.0, 1.0]])
+def test_step_response_hands_its_record_over_without_a_copy(den, monkeypatch):
+    handed = []
+    monkeypatch.setattr(lti, "SampledSignal",
+                        lambda t, y: handed.append((t, y)) or SampledSignal(t, y))
+    sig = step_response(TransferFunction([1.0], den), 2.0, 0.01)
+    (t, y), = handed
+    assert np.shares_memory(sig.t, t) and np.shares_memory(sig.y, y)
 
 
 def test_metrics_without_a_dc_gain_refuse_an_unsettled_record():

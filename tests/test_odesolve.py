@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -202,6 +203,14 @@ def test_eigenvalues_rotation_pure_imaginary():
     assert got[1] == pytest.approx(1j, abs=1e-10)
 
 
+@pytest.mark.parametrize("spectrum", [(-1e-13, -3e-13), (-2e-10, -5e-10)])
+def test_tiny_eigenvalues_keep_their_relative_accuracy(spectrum):
+    # Durand-Kerner updates on these spectra fall below an absolute 1e-12
+    # long before the roots settle, so the stop test must scale with them
+    got = eigenvalues(np.diag(spectrum))
+    assert np.allclose(got, sorted(spectrum), rtol=1e-12, atol=0.0)
+
+
 def test_eigenvalue_sum_matches_trace():
     rng = np.random.default_rng(4)
     for n in (2, 3, 4, 5, 6):
@@ -322,3 +331,29 @@ def test_march_bounds_the_state_record_not_just_the_grid(solve, monkeypatch):
     assert len(solve(IvpProblem(lambda t, x: -x, np.ones(4), 0.0, 249 * dt), dt)) == 250
     with pytest.raises(DomainError, match="ODE state record needs 1004 points, over the budget"):
         solve(IvpProblem(lambda t, x: -x, np.ones(4), 0.0, 250 * dt), dt)
+
+
+@pytest.mark.parametrize("solve", [euler_solve, rk4_solve])
+def test_march_hands_its_records_over_without_a_copy(solve, monkeypatch):
+    handed = []
+    monkeypatch.setattr(odesolve, "SampledSignal",
+                        lambda t, y: handed.append((t, y)) or signals.SampledSignal(t, y))
+    sig = solve(IvpProblem(lambda t, x: -x, np.ones(3), 0.0, 1.0), 0.01)
+    (t, y), = handed
+    assert np.shares_memory(sig.t, t) and np.shares_memory(sig.y, y)
+
+
+def test_a_solve_holds_its_record_about_once():
+    # 200,001 steps of a 4-state decay make a 7.63 MiB record; a copy on
+    # the hand-over would peak at 2 records, while the signal's own checks
+    # of t and y take the adopted record to 1.25 (9.54 MiB measured)
+    prob = IvpProblem(lambda t, x: -x, np.ones(4), 0.0, 2.0)
+    tracemalloc.start()
+    try:
+        sig = euler_solve(prob, 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record = sig.t.nbytes + sig.y.nbytes
+    assert len(sig) == 200_001
+    assert peak <= 1.3 * record
