@@ -192,10 +192,9 @@ def _print_metrics(metrics: lti.StepMetrics) -> None:
 
 
 def _print_pole_table(values) -> None:
-    """Rows in order of the printed real part, then the imaginary part, so a
-    conjugate pair whose real parts differ in the last bits lists -imag first."""
+    """One row per value, in the order given."""
     print(f"{'real':>16} {'imag':>16}")
-    for v in sorted(values, key=lambda v: (float(f"{v.real:.8f}"), v.imag)):
+    for v in values:
         print(f"{v.real:>16.8f} {v.imag:>16.8f}")
 
 

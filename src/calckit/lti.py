@@ -17,6 +17,7 @@ model only; restrict a larger one with subsystem first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +58,10 @@ class TransferFunction:
     @property
     def proper(self) -> bool:
         return degree(self.num) <= degree(self.den)
+
+    @functools.cached_property
+    def _poles(self) -> tuple[complex, ...]:
+        return tuple(roots_dk(self.den)) if degree(self.den) >= 1 else ()
 
     def __call__(self, s) -> complex:
         return poly_eval(self.num, s) / poly_eval(self.den, s)
@@ -113,8 +118,10 @@ class PdGains:
             raise DomainError("PD gains must be finite")
 
 
-def poles(tf: TransferFunction) -> list[complex]:
-    return roots_dk(tf.den)
+def poles(tf: TransferFunction) -> tuple[complex, ...]:
+    """Roots of den as roots_dk returns them, found once per transfer
+    function and shared read-only; a constant den has none."""
+    return tf._poles
 
 
 def zeros(tf: TransferFunction) -> list[complex]:
@@ -266,16 +273,16 @@ def step_response(tf: TransferFunction, T: float, dt: float) -> SampledSignal:
     """
     if T <= 0:
         raise DomainError("horizon must be positive")
-    ss = tf_to_ss(tf)
-    ts = odesolve._time_grid(0.0, T, dt)
-    n = ss.n_states
-    check_grid_size(len(ts) * n, "step response state record")
-    xs = np.zeros((len(ts), n))
-    phi, gamma = _step_map(ss, dt)
-    last = ts[-1] - ts[-2]
-    short = abs(last - dt) > 1e-9 * dt
-    n_full = len(ts) - 2 if short else len(ts) - 1
     with np.errstate(over="ignore", invalid="ignore"):
+        ss = tf_to_ss(tf)
+        ts = odesolve._time_grid(0.0, T, dt)
+        n = ss.n_states
+        check_grid_size(len(ts) * n, "step response state record")
+        xs = np.zeros((len(ts), n))
+        last = ts[-1] - ts[-2]
+        short = abs(last - dt) > 1e-9 * dt
+        n_full = len(ts) - 2 if short else len(ts) - 1
+        phi, gamma = _step_map(ss, dt)
         xs[1] = gamma
         power, k = phi.astype(np.longdouble), 1
         while k < n_full:
@@ -313,7 +320,7 @@ def _crossing_time(t: np.ndarray, y: np.ndarray, level: float) -> float:
     if (y[0] >= level) if level > 0 else (y[0] <= level):
         return float(t[0])
     off = y - level
-    hits = np.nonzero((off[:-1] * off[1:] <= 0) & (y[:-1] != y[1:]))[0]
+    hits = np.nonzero(np.sign(off[:-1]) != np.sign(off[1:]))[0]
     if not len(hits):
         raise DomainError(f"response never reaches level {level}")
     k = int(hits[0]) + 1
@@ -325,19 +332,18 @@ def response_metrics(sig: SampledSignal, tf: TransferFunction | None = None) -> 
     """Rise (10-90%), overshoot, 2% settling time, and the steady state.
 
     Given tf, the transfer function behind sig, with a DC gain, that gain is
-    the final value, and a least damped pole with Re p >= -1e-9 |p| (an axis
-    pole's computed real part has either sign at roundoff) raises DomainError:
-    the record has no steady state. Otherwise the final value is the average
-    over the last 5% of the record, and that stretch must lie within the 2%
-    band around its average; a record that has not settled (a ramp, a slow
-    drift) raises DomainError.
+    the final value, and the first of its poles with Re p >= -1e-9 |p| (an
+    axis pole's computed real part has either sign at roundoff; a pole at 0
+    counts) raises DomainError: the record has no steady state. Otherwise the
+    final value is the average over the last 5% of the record, and that
+    stretch must lie within the 2% band around its average; a record that has
+    not settled (a ramp, a slow drift) raises DomainError.
     """
     t = sig.t
     y = sig.channel(0)
     if tf is not None and tf.den[0] != 0.0:
         final = dc_gain(tf)
-        if len(tf.den) > 1:                  # a static gain has no pole
-            pole = max(poles(tf), key=lambda p: p.real / abs(p))
+        for pole in poles(tf):
             if pole.real >= -1e-9 * abs(pole):
                 raise DomainError(f"pole {pole:.6g} is not in the open left half-plane "
                                   "(Re >= -1e-9 |p|): the step response has no steady state")

@@ -158,11 +158,5 @@ def char_poly(a) -> np.ndarray:
 
 
 def eigenvalues(a) -> list[complex]:
-    """Roots of the characteristic polynomial, sorted by (real, imag).
-
-    Imaginary parts below 1e-8 are snapped to zero so real spectra of real
-    matrices come back exactly real.
-    """
-    roots = poly.roots_dk(char_poly(a))
-    snapped = [complex(r.real, 0.0) if abs(r.imag) < 1e-8 else r for r in roots]
-    return sorted(snapped, key=lambda r: (r.real, r.imag))
+    """Roots of the characteristic polynomial, as poly.roots_dk returns them."""
+    return poly.roots_dk(char_poly(a))

@@ -60,21 +60,27 @@ def poly_eval(p, s) -> complex:
     return _horner(as_poly(p), s)
 
 
+@np.errstate(all="ignore")     # an overflowed sweep ends in ConvergenceError
 def roots_dk(p, tol: float = 1e-12, max_iters: int = 500) -> list[complex]:
     """All roots by simultaneous Weierstrass iteration, sorted by (real, imag).
 
     Starts from points on a circle, the angles offset by 0.4 rad, whose
     radius is Fujiwara's bound on every root, 2 max(|c_{n-1} / c_n|,
     |c_{n-2} / c_n|^(1/2), ..., |c_0 / (2 c_n)|^(1/n)) (Tohoku Math. J. 10,
-    1916). Stops when every update falls below tol * min(1, radius), so
-    roots below 1 in size are found to tol relative to the bound, or when
-    every |p(z_i)| is within Horner's rounding bound 2 deg eps sum |c_j|
-    |z_i|^j, where further updates are rounding noise (the stopping rule of
-    Bini, Numer. Algorithms 13, 1996). Clustered (multiple) roots converge
+    1916). Stops when every update falls below max(tol * min(1, radius),
+    5e-324), or when every |p(z_i)| is within Horner's rounding bound
+    2 deg eps sum |c_j| |z_i|^j, where further updates are rounding noise (the
+    stopping rule of Bini, Numer. Algorithms 13, 1996). Each sweep runs on
+    Python complex scalars, forms every Weierstrass product left to right and
+    divides by numpy's complex128 division, so the iterates are bit for bit
+    those of numpy array arithmetic. The sweep's error is relative to the
+    largest root, so each root then takes three Newton steps on p, a step kept
+    only where it lowers |p|: a simple root far smaller than the others comes
+    back to rounding relative to itself. The coefficients are real, so a root
+    within tol |z| of the real axis comes back on it, and the others as exact
+    conjugate pairs, -imag first. Clustered (multiple) roots converge
     slowly and lose accuracy in proportion to their multiplicity; call with a
-    looser tol there. Each sweep runs on Python complex scalars, forms every
-    Weierstrass product left to right and divides by numpy's complex128
-    division, so the iterates are bit for bit those of numpy array arithmetic.
+    looser tol there.
     """
     if max_iters < 1:
         raise DomainError(f"root iteration budget must be at least 1, got {max_iters}")
@@ -90,7 +96,7 @@ def roots_dk(p, tol: float = 1e-12, max_iters: int = 500) -> list[complex]:
     coeffs, magnitudes = p.astype(complex).tolist(), np.abs(p).astype(complex).tolist()
     lead = coeffs[-1]
     rounding = 2.0 * deg * float(np.finfo(float).eps)
-    tol *= min(1.0, radius)
+    stop = max(tol * min(1.0, radius), 5e-324)      # a subnormal radius cannot stop at 0
     for _ in range(max_iters):
         values = [_horner(coeffs, zi) for zi in z]
         updates = []
@@ -101,14 +107,27 @@ def roots_dk(p, tol: float = 1e-12, max_iters: int = 500) -> list[complex]:
                 prod *= d if d else 1e-30 + 0.0j     # coincident iterates
             updates.append(complex(np.complex128(values[i]) / (lead * prod)))
         old, z = z, [zi - u for zi, u in zip(z, updates)]
-        if all(abs(u) < tol for u in updates) or all(
+        if all(abs(u) < stop for u in updates) or all(
                 abs(v) <= rounding * _horner(magnitudes, complex(abs(zi))).real
                 for v, zi in zip(values, old)):
-            return sorted(z, key=lambda r: (r.real, r.imag))
+            return _finish(coeffs, z, tol)
     raise ConvergenceError(
         f"root iteration did not settle in {max_iters} iterations "
         f"(last update {np.max(np.abs(updates)):.3e})"
     )
+
+
+def _finish(coeffs, z, tol) -> list[complex]:
+    """Polish, snap and pair the swept roots of p, sorted by (real, imag)."""
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    for _ in range(3):                  # a Newton step on p, kept only where |p| falls
+        z = [min(zi, zi - _horner(coeffs, zi) / d if (d := _horner(deriv, zi)) else zi,
+                 key=lambda r: abs(_horner(coeffs, r))) for zi in z]
+    z.sort(key=lambda r: r.imag)
+    k = min(sum(r.imag > tol * abs(r) for r in z), sum(r.imag < -tol * abs(r) for r in z))
+    z[:k] = [r.conjugate() for r in reversed(z[len(z) - k:])]     # the k upper roots mirrored
+    z[k:len(z) - k] = [complex(r.real, 0.0) for r in z[k:len(z) - k]]   # the rest on the axis
+    return sorted(z, key=lambda r: (r.real, r.imag))
 
 
 def format_poly(p) -> str:

@@ -13,8 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
-from calckit import cli, funcexpr, lti, odo, quad, signals
-from calckit.cli import _fmt, _print_pole_table, main
+from calckit import cli, funcexpr, lti, odo, poly, quad, signals
+from calckit.cli import _fmt, main
 from calckit.errors import CalcError
 from calckit.signals import read_csv
 
@@ -324,6 +324,91 @@ def test_control_step_horizon_below_the_grid_tolerance_exit_2(capsys):
     assert "steady state" not in out
 
 
+@pytest.mark.parametrize("den, err", [
+    # the pole near -1e-310 came back as 0j, and p.real / |p| exited 1
+    (["1e-300", "1e10", "1"], "error: response never reaches level 9.999999999999999e+298\n"),
+    # Fujiwara's radius is about 2e-320: the stop test was 0.0, exit 3
+    (["1e-160", "1e160"], "error: response never reaches level 1.0000000000000001e+159\n"),
+    # the pole near -1e-40 came back as 4.29e-27 - 4.13e-27j, refused as unstable
+    (["1e-40", "1", "1"], "error: response never reaches level 1.0000000000000001e+39\n"),
+], ids=["pole-1e-310", "degree-1-subnormal-radius", "pole-1e-40"])
+def test_control_step_judges_a_plant_with_one_tiny_pole_stable(den, err, capsys):
+    # each plant is stable, and its slow pole keeps the output far below the
+    # huge DC gain over T = 1
+    code, out, got = run(capsys, "control", "step", "--num", "1", "--den", *den,
+                         "--T", "1", "--dt", "0.01")
+    assert (code, got) == (2, err)
+    assert "steady state" not in out
+
+
+@pytest.mark.parametrize("den, err", [
+    # _crossing_time formed off[:-1] * off[1:] with |off| near 1e299
+    (["1e-300", "1"], "error: response never reaches level 9.999999999999999e+298\n"),
+    # the first step map's squaring overflowed outside np.errstate
+    (["-1000000", "1"], "error: step response exceeds 1e150 at t = 0.01 (overflow bound)\n"),
+], ids=["crossing-product", "step-map-squaring"])
+def test_control_step_leaks_no_runtime_warning(den, err, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, got = run(capsys, "control", "step", "--num", "1", "--den", *den,
+                           "--T", "1", "--dt", "0.01")
+    assert (code, got) == (2, err)
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["pd", "--model", "segway", "--wn", "3", "--zeta", "0.9", "--T", "1"],
+    ["step", "--num", "1", "--den", "2", "3", "1"],
+], ids=["pd", "step"])
+def test_control_finds_the_closed_loop_poles_once(argv, monkeypatch, capsys):
+    # the pole table and the stability verdict share one roots_dk call
+    calls = []
+
+    def counted(p, *args, **kwargs):
+        calls.append(p)
+        return poly.roots_dk(p, *args, **kwargs)
+
+    monkeypatch.setattr(lti, "roots_dk", counted)
+    assert run(capsys, "control", *argv)[0] == 0
+    assert len(calls) == 1
+
+
+def _plain(x: float) -> str:
+    """x in positional notation, exactly: argparse reads -0.001 as a value
+    but -1e-3 as an option."""
+    return np.format_float_positional(x, trim="-")
+
+
+def _fuzzed_step(rng):
+    """A `control step` with a random real plant: a denominator of degree
+    1-4 and a numerator of degree 0-deg, every coefficient log-uniform in
+    1e-300 ... 1e300 with a random sign, on one of three time grids."""
+    deg = int(rng.integers(1, 5))
+    den = rng.choice([-1.0, 1.0], deg + 1) * 10.0 ** rng.uniform(-300, 300, deg + 1)
+    k = int(rng.integers(1, deg + 2))
+    num = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-300, 300, k)
+    T, dt = [("1", "0.01"), ("10", "0.001"), ("5", "0.1")][int(rng.integers(3))]
+    return den, ["control", "step", "--num", *map(_plain, num), "--den", *map(_plain, den),
+                 "--T", T, "--dt", dt]
+
+
+@pytest.mark.parametrize("seed", [5, 2026])
+def test_control_step_fuzz_exits_0_2_or_3_quietly_and_repeatably(seed, capsys):
+    rng = np.random.default_rng(seed)
+    for _ in range(300):
+        den, argv = _fuzzed_step(rng)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)     # an uncaught exception fails here
+            again = run(capsys, *argv)
+        assert [str(w.message) for w in caught] == [], argv
+        assert code in (0, 2, 3) and "Traceback" not in err, argv
+        if code == 3:
+            assert err.startswith("error: root iteration did not settle"), argv
+            assert poly.degree(den) > 1, argv
+        assert again[:2] == (code, out), argv
+
+
 def metric_lines(out):
     return {k: float(v) for k, _, v in (l.partition(": ") for l in out.splitlines())
             if k in ("steady state", "rise time", "overshoot", "settling time")}
@@ -619,15 +704,6 @@ def test_control_pd_scaled_loop_on_seeded_plants_and_gains(monkeypatch, capsys):
             closed = closed_loop_of_control_pd(capsys, "--model", "pendulum",
                                                "--wn", "1", "--zeta", "1")
         assert_loop_built_twice(closed, plant, gains)
-
-
-def test_pole_table_lists_the_negative_imaginary_part_of_a_pair_first(capsys):
-    # the real parts differ in the last bit, as computed conjugates can
-    upper, lower = complex(-1.5, 2.5), complex(np.nextafter(-1.5, 0.0), -2.5)
-    for values in ([upper, lower], [lower, upper]):
-        _print_pole_table(values)
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert [float(row.split()[1]) for row in rows] == [-2.5, 2.5]
 
 
 def test_control_linearize_prints_tf(capsys):

@@ -11,7 +11,7 @@ from calckit.lti import (PdGains, StateSpace, TransferFunction, dc_gain,
                          step_response, subsystem, tf_to_ss, unity_feedback,
                          zeros)
 from calckit.mech import cart_pole_segway, gymnast_bar, pendulum, planar_ballbot
-from calckit.poly import _horner, as_poly, poly_add, poly_eval, poly_mul, roots_dk, trim
+from calckit.poly import _finish, _horner, as_poly, poly_add, poly_eval, poly_mul, roots_dk, trim
 from calckit.signals import SampledSignal
 
 G = 9.81
@@ -103,9 +103,15 @@ def test_roots_of_degree_12_stable_spectra_within_80_iterations():
         assert np.max(gaps.min(axis=0)) <= 1e-6 and np.max(gaps.min(axis=1)) <= 1e-6
 
 
-def _roots_dk_delete_loop(p, tol=1e-12, max_iters=500):
+def _swept(coeffs, z, tol):
+    """The roots as the sweep leaves them, sorted, without roots_dk's finish."""
+    return sorted(z, key=lambda r: (r.real, r.imag))
+
+
+def _roots_dk_delete_loop(p, tol=1e-12, max_iters=500, finish=_finish):
     """Reference: roots_dk with each Weierstrass denominator formed by its
-    own np.delete loop, as before the pairwise-difference matrix."""
+    own np.delete loop, as before the pairwise-difference matrix; the swept
+    roots then go through finish (roots_dk's own by default)."""
     p = trim(p)
     deg, lead = len(p) - 1, p[-1]
     ratios = np.abs(p[-2::-1] / lead)
@@ -114,7 +120,7 @@ def _roots_dk_delete_loop(p, tol=1e-12, max_iters=500):
     z = radius * np.exp(1j * (2.0 * np.pi * np.arange(deg) / deg + 0.4))
     coeffs, magnitudes = p.astype(complex), np.abs(p)
     rounding = 2.0 * deg * np.finfo(float).eps
-    tol *= min(1.0, radius)
+    stop = tol * min(1.0, radius)
     for _ in range(max_iters):
         values = np.array([_horner(coeffs, zi) for zi in z])
         noise = rounding * np.array([_horner(magnitudes, abs(zi)).real for zi in z])
@@ -124,8 +130,8 @@ def _roots_dk_delete_loop(p, tol=1e-12, max_iters=500):
             diff[diff == 0] = 1e-30
             updates[i] = values[i] / (lead * np.prod(diff))
         z = z - updates
-        if np.max(np.abs(updates)) < tol or np.all(np.abs(values) <= noise):
-            return sorted(map(complex, z), key=lambda r: (r.real, r.imag))
+        if np.max(np.abs(updates)) < stop or np.all(np.abs(values) <= noise):
+            return finish(p.astype(complex).tolist(), list(map(complex, z)), tol)
     raise ConvergenceError("no convergence")
 
 
@@ -143,10 +149,11 @@ def test_roots_dk_equals_the_delete_loop_bit_for_bit():
             assert roots_dk(coeffs) == want
 
 
-def _roots_dk_array_sweep(p, tol=1e-12, max_iters=500):
+def _roots_dk_array_sweep(p, tol=1e-12, max_iters=500, finish=_finish):
     """Reference: roots_dk as one numpy sweep over arrays, each Weierstrass
     denominator a row product of the pairwise-difference matrix, as before
-    the sweep ran on Python scalars."""
+    the sweep ran on Python scalars; the swept roots then go through finish
+    (roots_dk's own by default)."""
     p = trim(p)
     deg, lead = len(p) - 1, p[-1]
     ratios = np.abs(p[-2::-1] / lead)
@@ -155,7 +162,7 @@ def _roots_dk_array_sweep(p, tol=1e-12, max_iters=500):
     z = radius * np.exp(1j * (2.0 * np.pi * np.arange(deg) / deg + 0.4))
     coeffs, magnitudes = p.astype(complex), np.abs(p)
     rounding = 2.0 * deg * np.finfo(float).eps
-    tol *= min(1.0, radius)
+    stop = tol * min(1.0, radius)
     for _ in range(max_iters):
         values = np.array([_horner(coeffs, zi) for zi in z])
         noise = rounding * np.array([_horner(magnitudes, abs(zi)).real for zi in z])
@@ -164,8 +171,8 @@ def _roots_dk_array_sweep(p, tol=1e-12, max_iters=500):
         diff[diff == 0] = 1e-30
         updates = values / (lead * np.prod(diff, axis=1))
         z = z - updates
-        if np.max(np.abs(updates)) < tol or np.all(np.abs(values) <= noise):
-            return sorted(map(complex, z), key=lambda r: (r.real, r.imag))
+        if np.max(np.abs(updates)) < stop or np.all(np.abs(values) <= noise):
+            return finish(p.astype(complex).tolist(), list(map(complex, z)), tol)
     raise ConvergenceError(
         f"root iteration did not settle in {max_iters} iterations "
         f"(last update {np.max(np.abs(updates)):.3e})"
@@ -191,11 +198,16 @@ def _third_order_step_plants():
                 yield np.convolve([wn * wn, 2.0 * zeta * wn, 1.0], [p, 1.0])
 
 
-def _degree_12_stable_spectra():
+def _degree_12_spectra():
     rng = np.random.default_rng(12)
     for _ in range(40):
         pairs = -rng.uniform(0.1, 3.0, 6) + 1j * rng.uniform(0.1, 3.0, 6)
-        yield np.poly(np.concatenate([pairs, pairs.conj()])).real[::-1]
+        yield np.concatenate([pairs, pairs.conj()])
+
+
+def _degree_12_stable_spectra():
+    for spectrum in _degree_12_spectra():
+        yield np.poly(spectrum).real[::-1]
 
 
 @pytest.mark.parametrize("max_iters", [500, 1, 2, 3, 4, 5])
@@ -248,6 +260,114 @@ def test_roots_budget_exhaustion():
 def test_roots_refuse_an_empty_budget(max_iters):
     with pytest.raises(DomainError, match=f"at least 1, got {max_iters}"):
         roots_dk([1.0, 0.0, 1.0], max_iters=max_iters)
+
+
+def _random_polynomials(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield rng.standard_normal(int(rng.integers(2, 10)))
+
+
+def _relative_moves(coeffs):
+    """Each finished root's distance from the nearest swept root, relative
+    to its own modulus."""
+    swept = np.array(_roots_dk_array_sweep(coeffs, finish=_swept))
+    finished = np.array(roots_dk(coeffs))
+    return np.abs(finished[:, None] - swept[None, :]).min(axis=1) / np.abs(finished)
+
+
+def test_finish_moves_simple_roots_by_at_most_1e_14_relative():
+    # the Newton polish and the pairing move each root of these families,
+    # all simple and well separated, by rounding only: 2.3e-15 at most
+    simple = [c for c in _pd_closed_loops() if c[1] ** 2 < 3.99 * c[0]]
+    for coeffs in [*simple, *_third_order_step_plants(), *_random_polynomials(33, 3000)]:
+        try:
+            moves = _relative_moves(coeffs)
+        except ConvergenceError:
+            continue
+        assert np.max(moves) <= 1e-14
+
+
+def _clustered_spectra():
+    for wn in np.linspace(1.0, 8.0, 15):              # the zeta = 1 closed loops
+        yield np.array([wn * wn, 2.0 * wn, 1.0]), np.array([-wn, -wn])
+    for spectrum in _degree_12_spectra():
+        yield np.poly(spectrum).real[::-1], spectrum
+
+
+def test_finish_leaves_clustered_roots_no_farther_from_their_spectrum():
+    # double roots and degree-12 clusters move by more than rounding (up to
+    # 3e-8 of the largest root), because the polish keeps a Newton step
+    # wherever it lowers |p|: it takes them toward the spectrum, or leaves
+    # them within 1.5 times the sweep's own distance from it
+    def gap(roots, spectrum):
+        return np.abs(np.array(roots)[:, None] - spectrum[None, :]).min(axis=1).max()
+
+    for coeffs, spectrum in _clustered_spectra():
+        swept = _roots_dk_array_sweep(coeffs, finish=_swept)
+        assert gap(roots_dk(coeffs), spectrum) <= 1.5 * gap(swept, spectrum)
+
+
+def _routh_hurwitz_stable(c) -> bool:
+    """Every root in the open left half-plane, read off the first column of
+    the Routh array of the ascending coefficients c (Routh, 1877; Hurwitz,
+    Math. Ann. 46, 1895)."""
+    desc = [float(x) for x in reversed(trim(c))]
+    rows = [desc[0::2], desc[1::2]]
+    for _ in range(len(desc) - 2):
+        top, bot = rows[-2], rows[-1] + [0.0]
+        if bot[0] == 0.0:
+            return False
+        rows.append([(bot[0] * top[k + 1] - top[0] * bot[k + 1]) / bot[0]
+                     for k in range(len(top) - 1)])
+    first = [row[0] for row in rows]
+    return all(f > 0 for f in first) or all(f < 0 for f in first)
+
+
+def test_routh_hurwitz_oracle_on_hand_cases():
+    assert _routh_hurwitz_stable([2.0, 3.0, 1.0])               # (s + 1)(s + 2)
+    assert _routh_hurwitz_stable([-6.0, -11.0, -6.0, -1.0])     # -(s + 1)(s + 2)(s + 3)
+    assert not _routh_hurwitz_stable([-1.0, 0.0, 1.0])          # s = +-1
+    assert not _routh_hurwitz_stable([1.0, 0.0, 1.0])           # s = +-i
+    assert not _routh_hurwitz_stable([5.0, 1.0, 1.0, 1.0])      # a2 a1 < a0 a3
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["stable", "unstable"])
+@pytest.mark.parametrize("slow", [[1.0, 1.0], [1.0, 1.0, 1.0]], ids=["s+1", "s2+s+1"])
+def test_mixed_scale_families_find_the_small_pole_and_the_routh_hurwitz_verdict(slow, sign):
+    # (s + 1)(s + eps) and (s^2 + s + 1)(s + eps), and the same with -eps:
+    # Durand-Kerner's error is relative to the largest root, so without the
+    # polish the small root came back with either sign, or as 0
+    for eps in np.geomspace(1e-6, 1e-300, 44):
+        den = np.convolve(slow, [sign * eps, 1.0])
+        ps = poles(TransferFunction([1.0], den))
+        small = min(ps, key=abs)
+        assert abs(small + sign * eps) <= 1e-12 * eps
+        stable = all(p.real < -1e-9 * abs(p) for p in ps)       # response_metrics' rule
+        assert stable == _routh_hurwitz_stable(den) == (sign > 0)
+
+
+def test_roots_settle_on_a_subnormal_start_radius():
+    # Fujiwara's radius is about 2e-320 here, so tol * radius was 0.0 and no
+    # update could fall below it
+    assert roots_dk([1e-160, 1e160]) == [complex(-(1e-160 / 1e160), 0.0)]
+
+
+def test_roots_of_real_polynomials_come_back_as_exact_conjugate_pairs():
+    # a pair shares its real part bit for bit, so (real, imag) order lists
+    # -imag first; near-real roots (within tol |z|) come back on the axis
+    families = [*_pd_closed_loops(), *_third_order_step_plants(),
+                *_random_polynomials(34, 500), [2.0, 3.0, 1.0 + 1e-15]]
+    for coeffs in families:
+        try:
+            roots = roots_dk(coeffs)
+        except ConvergenceError:
+            continue
+        assert roots == sorted(roots, key=lambda r: (r.real, r.imag))
+        rest = [r for r in roots if r.imag != 0.0]
+        assert rest[0::2] == [r.conjugate() for r in rest[1::2]]
+        assert all(r.imag < 0.0 for r in rest[0::2])
+        assert all(abs(r.imag) > 1e-12 * abs(r) for r in rest)
 
 
 # ---------------------------------------------------------------- transfer fn

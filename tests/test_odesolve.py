@@ -211,6 +211,18 @@ def test_tiny_eigenvalues_keep_their_relative_accuracy(spectrum):
     assert np.allclose(got, sorted(spectrum), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("a", [
+    [[-1e-9, 1e-9], [-1e-9, -1e-9]],     # -1e-9 +- 1e-9 j
+    [[0.0, 1e-13], [-1e-13, 0.0]],       # +-1e-13 j
+])
+def test_small_imaginary_parts_are_kept_against_numpy(a):
+    # an absolute snap of imaginary parts below 1e-8 once made these pairs real
+    got = eigenvalues(a)
+    want = sorted(np.linalg.eigvals(np.array(a)), key=lambda v: (v.real, v.imag))
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert got[0] == got[1].conjugate() and got[0].imag < 0.0
+
+
 def test_eigenvalue_sum_matches_trace():
     rng = np.random.default_rng(4)
     for n in (2, 3, 4, 5, 6):
